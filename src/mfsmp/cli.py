@@ -8,8 +8,10 @@ byte.
 
 import argparse
 import hashlib
+import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,56 +29,91 @@ from .tree import AdaptedProcess
 from .instances import random_spike
 
 
+# rows per formatted chunk: bounds the text held in memory while a CSV is written
+CHUNK_ROWS = 16384
+# printf conversion per numpy dtype kind; any other kind (object) is "%s"
+_CONVERSIONS = {"i": "%d", "f": "%r"}
+
+
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_trajectory_csv(spec, tree, traj, u) -> str:
+def _distinct_labels(values):
+    """Object array of `repr` strings, one per entry of the float array `values`,
+    formatting each distinct value once.  Values are told apart by bit pattern,
+    so -0.0 and 0.0 keep their own text."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    labels = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return labels[inverse]
+
+
+def _write_rows(out, header, tree, levels, fields) -> str | None:
+    """Write CSV rows `time,node_id,...` for every node of each level in `levels`
+    to the text stream `out`, or return the text when `out` is None.
+
+    `fields(k)` lays out the rest of a level-k row as a list whose items are
+    either a string free of `%`, written verbatim in every row, or an array
+    with one row per node whose columns become fields: integers as `%d`,
+    floats as their shortest round-trip repr (`%r`, equal to
+    `repr(float(v))`), objects as `%s`.  Each level is formatted column-wise
+    and written in chunks of `CHUNK_ROWS` rows, so the whole text is never
+    held in memory.
+    """
+    if out is None:
+        buf = io.StringIO()
+        _write_rows(buf, header, tree, levels, fields)
+        return buf.getvalue()
+    out.write(",".join(header) + "\n")
+    for k in levels:
+        size, first = tree.size(k), int(tree.global_id(k, 0))
+        parts = [repr(float(tree.grid.time(k))), "%d"]
+        columns = [np.arange(first, first + size)[:, None]]
+        for item in fields(k):
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            item = item.reshape(size, -1)
+            parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
+            columns.append(item)
+        row = ",".join(parts) + "\n"
+        for start in range(0, size, CHUNK_ROWS):
+            # casting to object turns each cell into a Python int, float or str
+            cells = np.concatenate([c[start:start + CHUNK_ROWS] for c in columns],
+                                   axis=1, dtype=object)
+            out.write((row * cells.shape[0]) % tuple(cells.ravel().tolist()))
+    return None
+
+
+def write_trajectory_csv(spec, tree, traj, u, out=None) -> str | None:
     header = (["time", "node_id", "parent_id", "prob"]
               + [f"x_{i + 1}" for i in range(spec.n)]
               + [f"u_{i + 1}" for i in range(spec.r)])
-    lines = [",".join(header)]
-    for k in range(tree.grid.n_levels):
-        x = traj.at(k)
-        uk = u.at(k) if k <= tree.grid.n_steps else None
-        for node in range(tree.size(k)):
-            parent = "" if k == 0 else str(tree.global_id(k - 1, tree.parent[k][node]))
-            row = [_fmt(tree.grid.time(k)), str(tree.global_id(k, node)), parent,
-                   _fmt(tree.abs_prob[k][node])]
-            row += [_fmt(v) for v in x[node]]
-            row += ([_fmt(v) for v in uk[node]] if uk is not None else [""] * spec.r)
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+
+    def fields(k):
+        parent = [""] if k == 0 else [tree.global_id(k - 1, 0) + tree.parent[k]]
+        controls = [u.at(k)] if k <= tree.grid.n_steps else [""] * spec.r
+        return parent + [_distinct_labels(tree.abs_prob[k]), traj.at(k)] + controls
+
+    return _write_rows(out, header, tree, range(tree.grid.n_levels), fields)
 
 
-def write_adjoint_csv(spec, tree, adj) -> str:
+def write_adjoint_csv(spec, tree, adj, out=None) -> str | None:
     header = (["time", "node_id"] + [f"p_{i + 1}" for i in range(spec.n)]
               + [f"q{j + 1}_{i + 1}" for j in range(spec.d) for i in range(spec.n)])
-    lines = [",".join(header)]
-    for k in range(tree.grid.n_levels):
-        p = adj.p.at(k)
-        q = adj.q.at(k) if k <= tree.grid.n_steps else None
-        for node in range(tree.size(k)):
-            row = [_fmt(tree.grid.time(k)), str(tree.global_id(k, node))]
-            row += [_fmt(v) for v in p[node]]
-            if q is None:
-                row += [""] * (spec.d * spec.n)
-            else:
-                row += [_fmt(q[node, j, i]) for j in range(spec.d) for i in range(spec.n)]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+
+    def fields(k):
+        # q is (nodes, d, n); its rows flatten j-major, matching the header
+        q = [adj.q.at(k)] if k <= tree.grid.n_steps else [""] * (spec.d * spec.n)
+        return [adj.p.at(k)] + q
+
+    return _write_rows(out, header, tree, range(tree.grid.n_levels), fields)
 
 
-def write_control_csv(spec, tree, u) -> str:
+def write_control_csv(spec, tree, u, out=None) -> str | None:
     header = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
-    lines = [",".join(header)]
-    for k in range(tree.grid.n_steps + 1):
-        uk = u.at(k)
-        for node in range(tree.size(k)):
-            row = [_fmt(tree.grid.time(k)), str(tree.global_id(k, node))]
-            row += [_fmt(v) for v in uk[node]]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _write_rows(out, header, tree, range(tree.grid.n_steps + 1),
+                       lambda k: [u.at(k)])
 
 
 def read_control_csv(spec, tree, text) -> AdaptedProcess:
@@ -91,26 +128,34 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
     if len(lines) - 1 != expected_rows:
         raise ConfigError(
             f"control CSV has {len(lines) - 1} rows, tree needs {expected_rows}")
-    u = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
-    row_iter = iter(lines[1:])
+    arrays = []
+    pos = 1
     for k in range(tree.grid.n_steps + 1):
-        vals = np.zeros((tree.size(k), spec.r))
-        for node in range(tree.size(k)):
-            parts = next(row_iter).split(",")
+        first, size = int(tree.global_id(k, 0)), tree.size(k)
+        values = []
+        for node, line in enumerate(lines[pos:pos + size]):
+            parts = line.split(",")
             if len(parts) != 2 + spec.r:
                 raise ConfigError(f"control CSV row has {len(parts)} fields, "
                                   f"expected {2 + spec.r}")
-            if int(parts[1]) != tree.global_id(k, node):
+            if int(parts[1]) != first + node:
                 raise ConfigError(
                     f"control CSV node ids out of order at level {k}, node {node}")
-            vals[node] = [float(v) for v in parts[2:]]
-        u.set_level(k, vals)
-    return u
+            values.extend(map(float, parts[2:]))
+        arrays.append(np.array(values, dtype=float).reshape(size, spec.r))
+        pos += size
+    return AdaptedProcess(tree, 0, arrays)
 
 
-def _write(out_dir: Path, name: str, content: str, manifest_outputs: list) -> None:
+def _write(out_dir: Path, name: str, content, manifest_outputs: list) -> None:
+    """Write `content` to `out_dir/name`: a string, or a function that writes
+    the file's text to the open text stream it is passed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(content)
+    with open(out_dir / name, "w") as stream:
+        if isinstance(content, str):
+            stream.write(content)
+        else:
+            content(stream)
     manifest_outputs.append(name)
 
 
@@ -199,9 +244,10 @@ def cmd_solve(args) -> int:
     }
     _write(out, "optimize_report.json",
            json.dumps(opt_report, sort_keys=True, indent=2) + "\n", outputs)
-    _write(out, "trajectory.csv", write_trajectory_csv(spec, tree, traj, result.u), outputs)
-    _write(out, "adjoint.csv", write_adjoint_csv(spec, tree, adj), outputs)
-    _write(out, "control.csv", write_control_csv(spec, tree, result.u), outputs)
+    _write(out, "trajectory.csv", partial(write_trajectory_csv, spec, tree, traj, result.u),
+           outputs)
+    _write(out, "adjoint.csv", partial(write_adjoint_csv, spec, tree, adj), outputs)
+    _write(out, "control.csv", partial(write_control_csv, spec, tree, result.u), outputs)
     checks = _check_reports(spec, tree, result.u, args.tol)
     _write(out, "checks.json", json.dumps(checks, sort_keys=True, indent=2) + "\n", outputs)
     opts = {"tol": args.tol, "max_iters": args.max_iters, "grad_tol": args.grad_tol,
@@ -236,15 +282,15 @@ def cmd_simulate(args) -> int:
     check_feasible(spec, tree, u)
     traj = simulate(spec, tree, u)
     j_val = cost(spec, tree, u, traj=traj)
-    text = write_trajectory_csv(spec, tree, traj, u)
     if args.out:
         outputs = []
-        _write(Path(args.out), "trajectory.csv", text, outputs)
+        _write(Path(args.out), "trajectory.csv",
+               partial(write_trajectory_csv, spec, tree, traj, u), outputs)
         _write(Path(args.out), "manifest.json",
                _manifest("simulate", args.config, {}, outputs), [])
         print(f"simulate: J = {j_val!r}; outputs in {args.out}")
     else:
-        sys.stdout.write(text)
+        write_trajectory_csv(spec, tree, traj, u, out=sys.stdout)
     return 0
 
 

@@ -152,11 +152,21 @@ def _as_steps(value, n_steps, shape, key):
         rows = value.get("per_step")
         if not isinstance(rows, list) or len(rows) != n_steps + 1:
             raise ConfigError(f"{key}: per_step must list exactly {n_steps + 1} entries")
-        out = np.array([np.asarray(rw, dtype=float) for rw in rows])
-    else:
-        out = np.broadcast_to(np.asarray(value, dtype=float), (n_steps + 1,) + shape).copy()
+    try:
+        if isinstance(value, dict):
+            out = np.array([np.asarray(rw, dtype=float) for rw in rows])
+        else:
+            out = np.broadcast_to(np.asarray(value, dtype=float), (n_steps + 1,) + shape).copy()
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected numbers of shape {shape} per step ({exc})") from exc
     if out.shape != (n_steps + 1,) + shape:
         raise ConfigError(f"{key}: expected shape {shape} per step, got {out.shape[1:]}")
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        step, *index = bad[0].tolist()
+        where = f" at step {step}" if isinstance(value, dict) else ""
+        raise ConfigError(f"{key}: coefficients must be finite, got "
+                          f"{float(out[tuple(bad[0])])!r}{where} at index {index}")
     return out
 
 
@@ -506,7 +516,10 @@ def parse_problem(config_text: str) -> ProblemSpec:
     gr = cfg["grid"]
     if set(gr) != {"t0", "h", "N"}:
         raise ConfigError("grid must have exactly keys t0, h, N")
-    grid = TimeGrid(float(gr["t0"]), float(gr["h"]), int(gr["N"]))
+    t0, h = float(gr["t0"]), float(gr["h"])
+    if not np.isfinite([t0, h]).all():
+        raise ConfigError(f"grid: t0 and h must be finite, got t0={t0}, h={h}")
+    grid = TimeGrid(t0, h, int(gr["N"]))
     noise_cfg = cfg["noise"]
     extra = set(noise_cfg) - {"kind", "params"}
     if extra:
@@ -515,6 +528,8 @@ def parse_problem(config_text: str) -> ProblemSpec:
     x0 = np.asarray(cfg["x0"], dtype=float)
     if x0.shape != (n,):
         raise ConfigError(f"x0 must have length n={n}")
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"x0 must be finite, got {x0.tolist()}")
     admissible = _admissible_from_config(cfg["admissible"], grid.n_steps, r)
     direction = cfg["direction"]
 

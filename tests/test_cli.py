@@ -1,11 +1,16 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from mfsmp.cli import main, read_control_csv, write_control_csv
-from mfsmp.instances import e1_problem
-from mfsmp.problem import serialize_problem
+from mfsmp import cli
+from mfsmp.adjoint import linearize, solve_adjoint
+from mfsmp.cli import (main, read_control_csv, write_adjoint_csv, write_control_csv,
+                       write_trajectory_csv)
+from mfsmp.forward import simulate
+from mfsmp.instances import e1_problem, random_control
+from mfsmp.problem import builtin, serialize_problem
 
 ZERO_CONFIG = {
     "dims": {"n": 1, "r": 1, "d": 1},
@@ -163,3 +168,151 @@ def test_solve_outputs_deterministic(e1_config, tmp_path):
     for name in ("optimize_report.json", "trajectory.csv", "adjoint.csv",
                  "control.csv", "checks.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# -- CSV byte identity ---------------------------------------------------------
+# The per-node writers below are the reference layout: one row per node, every
+# float as repr(float(v)).  The streamed column-wise writers must match them
+# byte for byte.
+
+def _fmt(value):
+    return repr(float(value))
+
+
+def _reference_trajectory(spec, tree, traj, u):
+    header = (["time", "node_id", "parent_id", "prob"]
+              + [f"x_{i + 1}" for i in range(spec.n)]
+              + [f"u_{i + 1}" for i in range(spec.r)])
+    lines = [",".join(header)]
+    for k in range(tree.grid.n_levels):
+        x = traj.at(k)
+        uk = u.at(k) if k <= tree.grid.n_steps else None
+        for node in range(tree.size(k)):
+            parent = "" if k == 0 else str(tree.global_id(k - 1, tree.parent[k][node]))
+            row = [_fmt(tree.grid.time(k)), str(tree.global_id(k, node)), parent,
+                   _fmt(tree.abs_prob[k][node])]
+            row += [_fmt(v) for v in x[node]]
+            row += ([_fmt(v) for v in uk[node]] if uk is not None else [""] * spec.r)
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_adjoint(spec, tree, adj):
+    header = (["time", "node_id"] + [f"p_{i + 1}" for i in range(spec.n)]
+              + [f"q{j + 1}_{i + 1}" for j in range(spec.d) for i in range(spec.n)])
+    lines = [",".join(header)]
+    for k in range(tree.grid.n_levels):
+        p = adj.p.at(k)
+        q = adj.q.at(k) if k <= tree.grid.n_steps else None
+        for node in range(tree.size(k)):
+            row = [_fmt(tree.grid.time(k)), str(tree.global_id(k, node))]
+            row += [_fmt(v) for v in p[node]]
+            if q is None:
+                row += [""] * (spec.d * spec.n)
+            else:
+                row += [_fmt(q[node, j, i]) for j in range(spec.d) for i in range(spec.n)]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_control(spec, tree, u):
+    header = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
+    lines = [",".join(header)]
+    for k in range(tree.grid.n_steps + 1):
+        uk = u.at(k)
+        for node in range(tree.size(k)):
+            row = [_fmt(tree.grid.time(k)), str(tree.global_id(k, node))]
+            row += [_fmt(v) for v in uk[node]]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+CSV_CASES = {
+    # two controls and two diffusions: q<j>_* columns, several u_* columns
+    "lq-d2-r2": lambda: builtin(
+        "lq_meanfield", n=2, r=2, d=2, h=0.5, N=3, t0=0.25, x0=[0.3, -1.0],
+        A=[[0.1, 0.2], [0.0, -0.3]], A_mean=[[0.05, 0.0], [0.0, 0.1]],
+        B=[[1.0, 0.5], [0.2, 1.0]],
+        sigma=[{"s0": [0.1, 0.2], "C": [[0.1, 0.0], [0.0, 0.2]]}, {"s0": [0.3, 0.0]}],
+        Q=[[1.0, 0.0], [0.0, 1.0]], R=[[2.0, 0.0], [0.0, 1.0]],
+        G=[[1.0, 0.0], [0.0, 1.0]], q=[0.1, -0.2], lo=-1.0, hi=1.0),
+    # trinomial noise: path probabilities differ within a level
+    "trinomial": lambda: builtin(
+        "lq_meanfield", n=1, r=1, d=1, h=0.5, N=4, x0=[1.0], noise="trinomial",
+        trinomial_p=0.2, B=[[1.0]], sigma=[{"s0": [1.0], "C": [[0.3]]}], R=[[2.0]],
+        G=[[1.0]], lo=-2.0, hi=2.0),
+    "prodcons": lambda: builtin("prodcons", delta_util=0.5, h=0.5, N=5, x0=1.0,
+                                v_floor=0.05),
+}
+
+
+@pytest.mark.parametrize("case, chunk_rows", [
+    ("lq-d2-r2", None), ("trinomial", None), ("prodcons", None),
+    ("lq-d2-r2", 7),  # chunk boundaries fall inside levels
+])
+def test_solve_csvs_match_per_node_reference(case, chunk_rows, tmp_path, monkeypatch):
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    spec = CSV_CASES[case]()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(serialize_problem(spec))
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--out", str(out)]) == 0
+
+    tree = spec.build_tree()
+    u = read_control_csv(spec, tree, (out / "control.csv").read_text())
+    traj = simulate(spec, tree, u)
+    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    expected = {
+        "trajectory.csv": _reference_trajectory(spec, tree, traj, u),
+        "adjoint.csv": _reference_adjoint(spec, tree, adj),
+        "control.csv": _reference_control(spec, tree, u),
+    }
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name
+    if case == "trinomial":
+        assert len(set(tree.abs_prob[-1].tolist())) > 1
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7])
+def test_csv_writers_return_or_stream_reference_text(chunk_rows, monkeypatch):
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    spec = CSV_CASES["lq-d2-r2"]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 3)
+    traj = simulate(spec, tree, u)
+    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    writers = [
+        (lambda **kw: write_trajectory_csv(spec, tree, traj, u, **kw),
+         _reference_trajectory(spec, tree, traj, u)),
+        (lambda **kw: write_adjoint_csv(spec, tree, adj, **kw), _reference_adjoint(spec, tree, adj)),
+        (lambda **kw: write_control_csv(spec, tree, u, **kw), _reference_control(spec, tree, u)),
+    ]
+    for write, reference in writers:
+        assert write() == reference
+        stream = io.StringIO()
+        assert write(out=stream) is None
+        assert stream.getvalue() == reference
+
+
+def test_simulate_stdout_matches_out_file(tmp_path, capsys):
+    spec = CSV_CASES["trinomial"]()
+    tree = spec.build_tree()
+    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 4)))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), str(control), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(cfg), str(control)]) == 0
+    assert capsys.readouterr().out.encode() == (out / "trajectory.csv").read_bytes()
+
+
+def test_non_finite_coefficient_exits_2(tmp_path, capsys):
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    cfg["family"]["params"] = {"A": [[float("nan")]]}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "A: coefficients must be finite" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,55 @@ def test_parse_rejects_bad_configs(mutate, message):
     mutate(cfg)
     with pytest.raises((ConfigError, MfsmpError), match=message):
         parse_problem(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("section, coefficients, key", [
+    ("family", {"R": [[2.0]], "A": [[float("nan")]]}, "A"),
+    ("family", {"R": [[2.0]], "q": [float("-inf")]}, "q"),
+    ("family", {"R": [[2.0]], "sigma": [{"s0": ["inf"]}]}, "sigma[0].s0"),
+    ("tables", {"R": {"per_step": [[[2.0]], [[float("inf")]]]}}, "R"),
+])
+def test_parse_rejects_non_finite_coefficients(section, coefficients, key):
+    cfg = json.loads(json.dumps(MINIMAL_LQ))
+    cfg["grid"]["N"] = 1
+    if section == "tables":
+        del cfg["family"]
+        cfg["tables"] = coefficients
+    else:
+        cfg["family"]["params"] = coefficients
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: coefficients must be finite"):
+        parse_problem(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda c: c.update(x0=[float("nan")]), "x0 must be finite"),
+    (lambda c: c["grid"].update(t0=float("inf")), "grid: t0 and h must be finite"),
+    (lambda c: c["grid"].update(h=float("nan")), "grid: t0 and h must be finite"),
+])
+def test_parse_rejects_non_finite_x0_and_grid(mutate, message):
+    cfg = json.loads(json.dumps(MINIMAL_LQ))
+    mutate(cfg)
+    with pytest.raises(ConfigError, match=message):
+        parse_problem(json.dumps(cfg))
+
+
+@pytest.mark.parametrize("coefficients, key", [
+    ({"R": [["abc"]]}, "R"),
+    ({"R": [[2.0]], "A": [[1.0, 2.0]]}, "A"),
+    ({"R": [[2.0]], "sigma": [{"C": [[1.0], [2.0, 3.0]]}]}, "sigma[0].C"),
+])
+def test_parse_names_key_of_malformed_coefficient(coefficients, key):
+    cfg = json.loads(json.dumps(MINIMAL_LQ))
+    cfg["family"]["params"] = coefficients
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected numbers of shape"):
+        parse_problem(json.dumps(cfg))
+
+
+def test_parse_keeps_infinite_box_bounds():
+    cfg = json.loads(json.dumps(MINIMAL_LQ))
+    cfg["admissible"] = [{"t": "all", "lo": ["-inf"], "hi": ["inf"]}]
+    spec = parse_problem(json.dumps(cfg))
+    assert spec.admissible.lo[0, 0] == -np.inf and spec.admissible.hi[0, 0] == np.inf
 
 
 def test_parse_rejects_non_json():
