@@ -39,6 +39,6 @@ print("tower property gap:",
       np.max(np.abs(expect(tree, inner, 2) - expect(tree, z_leaf, 3))))
 
 # Increments have zero conditional mean and conditional second moment h.
-inc = tree.increments[1]
+inc = tree.increments(1)
 print("E[w | root]:", cond_expect(tree, inc, 1)[0],
       "  E[w^2 | root] - h:", cond_expect(tree, inc ** 2, 1)[0] - grid.h)

@@ -24,6 +24,6 @@ from .smp import (SpikeVariation, adjoint_gradient, duality_residual, hamiltonia
                   hamiltonian_gradient, necessary_check, rate_check, rate_ratios,
                   spike_cost_increment, sufficiency_check, variational_state)
 from .tree import (AdaptedProcess, NoiseModel, ScenarioTree, TimeGrid, build_tree,
-                   cond_expect, expect, validate_noise)
+                   cond_expect, cond_expect_noise, expect, validate_noise)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

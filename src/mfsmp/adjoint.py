@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import MfsmpError
 from .report import CheckReport
-from .tree import AdaptedProcess, cond_expect, expect
+from .tree import AdaptedProcess, cond_expect, cond_expect_noise, expect
 
 
 @dataclass(eq=False)
@@ -100,8 +100,7 @@ def solve_adjoint(data: LinearSystemData, tree) -> AdjointSolution:
     for k in range(n_steps, -1, -1):
         pc = p.at(k + 1)
         ep = cond_expect(tree, pc, k + 1)
-        inc = tree.increments[k + 1]
-        qk = cond_expect(tree, pc[:, None, :] * inc[:, :, None], k + 1)
+        qk = cond_expect_noise(tree, pc, k + 1)
         q.set_level(k, qk)
         w = tree.abs_prob[k]
         mean_drift = np.einsum("m,mij,mi->j", w, data.drift_mean[k], ep)
@@ -120,7 +119,7 @@ def q_definition_residual(adj: AdjointSolution, tree) -> float:
     worst = 0.0
     for k in range(tree.grid.n_steps + 1):
         pc = adj.p.at(k + 1)
-        inc = tree.increments[k + 1]
+        inc = tree.increments(k + 1)
         direct = cond_expect(tree, pc[:, None, :] * inc[:, :, None], k + 1)
         worst = max(worst, float(np.max(np.abs(direct - adj.q.at(k)))))
     return worst
@@ -137,10 +136,7 @@ def apply_transition(data: LinearSystemData, tree, k: int, z) -> np.ndarray:
             + np.einsum("mij,j->mi", data.drift_mean[k], zbar))
     diff = (np.einsum("mjab,mb->mja", data.diff_x[k], z)
             + np.einsum("mjab,b->mja", data.diff_mean[k], zbar))
-    branch = tree.branch
-    inc = tree.increments[k + 1]
-    return (np.repeat(base, branch, axis=0)
-            + np.einsum("cj,cja->ca", inc, np.repeat(diff, branch, axis=0)))
+    return tree.children(k, base, diff)
 
 
 def propagate(data: LinearSystemData, tree, z, k_from: int, k_to: int) -> np.ndarray:
@@ -155,15 +151,6 @@ def propagate(data: LinearSystemData, tree, z, k_from: int, k_to: int) -> np.nda
     return out
 
 
-def _forcing_as_child_values(data, tree, k):
-    """Lift the step-k forcing (c + sum_j e_j w^j) onto level k+1 nodes."""
-    branch = tree.branch
-    inc = tree.increments[k + 1]
-    c = np.repeat(data.drift_force[k], branch, axis=0)
-    e = np.repeat(data.diff_force[k], branch, axis=0)
-    return c + np.einsum("cj,cja->ca", inc, e)
-
-
 def solve_linear_forward(data: LinearSystemData, tree, z0) -> AdaptedProcess:
     """Direct recursion of the linear system (the oracle for the representation)."""
     n_steps = tree.grid.n_steps
@@ -172,7 +159,8 @@ def solve_linear_forward(data: LinearSystemData, tree, z0) -> AdaptedProcess:
     for k in range(n_steps + 1):
         child = apply_transition(data, tree, k, z.at(k))
         if data.drift_force is not None:
-            child = child + _forcing_as_child_values(data, tree, k)
+            # the step-k forcing c + sum_j e_j w^j, lifted onto level k+1
+            child = child + tree.children(k, data.drift_force[k], data.diff_force[k])
         z.set_level(k + 1, child)
     return z
 
@@ -188,7 +176,7 @@ def variation_of_constants(data: LinearSystemData, tree, z0) -> AdaptedProcess:
     for level in range(n_steps + 2):
         total = propagate(data, tree, z0, 0, level)
         for k in range(min(level, n_steps + 1)):
-            lifted = _forcing_as_child_values(data, tree, k)
+            lifted = tree.children(k, data.drift_force[k], data.diff_force[k])
             total = total + propagate(data, tree, lifted, k + 1, level)
         out.set_level(level, total)
     return out
@@ -198,8 +186,8 @@ def transition_matrix(data: LinearSystemData, tree, k: int) -> np.ndarray:
     """Explicit matrix of the one-step transition on stacked level vectors."""
     n = data.n
     m0, m1 = tree.size(k), tree.size(k + 1)
-    par = tree.parent[k + 1]
-    inc = tree.increments[k + 1]
+    par = np.arange(m1) // tree.branch
+    inc = tree.increments(k + 1)
     eye = np.eye(n)
     local = (eye[None] + data.drift_x[k][par]
              + np.einsum("cj,cjab->cab", inc, data.diff_x[k][par]))

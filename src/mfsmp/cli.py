@@ -91,7 +91,9 @@ def write_trajectory_csv(spec, tree, traj, u, out=None) -> str | None:
               + [f"u_{i + 1}" for i in range(spec.r)])
 
     def fields(k):
-        parent = [""] if k == 0 else [tree.global_id(k - 1, 0) + tree.parent[k]]
+        # a node's parent is its index // branch on the level above
+        parent = ([""] if k == 0
+                  else [tree.global_id(k - 1, 0) + np.arange(tree.size(k)) // tree.branch])
         controls = [u.at(k)] if k <= tree.grid.n_steps else [""] * spec.r
         return parent + [_distinct_labels(tree.abs_prob[k]), traj.at(k)] + controls
 
@@ -133,15 +135,19 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
     for k in range(tree.grid.n_steps + 1):
         first, size = int(tree.global_id(k, 0)), tree.size(k)
         values = []
-        for node, line in enumerate(lines[pos:pos + size]):
-            parts = line.split(",")
-            if len(parts) != 2 + spec.r:
-                raise ConfigError(f"control CSV row has {len(parts)} fields, "
-                                  f"expected {2 + spec.r}")
-            if int(parts[1]) != first + node:
-                raise ConfigError(
-                    f"control CSV node ids out of order at level {k}, node {node}")
-            values.extend(map(float, parts[2:]))
+        try:
+            for node, line in enumerate(lines[pos:pos + size]):
+                parts = line.split(",")
+                if len(parts) != 2 + spec.r:
+                    raise ConfigError(f"control CSV row has {len(parts)} fields, "
+                                      f"expected {2 + spec.r}")
+                if int(parts[1]) != first + node:
+                    raise ConfigError(
+                        f"control CSV node ids out of order at level {k}, node {node}")
+                values.extend(map(float, parts[2:]))
+        except ValueError as exc:
+            raise ConfigError(
+                f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
         arrays.append(np.array(values, dtype=float).reshape(size, spec.r))
         pos += size
     return AdaptedProcess(tree, 0, arrays)

@@ -42,53 +42,61 @@ def constant_control(spec, tree, value) -> AdaptedProcess:
     return AdaptedProcess.constant(tree, 0, tree.grid.n_steps, value)
 
 
+def _rows(x, mean):
+    """State and level mean as evaluator rows: batch axes fold into the node
+    axis, and each batch row's mean is repeated over its nodes."""
+    if x.ndim == 2:
+        return x, np.broadcast_to(mean, x.shape)
+    n = x.shape[-1]
+    # matrix products may round a broadcast and a contiguous layout
+    # differently, so a batch is contiguous at every level, the root included
+    return (np.ascontiguousarray(x).reshape(-1, n),
+            np.repeat(mean.reshape(-1, n), x.shape[-2], axis=0))
+
+
+def forward_levels(spec, tree: ScenarioTree, controls):
+    """The exact state recursion for per-step controls `controls[k]` of shape
+    (..., m_k, r), k = 0..N, whose leading axes are a batch.  Yields the state
+    (..., m_k, n) and level mean (..., n) of each level k = 0..N+1 in turn, so
+    a consumer holds one level at a time; overflow is carried on as inf/NaN."""
+    grid = tree.grid
+    n, d, h, c = spec.n, spec.d, grid.h, spec.coeffs
+    x = np.broadcast_to(spec.x0, controls[0].shape[:-2] + (1, n))
+    for k, uk in enumerate(controls):
+        mean = np.einsum("...mn,m->...n", x, tree.abs_prob[k])
+        yield x, mean
+        xf, yf = _rows(x, mean)
+        uf = uk.reshape(-1, spec.r)
+        t = grid.time(k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            drift = c.f(t, xf, yf, uf).reshape(x.shape)
+            diff = c.sigma(t, xf, yf, uf).reshape(x.shape[:-1] + (d, n))
+            x = tree.children(k, x + h * drift, diff)
+    yield x, np.einsum("...mn,m->...n", x, tree.abs_prob[len(controls)])
+
+
+def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
+    """Level-k cost values (..., m_k) of a state and mean from `forward_levels`:
+    l(t_k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1."""
+    xf, yf = _rows(x, mean)
+    if k < len(controls):
+        vals = spec.coeffs.l(tree.grid.time(k), xf, yf, controls[k].reshape(-1, spec.r))
+    else:
+        vals = spec.coeffs.phi(xf, yf)
+    return vals.reshape(x.shape[:-1])
+
+
 def simulate(spec, tree: ScenarioTree, u: AdaptedProcess, validate: bool = True) -> StateTrajectory:
     """Run the state recursion node by node; exact on the tree."""
     if validate:
         check_feasible(spec, tree, u)
-    grid = tree.grid
-    n = spec.n
-    h = grid.h
-    c = spec.coeffs
-    states = AdaptedProcess.zeros(tree, 0, grid.n_steps + 1, (n,))
-    means = np.zeros((grid.n_levels, n))
-    states.set_level(0, np.broadcast_to(spec.x0, (1, n)))
-    for k in range(grid.n_steps + 1):
-        x = states.at(k)
-        mean = expect(tree, x, k)
-        means[k] = mean
-        y = np.broadcast_to(mean, x.shape)
-        uk = u.at(k)
-        t = grid.time(k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            drift = c.f(t, x, y, uk)
-            diff = c.sigma(t, x, y, uk)          # (m, d, n)
-            base = x + h * drift                 # (m, n)
-            child_inc = tree.increments[k + 1]   # (m*branch, d)
-            child = (np.repeat(base, tree.branch, axis=0)
-                     + np.einsum("cj,cjn->cn", child_inc,
-                                 np.repeat(diff, tree.branch, axis=0)))
-        if not np.all(np.isfinite(child)):
-            raise SimulationError(f"non-finite state at level {k + 1}", level=k + 1)
-        states.set_level(k + 1, child)
-    means[grid.n_steps + 1] = expect(tree, states.at(grid.n_steps + 1), grid.n_steps + 1)
-    return StateTrajectory(states, means)
-
-
-def running_costs(spec, tree, u, traj) -> list[np.ndarray]:
-    """Per-level running cost values l(t_k, x, Ex, u); raises on undefined nodes."""
-    c = spec.coeffs
-    out = []
-    for k in range(tree.grid.n_steps + 1):
-        x = traj.at(k)
-        y = np.broadcast_to(traj.means[k], x.shape)
-        vals = c.l(tree.grid.time(k), x, y, u.at(k))
-        if not np.all(np.isfinite(vals)):
-            node = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise CostDomainError(
-                f"running cost undefined at level {k}, node {node}", level=k, node=node)
-        out.append(vals)
-    return out
+    states, means = [], []
+    for k, (x, mean) in enumerate(forward_levels(spec, tree, [u.at(k) for k in u.levels()])):
+        if k > 0 and not np.isfinite(x).all():
+            raise SimulationError(f"non-finite state at level {k}", level=k)
+        states.append(x)
+        means.append(mean)
+    return StateTrajectory(AdaptedProcess(tree, 0, states), np.array(means))
 
 
 def cost(spec, tree, u: AdaptedProcess, traj: StateTrajectory | None = None,
@@ -96,18 +104,18 @@ def cost(spec, tree, u: AdaptedProcess, traj: StateTrajectory | None = None,
     """Expected cost J (minimization sign; maximize problems were negated at build)."""
     if traj is None:
         traj = simulate(spec, tree, u, validate=validate)
+    controls = [u.at(k) for k in u.levels()]
+    kT = len(controls)
     total = 0.0
-    for k, vals in enumerate(running_costs(spec, tree, u, traj)):
-        total += float(expect(tree, vals, k))
-    kT = tree.grid.n_steps + 1
-    xT = traj.at(kT)
-    yT = np.broadcast_to(traj.means[kT], xT.shape)
-    terminal = spec.coeffs.phi(xT, yT)
-    if not np.all(np.isfinite(terminal)):
-        node = int(np.flatnonzero(~np.isfinite(terminal))[0])
-        raise CostDomainError(
-            f"terminal cost undefined at node {node}", level=kT, node=node)
-    return total + float(expect(tree, terminal, kT))
+    for k in range(kT + 1):
+        vals = level_cost(spec, tree, controls, k, traj.at(k), traj.means[k])
+        if not np.isfinite(vals).all():
+            node = int(np.flatnonzero(~np.isfinite(vals))[0])
+            kind, at = ("terminal", "") if k == kT else ("running", f"level {k}, ")
+            raise CostDomainError(f"{kind} cost undefined at {at}node {node}", level=k, node=node)
+        # the grid oracle sums its batch rows with this same einsum
+        total += float(np.einsum("...m,m->...", vals, tree.abs_prob[k]))
+    return total
 
 
 def mean_recursion_residual(spec, tree, u, traj) -> float:

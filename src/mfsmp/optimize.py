@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
-from .forward import cost
+from .forward import cost, forward_levels, level_cost
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
 
@@ -133,45 +133,6 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
                           history=history, reason=reason)
 
 
-def _batch_cost(spec, tree, controls) -> np.ndarray:
-    """Exact cost of a batch of nodal controls.
-
-    `controls` lists, per step k, an array (batch, m_k, r).  Mirrors the
-    forward recursion with a leading batch axis; candidates whose running or
-    terminal cost is undefined get +inf.
-    """
-    grid = tree.grid
-    c = spec.coeffs
-    n = spec.n
-    h = grid.h
-    bs = controls[0].shape[0]
-    branch = tree.branch
-    x = np.broadcast_to(spec.x0, (bs, 1, n)).copy()
-    total = np.zeros(bs)
-    for k in range(grid.n_steps + 1):
-        m = tree.size(k)
-        mean = np.einsum("bmn,m->bn", x, tree.abs_prob[k])
-        xf = x.reshape(bs * m, n)
-        yf = np.repeat(mean, m, axis=0)
-        uf = controls[k].reshape(bs * m, spec.r)
-        t = grid.time(k)
-        lvals = np.asarray(c.l(t, xf, yf, uf)).reshape(bs, m)
-        with np.errstate(invalid="ignore"):
-            run = np.einsum("bm,m->b", lvals, tree.abs_prob[k])
-        total = total + run
-        drift = np.asarray(c.f(t, xf, yf, uf)).reshape(bs, m, n)
-        diff = np.asarray(c.sigma(t, xf, yf, uf)).reshape(bs, m, spec.d, n)
-        base = np.repeat(x + h * drift, branch, axis=1)
-        diff_rep = np.repeat(diff, branch, axis=1)
-        x = base + np.einsum("cj,bcjn->bcn", tree.increments[k + 1], diff_rep)
-    kT = grid.n_steps + 1
-    mT = tree.size(kT)
-    meanT = np.einsum("bmn,m->bn", x, tree.abs_prob[kT])
-    phi = np.asarray(c.phi(x.reshape(bs * mT, n), np.repeat(meanT, mT, axis=0))).reshape(bs, mT)
-    total = total + np.einsum("bm,m->b", phi, tree.abs_prob[kT])
-    return np.where(np.isfinite(total), total, np.inf)
-
-
 def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7,
                 chunk: int = 65536):
     """Exhaustively grid every nodal control coordinate over its box and return
@@ -208,7 +169,12 @@ def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7,
         controls = [np.zeros((idx.size, tree.size(k), spec.r)) for k in range(n_steps + 1)]
         for j, (k, node, i) in enumerate(layout):
             controls[k][:, node, i] = axes[j][digits[:, j]]
-        costs = _batch_cost(spec, tree, controls)
+        costs = 0.0
+        for k, (x, mean) in enumerate(forward_levels(spec, tree, controls)):
+            vals = level_cost(spec, tree, controls, k, x, mean)
+            with np.errstate(invalid="ignore"):
+                costs = costs + np.einsum("...m,m->...", vals, tree.abs_prob[k])
+        costs = np.where(np.isfinite(costs), costs, np.inf)
         pos = int(np.argmin(costs))
         if costs[pos] < best_j:
             best_j = float(costs[pos])

@@ -364,7 +364,7 @@ def _noise_from_config(kind, params, d, h):
             raise ConfigError("binary noise takes no params")
         return NoiseModel.binary(d, h)
     if kind == "trinomial":
-        p = params.pop("p", 0.25)
+        p = _number(params.pop("p", 0.25), "noise.params.p")
         if params:
             raise ConfigError(f"trinomial noise: unknown params {sorted(params)}")
         return NoiseModel.trinomial(d, h, p)
@@ -376,6 +376,14 @@ def _noise_from_config(kind, params, d, h):
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
+def _number(value, key, kind=float):
+    """`kind(value)`, or a ConfigError naming `key` when the value is not a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
+
+
 def _bound(value):
     if isinstance(value, str):
         if value in ("inf", "+inf"):
@@ -383,7 +391,7 @@ def _bound(value):
         if value == "-inf":
             return -np.inf
         raise ConfigError(f"bound must be a number or 'inf'/'-inf', got {value!r}")
-    return float(value)
+    return _number(value, "admissible bound")
 
 
 def _admissible_from_config(entries, n_steps, r):
@@ -512,20 +520,23 @@ def parse_problem(config_text: str) -> ProblemSpec:
     dims = cfg["dims"]
     if set(dims) != {"n", "r", "d"}:
         raise ConfigError("dims must have exactly keys n, r, d")
-    n, r, d = int(dims["n"]), int(dims["r"]), int(dims["d"])
+    n, r, d = (_number(dims[key], f"dims.{key}", int) for key in ("n", "r", "d"))
     gr = cfg["grid"]
     if set(gr) != {"t0", "h", "N"}:
         raise ConfigError("grid must have exactly keys t0, h, N")
-    t0, h = float(gr["t0"]), float(gr["h"])
+    t0, h = _number(gr["t0"], "grid.t0"), _number(gr["h"], "grid.h")
     if not np.isfinite([t0, h]).all():
         raise ConfigError(f"grid: t0 and h must be finite, got t0={t0}, h={h}")
-    grid = TimeGrid(t0, h, int(gr["N"]))
+    grid = TimeGrid(t0, h, _number(gr["N"], "grid.N", int))
     noise_cfg = cfg["noise"]
     extra = set(noise_cfg) - {"kind", "params"}
     if extra:
         raise ConfigError(f"noise: unknown keys {sorted(extra)}")
     noise = _noise_from_config(noise_cfg.get("kind"), noise_cfg.get("params"), d, grid.h)
-    x0 = np.asarray(cfg["x0"], dtype=float)
+    try:
+        x0 = np.asarray(cfg["x0"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"x0: expected n={n} numbers, got {cfg['x0']!r}") from exc
     if x0.shape != (n,):
         raise ConfigError(f"x0 must have length n={n}")
     if not np.isfinite(x0).all():
@@ -553,10 +564,10 @@ def parse_problem(config_text: str) -> ProblemSpec:
             extra = set(fparams) - {"delta_util", "depreciation"}
             if extra:
                 raise ConfigError(f"prodcons family: unknown params {sorted(extra)}")
-            du = float(fparams["delta_util"])
+            du = _number(fparams["delta_util"], "family.params.delta_util")
             if not 0.0 < du < 1.0:
                 raise ConfigError(f"prodcons utility exponent must lie in (0, 1), got {du}")
-            dep = float(fparams.get("depreciation", du))
+            dep = _number(fparams.get("depreciation", du), "family.params.depreciation")
             if direction != "maximize":
                 raise ConfigError("prodcons is a maximization family; set direction = maximize")
             coeffs = _prodcons_coeffs(grid, du, dep)

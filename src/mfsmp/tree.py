@@ -147,23 +147,27 @@ def validate_noise(noise: NoiseModel, tol: float = 1e-14) -> CheckReport:
 class ScenarioTree:
     """Immutable event tree over levels 0..N+1 built from a product noise law.
 
-    Per level k >= 1: `parent[k]` maps each node to its level k-1 parent,
-    `increments[k]` holds the step k-1 noise increment on the incoming edge,
-    `cond_prob[k]` the edge probability, `abs_prob[k]` the path probability.
-    Children of node i at level k occupy the contiguous index range
-    i*branch .. (i+1)*branch - 1 at level k+1.
+    Every node has `branch` = B children, one per point of the joint noise
+    support: the children of node i at level k are the level-k+1 nodes
+    i*B .. (i+1)*B - 1, and child i*B + b carries the increment `support[b]`
+    on its incoming edge with conditional probability `support_prob[b]`, so
+    a node's parent is its index // B.  `abs_prob[k]` holds the path
+    probabilities of level k.
     """
 
-    def __init__(self, grid, noise, parent, increments, cond_prob, abs_prob):
+    def __init__(self, grid, noise, support, support_prob, abs_prob):
         self.grid = grid
         self.noise = noise
-        self.parent = parent
-        self.increments = increments
-        self.cond_prob = cond_prob
+        self.support = support
+        self.support_prob = support_prob
         self.abs_prob = abs_prob
         self.branch = noise.branch_count
         self.level_sizes = [a.size for a in abs_prob]
         self._offsets = np.concatenate([[0], np.cumsum(self.level_sizes)])
+        # the support tiled over the deepest level: every level's edge
+        # increments are a prefix of it, since the tiling has period B
+        self._edge_increments = np.tile(support, (self.level_sizes[-1] // self.branch, 1))
+        self._edge_increments.flags.writeable = False
 
     @property
     def n_levels(self) -> int:
@@ -178,6 +182,21 @@ class ScenarioTree:
 
     def global_id(self, level: int, index) -> int:
         return self._offsets[level] + index
+
+    def increments(self, level: int) -> np.ndarray:
+        """The step `level - 1` noise increment on the incoming edge of each
+        level-`level` node, (m_level, d); a read-only view."""
+        self._check_level(level, lo=1)
+        return self._edge_increments[:self.level_sizes[level]]
+
+    def children(self, level: int, base, diff) -> np.ndarray:
+        """Lift `base` (..., m, n) and `diff` (..., m, d, n) of level `level`,
+        leading axes a batch, to the children: child c of node i gets
+        base[i] + sum_j w^j_c diff[i, j], w_c the increment on its edge.  Its
+        transpose is (cond_expect, cond_expect_noise) of the child values."""
+        inc = self._edge_increments[:self.level_sizes[level + 1]]
+        return (np.repeat(base, self.branch, axis=-2)
+                + np.einsum("cj,...cjn->...cn", inc, np.repeat(diff, self.branch, axis=-3)))
 
     def _check_level(self, level, lo=0):
         if not lo <= level < self.n_levels:
@@ -201,18 +220,10 @@ def build_tree(grid: TimeGrid, noise: NoiseModel, node_cap: int = DEFAULT_NODE_C
                 f"(branching {branch}, depth {grid.n_levels - 1})")
 
     joint_vals, joint_probs = noise.joint_support()
-    parent = [None]
-    increments = [None]
-    cond_prob = [None]
     abs_prob = [np.array([1.0])]
-    m = 1
     for _ in range(grid.n_levels - 1):
-        parent.append(np.repeat(np.arange(m), branch))
-        increments.append(np.tile(joint_vals, (m, 1)))
-        cond_prob.append(np.tile(joint_probs, m))
-        abs_prob.append(np.repeat(abs_prob[-1], branch) * cond_prob[-1])
-        m *= branch
-    return ScenarioTree(grid, noise, parent, increments, cond_prob, abs_prob)
+        abs_prob.append((abs_prob[-1][:, None] * joint_probs).reshape(-1))
+    return ScenarioTree(grid, noise, joint_vals, joint_probs, abs_prob)
 
 
 class AdaptedProcess:
@@ -304,14 +315,20 @@ def cond_expect(tree, proc, level, node=None):
     if level == 0:
         raise MfsmpError("level-0 values have no parent level to condition on")
     values = _level_values(tree, proc, level)
-    branch = tree.branch
-    m_parent = tree.size(level - 1)
-    weights = tree.cond_prob[level].reshape(m_parent, branch)
-    shaped = values.reshape((m_parent, branch) + values.shape[1:])
-    out = np.einsum("mb...,mb->m...", shaped, weights)
+    shaped = values.reshape((tree.size(level - 1), tree.branch) + values.shape[1:])
+    out = np.einsum("mb...,b->m...", shaped, tree.support_prob)
     if node is None:
         return out
     return out[node]
+
+
+def cond_expect_noise(tree, proc, level):
+    """E{v w^j | parent} for each noise component j, with w the increment on
+    each level-`level` node's incoming edge; shape (m_parent, d) + value shape."""
+    values = _level_values(tree, proc, level)
+    inc = tree.increments(level)
+    return cond_expect(tree, values[:, None] * inc.reshape(inc.shape + (1,) * (values.ndim - 1)),
+                       level)
 
 
 def expect(tree, proc, level, node=None):
@@ -330,11 +347,9 @@ def tree_invariants_report(tree: ScenarioTree, tol: float = 1e-14) -> CheckRepor
     h = tree.grid.h
     for k in range(tree.n_levels):
         report.add(f"|sum abs_prob - 1| @level {k}", abs(tree.abs_prob[k].sum() - 1.0), tol, level=k)
+    report.add("|sum support_prob - 1|", abs(float(tree.support_prob.sum()) - 1.0), tol)
     for k in range(1, tree.n_levels):
-        weights = tree.cond_prob[k].reshape(tree.size(k - 1), tree.branch)
-        report.add(f"|sum cond_prob - 1| @level {k}",
-                   float(np.max(np.abs(weights.sum(axis=1) - 1.0))), tol, level=k)
-        inc = tree.increments[k]
+        inc = tree.increments(k)
         mean = cond_expect(tree, inc, k)
         report.add(f"max |E(w | parent)| @step {k - 1}", float(np.max(np.abs(mean))), tol, level=k)
         second = cond_expect(tree, inc ** 2, k)

@@ -192,8 +192,8 @@ def test_closed_form_single_step_hand_oracle():
     data.running[0][:] = v0
     h1 = np.array([[1.5], [-0.4]])
     data.terminal = h1
-    w = tree.increments[1][:, 0]
-    cond = tree.cond_prob[1]
+    w = tree.increments(1)[:, 0]
+    cond = tree.support_prob
     expected_root = -(np.sum(cond * (1.0 + a + b * w) * h1[:, 0]) + v0)
     p = closed_form_costate(data, tree)
     assert p.at(0)[0, 0] == pytest.approx(expected_root, abs=1e-12)

@@ -108,6 +108,25 @@ def test_control_shape_mismatch_exits_2(e1_config, tmp_path):
     assert main(["check", str(e1_config), str(short)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [(2, "abc"), (1, "x")])
+def test_control_csv_non_numeric_exits_2(tmp_path, capsys, field, value):
+    spec = CSV_CASES["trinomial"]()
+    tree = spec.build_tree()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(serialize_problem(spec))
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 3)).split("\n")
+    row = 1 + 1 + 3 + 4  # header, level 0, level 1, then level 2 node 4
+    parts = lines[row].split(",")
+    parts[field] = value
+    lines[row] = ",".join(parts)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    for command in ("check", "simulate"):
+        assert main([command, str(cfg), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "not a number at level 2, node 4" in err and repr(value) in err
+
+
 def test_control_csv_roundtrip(e1_config):
     spec = e1_problem()
     tree = spec.build_tree()
@@ -187,8 +206,9 @@ def _reference_trajectory(spec, tree, traj, u):
     for k in range(tree.grid.n_levels):
         x = traj.at(k)
         uk = u.at(k) if k <= tree.grid.n_steps else None
+        parents = np.arange(tree.size(k)) // tree.branch
         for node in range(tree.size(k)):
-            parent = "" if k == 0 else str(tree.global_id(k - 1, tree.parent[k][node]))
+            parent = "" if k == 0 else str(tree.global_id(k - 1, parents[node]))
             row = [_fmt(tree.grid.time(k)), str(tree.global_id(k, node)), parent,
                    _fmt(tree.abs_prob[k][node])]
             row += [_fmt(v) for v in x[node]]

@@ -1,12 +1,17 @@
+import json
+
+import numpy as np
 import pytest
 
 from mfsmp.adjoint import linearize, solve_adjoint
 from mfsmp.errors import CostDomainError, MfsmpError
-from mfsmp.forward import check_feasible, constant_control, simulate
+from mfsmp.forward import (check_feasible, constant_control, cost, forward_levels, level_cost,
+                           simulate)
 from mfsmp.instances import random_lq
 from mfsmp.optimize import OptimizerOptions, brute_force, optimize
-from mfsmp.problem import builtin
+from mfsmp.problem import builtin, parse_problem
 from mfsmp.smp import necessary_check
+from mfsmp.tree import AdaptedProcess
 
 
 def test_e1_converges_to_closed_form_minimum(e1):
@@ -93,24 +98,102 @@ def test_brute_force_guards():
         brute_force(unbounded, unbounded.build_tree(), 11)
 
 
+TABLES_CFG = {
+    "dims": {"n": 2, "r": 1, "d": 1},
+    "grid": {"t0": 0.0, "h": 0.5, "N": 2},
+    "noise": {"kind": "binary"},
+    "x0": [0.5, -0.3],
+    "tables": {
+        "A": {"per_step": [[[0.1, 0.2], [0.0, -0.3]], [[0.0, 0.1], [0.2, 0.0]],
+                           [[-0.2, 0.0], [0.1, 0.1]]]},
+        "A_mean": [[0.05, 0.0], [0.0, 0.1]],
+        "B": {"per_step": [[[1.0], [0.5]], [[0.5], [1.0]], [[0.2], [0.3]]]},
+        "sigma": [{"C": [[0.2, 0.0], [0.0, 0.1]], "s0": [0.1, 0.2]}],
+        "Q": [[1.0, 0.0], [0.0, 1.0]], "Q_mean": [[0.2, 0.0], [0.0, 0.2]],
+        "R": {"per_step": [[[2.0]], [[1.0]], [[1.5]]]},
+        "G": [[1.0, 0.0], [0.0, 1.0]], "g": [0.1, -0.2],
+    },
+    "admissible": [{"t": "all", "lo": [-1.0], "hi": [1.0]}],
+    "direction": "minimize",
+}
+
+BATCH_CASES = {
+    # two controls, two diffusions, mean coupling in drift and cost
+    "lq-d2-r2": lambda: builtin(
+        "lq_meanfield", n=2, r=2, d=2, h=0.5, N=2, t0=0.25, x0=[0.3, -1.0],
+        A=[[0.1, 0.2], [0.0, -0.3]], A_mean=[[0.05, 0.0], [0.0, 0.1]],
+        B=[[1.0, 0.5], [0.2, 1.0]],
+        sigma=[{"s0": [0.1, 0.2], "C": [[0.1, 0.0], [0.0, 0.2]]},
+               {"s0": [0.3, 0.0], "C_mean": [[0.0, 0.1], [0.1, 0.0]]}],
+        Q=[[1.0, 0.0], [0.0, 1.0]], Q_mean=[[0.3, 0.0], [0.0, 0.3]], R=[[2.0, 0.0], [0.0, 1.0]],
+        G=[[1.0, 0.0], [0.0, 1.0]], G_mean=[[0.2, 0.0], [0.0, 0.2]], q=[0.1, -0.2],
+        lo=-1.0, hi=1.0),
+    "trinomial": lambda: builtin(
+        "lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[1.0], noise="trinomial",
+        trinomial_p=0.2, A_mean=[[0.3]], B=[[1.0]], sigma=[{"s0": [1.0], "C": [[0.3]]}],
+        R=[[2.0]], G=[[1.0]], G_mean=[[0.5]], lo=-2.0, hi=2.0),
+    "tables": lambda: parse_problem(json.dumps(TABLES_CFG)),
+    "prodcons": lambda: builtin("prodcons", delta_util=0.5, h=0.5, N=3, x0=1.0,
+                                v_floor=-0.5, v_cap=1.0),
+    **{f"random-lq-{seed}": (lambda seed=seed: random_lq(seed, steps_max=3)) for seed in (3, 6, 9)},
+}
+
+
+def _batch_totals(spec, tree, controls):
+    """States and expected cost per batch row, summed as the grid oracle sums it."""
+    states, total = [], 0.0
+    for k, (x, mean) in enumerate(forward_levels(spec, tree, controls)):
+        states.append(x)
+        with np.errstate(invalid="ignore"):
+            total = total + np.einsum("...m,m->...", level_cost(spec, tree, controls, k, x, mean),
+                                      tree.abs_prob[k])
+    return states, total
+
+
 def test_batch_cost_matches_plain_cost():
-    # the oracle's batched forward pass is an independent reimplementation
-    # of the cost; it must agree rowwise on awkward shapes (n, r, d = 2)
-    import numpy as np
-    from mfsmp.optimize import _batch_cost
-    from mfsmp.forward import cost
-    from mfsmp.tree import AdaptedProcess
-    for seed in (3, 6, 9):
-        spec = random_lq(seed, steps_max=3)
-        tree = spec.build_tree()
-        rng = np.random.default_rng(1000 + seed)
-        controls = [rng.uniform(-0.8, 0.8, (5, tree.size(k), spec.r))
-                    for k in range(tree.grid.n_steps + 1)]
-        j_batch = _batch_cost(spec, tree, controls)
-        for b in range(5):
-            u = AdaptedProcess(tree, 0, [c[b] for c in controls])
-            assert j_batch[b] == pytest.approx(cost(spec, tree, u, validate=False),
-                                               abs=1e-12)
+    # the oracle runs the forward recursion with a leading batch axis; every
+    # row must reproduce the unbatched states and cost bit for bit.  In the
+    # random instances the matrix products meet x0 and the level means as
+    # broadcast views unbatched and as contiguous rows batched, and numpy may
+    # round those two layouts differently, so there they agree to 1e-12
+    for case in BATCH_CASES:
+        _check_batch_rows(case, exact=not case.startswith("random"))
+
+
+def _check_batch_rows(case, exact):
+    spec = BATCH_CASES[case]()
+    tree = spec.build_tree()
+    rng = np.random.default_rng(1000)
+    lo = 0.05 if case == "prodcons" else -0.8
+    controls = [rng.uniform(lo, 0.8, (5, tree.size(k), spec.r))
+                for k in range(tree.grid.n_steps + 1)]
+    if case == "prodcons":
+        controls[1][3, 1, 0] = -0.25  # utility of a negative consumption is undefined
+    states, totals = _batch_totals(spec, tree, controls)
+    for b in range(5):
+        u = AdaptedProcess(tree, 0, [c[b] for c in controls])
+        traj = simulate(spec, tree, u, validate=False)
+        for k in range(tree.n_levels):
+            np.testing.assert_allclose(states[k][b], traj.at(k), rtol=0, atol=0 if exact else 1e-12)
+        if case == "prodcons" and b == 3:
+            assert np.isnan(totals[b])  # the oracle maps it to +inf
+            with pytest.raises(CostDomainError, match="level 1, node 1"):
+                cost(spec, tree, u, validate=False)
+        elif exact:
+            assert totals[b] == cost(spec, tree, u, validate=False)
+        else:
+            assert totals[b] == pytest.approx(cost(spec, tree, u, validate=False), abs=1e-12)
+
+
+def test_brute_force_skips_undefined_candidates():
+    # most of this grid has negative consumption somewhere, where the cost is
+    # undefined; those candidates lose instead of poisoning the minimum
+    spec = builtin("prodcons", delta_util=0.5, h=0.5, N=1, x0=1.0, v_floor=-0.5, v_cap=1.0)
+    tree = spec.build_tree()
+    u, j_val = brute_force(spec, tree, 5)
+    assert np.isfinite(j_val)
+    assert j_val == cost(spec, tree, u)
+    assert np.all(np.concatenate([u.at(k) for k in u.levels()]) > 0.0)
 
 
 def test_maximize_direction_pushes_to_upper_bound():

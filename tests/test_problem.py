@@ -93,6 +93,30 @@ def test_parse_rejects_non_finite_x0_and_grid(mutate, message):
         parse_problem(json.dumps(cfg))
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda c: c["dims"].update(n="abc"), "dims.n: expected a number, got 'abc'"),
+    (lambda c: c["dims"].update(r=None), "dims.r: expected a number, got None"),
+    (lambda c: c["dims"].update(d=[1]), r"dims.d: expected a number, got \[1\]"),
+    (lambda c: c["grid"].update(N="two"), "grid.N: expected a number, got 'two'"),
+    (lambda c: c["grid"].update(t0="abc"), "grid.t0: expected a number, got 'abc'"),
+    (lambda c: c["grid"].update(h={}), "grid.h: expected a number, got {}"),
+    (lambda c: c.update(x0=["abc"]), r"x0: expected n=1 numbers, got \['abc'\]"),
+    (lambda c: c["admissible"][0].update(lo=[None]), "admissible bound: expected a number"),
+    (lambda c: c["noise"].update(kind="trinomial", params={"p": "abc"}),
+     "noise.params.p: expected a number, got 'abc'"),
+    (lambda c: c.update(family={"name": "prodcons", "params": {"delta_util": "abc"}}),
+     "family.params.delta_util: expected a number, got 'abc'"),
+    (lambda c: c.update(family={"name": "prodcons",
+                                "params": {"delta_util": 0.5, "depreciation": [0.5]}}),
+     r"family.params.depreciation: expected a number, got \[0.5\]"),
+])
+def test_parse_names_key_of_non_numeric_scalar(mutate, message):
+    cfg = json.loads(json.dumps(MINIMAL_LQ))
+    mutate(cfg)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        parse_problem(json.dumps(cfg))
+
+
 @pytest.mark.parametrize("coefficients, key", [
     ({"R": [["abc"]]}, "R"),
     ({"R": [[2.0]], "A": [[1.0, 2.0]]}, "A"),

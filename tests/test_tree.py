@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 
 from mfsmp.errors import MfsmpError, TreeSizeError
 from mfsmp.tree import (AdaptedProcess, NoiseModel, TimeGrid, build_tree, cond_expect,
-                        expect, tree_invariants_report, validate_noise)
+                        cond_expect_noise, expect, tree_invariants_report, validate_noise)
 
 
 def test_binary_one_step_two_leaves():
     tree = build_tree(TimeGrid(0.0, 1.0, 0), NoiseModel.binary(1, 1.0))
     assert tree.level_sizes == [1, 2]
     np.testing.assert_allclose(tree.abs_prob[1], [0.5, 0.5])
-    np.testing.assert_allclose(sorted(tree.increments[1][:, 0]), [-1.0, 1.0])
+    np.testing.assert_allclose(sorted(tree.increments(1)[:, 0]), [-1.0, 1.0])
 
 
 def test_product_law_two_components():
@@ -26,9 +26,9 @@ def test_three_step_path_probabilities():
     assert tree.level_sizes == [1, 2, 4, 8]
     # product of conditional probabilities along each path
     for level in range(1, 4):
-        manual = tree.cond_prob[level].copy()
-        parents = tree.parent[level]
-        manual *= tree.abs_prob[level - 1][parents]
+        index = np.arange(tree.size(level))
+        manual = tree.support_prob[index % tree.branch].copy()
+        manual *= tree.abs_prob[level - 1][index // tree.branch]
         np.testing.assert_allclose(tree.abs_prob[level], manual, atol=1e-15)
     np.testing.assert_allclose(tree.abs_prob[3], 1.0 / 8.0)
 
@@ -82,8 +82,8 @@ def test_cond_expect_examples():
     assert cond_expect(tree, vals, 1, node=0) == pytest.approx(2.0)
     # increments come out as (+1, -1) at unit step: 0.5*3*1 + 0.5*1*(-1) = 1,
     # the conditional covariation that defines the martingale part of a costate
-    np.testing.assert_array_equal(tree.increments[1][:, 0], [1.0, -1.0])
-    weighted = vals * tree.increments[1][:, 0]
+    np.testing.assert_array_equal(tree.increments(1)[:, 0], [1.0, -1.0])
+    weighted = vals * tree.increments(1)[:, 0]
     assert cond_expect(tree, weighted, 1, node=0) == pytest.approx(1.0)
 
 
@@ -132,8 +132,67 @@ def test_martingale_increments_and_probability_sums():
     tree = build_tree(TimeGrid(0.0, 0.25, 3), NoiseModel.binary(2, 0.25))
     h = tree.grid.h
     for level in range(1, tree.n_levels):
-        inc = tree.increments[level]
+        inc = tree.increments(level)
         assert np.max(np.abs(cond_expect(tree, inc, level))) <= 1e-14
         assert np.max(np.abs(cond_expect(tree, inc ** 2, level) - h)) <= 1e-13
         assert abs(tree.abs_prob[level].sum() - 1.0) <= 1e-14
     assert tree_invariants_report(tree).passed
+
+
+LATTICES = {
+    "binary-d1": lambda h: NoiseModel.binary(1, h),
+    "binary-d2": lambda h: NoiseModel.binary(2, h),
+    "trinomial": lambda h: NoiseModel.trinomial(1, h, 0.2),
+    "custom": lambda h: NoiseModel.from_support(1, h, [(-1.5, 0.1), (-0.2, 0.4), (0.3, 0.3),
+                                                        (0.9, 0.2)]),
+}
+
+
+def _pairing(tree, level, a, b):
+    """Probability-weighted inner product <a, b>_level of node values."""
+    return float(expect(tree, np.sum(a * b, axis=tuple(range(1, a.ndim))), level))
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+def test_children_transpose_identity(lattice):
+    # <children(base, diff), v>_{k+1} = <base, E{v|F}>_k + sum_j <diff_j, E{v w^j|F}>_k
+    tree = build_tree(TimeGrid(0.0, 0.5, 2), LATTICES[lattice](0.5))
+    d, n = tree.noise.dim, 3
+    rng = np.random.default_rng(7)
+    for k in range(tree.grid.n_steps + 1):
+        base = rng.normal(size=(tree.size(k), n))
+        diff = rng.normal(size=(tree.size(k), d, n))
+        v = rng.normal(size=(tree.size(k + 1), n))
+        lhs = _pairing(tree, k + 1, tree.children(k, base, diff), v)
+        rhs = (_pairing(tree, k, base, cond_expect(tree, v, k + 1))
+               + _pairing(tree, k, diff, cond_expect_noise(tree, v, k + 1)))
+        assert abs(lhs - rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+def test_children_batch_axis_matches_rows(lattice):
+    tree = build_tree(TimeGrid(0.0, 0.5, 1), LATTICES[lattice](0.5))
+    d, n = tree.noise.dim, 2
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(2, 3, tree.size(1), n))
+    diff = rng.normal(size=(2, 3, tree.size(1), d, n))
+    batched = tree.children(1, base, diff)
+    assert batched.shape == (2, 3, tree.size(2), n)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(batched[i, j], tree.children(1, base[i, j], diff[i, j]))
+
+
+def test_tree_stores_support_not_tiled_levels():
+    # the tree holds path probabilities, the B-point support and one array of
+    # edge increments for the deepest level; per-level tiled copies of the
+    # increments, parents or edge probabilities would exceed this bound
+    tree = build_tree(TimeGrid(0.0, 0.25, 7), NoiseModel.binary(2, 0.25))
+    held = 0
+    for value in vars(tree).values():
+        for item in (value if isinstance(value, (list, tuple)) else (value,)):
+            if isinstance(item, np.ndarray):
+                held += item.nbytes
+    d = tree.noise.dim
+    assert held <= 8 * (tree.n_nodes + tree.size(tree.n_levels - 1) * d) + 4096
+    assert not tree.increments(3).flags.writeable
