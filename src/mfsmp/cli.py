@@ -148,7 +148,12 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
         except ValueError as exc:
             raise ConfigError(
                 f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
-        arrays.append(np.array(values, dtype=float).reshape(size, spec.r))
+        level = np.array(values, dtype=float).reshape(size, spec.r)
+        # a NaN would pass the box check, so the reader rejects it here
+        if not np.isfinite(level).all():
+            node = int(np.flatnonzero(~np.isfinite(level).all(axis=1))[0])
+            raise ConfigError(f"control CSV value is not finite at level {k}, node {node}")
+        arrays.append(level)
         pos += size
     return AdaptedProcess(tree, 0, arrays)
 

@@ -86,6 +86,24 @@ def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
     return vals.reshape(x.shape[:-1])
 
 
+def batch_cost(spec, tree, controls) -> np.ndarray:
+    """Cost J of each batch row of per-step controls (B, m_k, r), k = 0..N,
+    summed level by level with the einsum `cost` uses.  A row whose state or
+    cost is not finite, where `cost` raises or returns a non-finite J, is +inf."""
+    costs = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (x, mean) in enumerate(forward_levels(spec, tree, controls)):
+            vals = level_cost(spec, tree, controls, k, x, mean)
+            costs = costs + np.einsum("...m,m->...", vals, tree.abs_prob[k])
+    finite = np.isfinite(costs)
+    # a non-finite state passes on to every descendant and, as path
+    # probabilities are positive, into the mean of the leaves; the per-row
+    # test runs only when some row needs it, as a short-axis reduction is slow
+    if not np.isfinite(mean).all():
+        finite &= np.isfinite(mean).all(axis=-1)
+    return np.where(finite, costs, np.inf)
+
+
 def simulate(spec, tree: ScenarioTree, u: AdaptedProcess, validate: bool = True) -> StateTrajectory:
     """Run the state recursion node by node; exact on the tree."""
     if validate:
@@ -113,7 +131,7 @@ def cost(spec, tree, u: AdaptedProcess, traj: StateTrajectory | None = None,
             node = int(np.flatnonzero(~np.isfinite(vals))[0])
             kind, at = ("terminal", "") if k == kT else ("running", f"level {k}, ")
             raise CostDomainError(f"{kind} cost undefined at {at}node {node}", level=k, node=node)
-        # the grid oracle sums its batch rows with this same einsum
+        # `batch_cost` sums its batch rows with this same einsum
         total += float(np.einsum("...m,m->...", vals, tree.abs_prob[k]))
     return total
 

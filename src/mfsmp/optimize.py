@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
-from .forward import cost, forward_levels, level_cost
+from .forward import batch_cost, cost
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
 
@@ -169,12 +169,7 @@ def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7,
         controls = [np.zeros((idx.size, tree.size(k), spec.r)) for k in range(n_steps + 1)]
         for j, (k, node, i) in enumerate(layout):
             controls[k][:, node, i] = axes[j][digits[:, j]]
-        costs = 0.0
-        for k, (x, mean) in enumerate(forward_levels(spec, tree, controls)):
-            vals = level_cost(spec, tree, controls, k, x, mean)
-            with np.errstate(invalid="ignore"):
-                costs = costs + np.einsum("...m,m->...", vals, tree.abs_prob[k])
-        costs = np.where(np.isfinite(costs), costs, np.inf)
+        costs = batch_cost(spec, tree, controls)
         pos = int(np.argmin(costs))
         if costs[pos] < best_j:
             best_j = float(costs[pos])

@@ -377,11 +377,17 @@ def _noise_from_config(kind, params, d, h):
 
 
 def _number(value, key, kind=float):
-    """`kind(value)`, or a ConfigError naming `key` when the value is not a number."""
+    """`kind(value)`, or a ConfigError naming `key` when the value is not a
+    number (a JSON true/false is not one) or, for `int`, not a JSON integer."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{key}: expected a number, got {value!r}")
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from exc
+    if kind is int and not isinstance(value, int):
+        raise ConfigError(f"{key}: expected an integer, got {value!r}")
+    return out
 
 
 def _bound(value):
@@ -521,13 +527,21 @@ def parse_problem(config_text: str) -> ProblemSpec:
     if set(dims) != {"n", "r", "d"}:
         raise ConfigError("dims must have exactly keys n, r, d")
     n, r, d = (_number(dims[key], f"dims.{key}", int) for key in ("n", "r", "d"))
+    for key, value in (("n", n), ("r", r), ("d", d)):
+        if value < 1:
+            raise ConfigError(f"dims.{key}: must be >= 1, got {value}")
     gr = cfg["grid"]
     if set(gr) != {"t0", "h", "N"}:
         raise ConfigError("grid must have exactly keys t0, h, N")
     t0, h = _number(gr["t0"], "grid.t0"), _number(gr["h"], "grid.h")
     if not np.isfinite([t0, h]).all():
         raise ConfigError(f"grid: t0 and h must be finite, got t0={t0}, h={h}")
-    grid = TimeGrid(t0, h, _number(gr["N"], "grid.N", int))
+    if not h > 0:
+        raise ConfigError(f"grid.h: step size must be positive, got {h}")
+    n_steps = _number(gr["N"], "grid.N", int)
+    if n_steps < 0:
+        raise ConfigError(f"grid.N: number of control steps must be >= 0, got {n_steps}")
+    grid = TimeGrid(t0, h, n_steps)
     noise_cfg = cfg["noise"]
     extra = set(noise_cfg) - {"kind", "params"}
     if extra:

@@ -20,9 +20,13 @@ import numpy as np
 
 from .adjoint import LinearSystemData, linearize, solve_adjoint, solve_linear_forward
 from .errors import MfsmpError
-from .forward import cost, simulate
+from .forward import batch_cost, cost, simulate
 from .report import CheckReport
 from .tree import AdaptedProcess, cond_expect, expect
+
+# floats in the widest level array of a batched finite-difference chunk
+# (256 KB): bounds the memory `fd_cost_gradient` adds, whatever the tree
+FD_CHUNK_FLOATS = 1 << 15
 
 
 @dataclass(eq=False)
@@ -362,23 +366,46 @@ def adjoint_gradient(spec, tree, u, return_all: bool = False):
     return g
 
 
+def _fd_rows(u, k, rows, step):
+    """Per-step batch controls for the finite-difference rows `rows` of level k:
+    rows 2c and 2c+1 move coordinate c = node * r + i of u.at(k) by +step and
+    -step; every other entry is u's (a broadcast view off level k)."""
+    controls = [np.broadcast_to(u.at(j), (rows.size,) + u.at(j).shape) for j in u.levels()]
+    node, i = np.divmod(rows // 2, u.value_shape[0])
+    base = u.at(k)[node, i]
+    uk = controls[k].copy()
+    uk[np.arange(rows.size), node, i] = np.where(rows % 2 == 0, base + step, base - step)
+    controls[k] = uk
+    return controls
+
+
 def fd_cost_gradient(spec, tree, u, step: float = 1e-5) -> AdaptedProcess:
     """Central finite differences of the cost per nodal control coordinate,
     mapped into the probability-weighted metric (divided by node probability).
     Perturbed evaluations skip feasibility validation, so the base control
-    should sit strictly inside its boxes."""
+    should sit strictly inside its boxes.
+
+    The +-step perturbations of a level run as batch rows of one forward
+    recursion, in chunks of about `FD_CHUNK_FLOATS` floats per level array.
+    A row whose state or cost is not finite is evaluated again by `cost`, so
+    the first one in the order level, node, coordinate, +step before -step
+    raises what the unbatched evaluation raises."""
     g = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
+    widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
+    chunk = max(1, FD_CHUNK_FLOATS // widest)
     for k in range(tree.grid.n_steps + 1):
-        vals = np.zeros((tree.size(k), spec.r))
-        for node in range(tree.size(k)):
-            for i in range(spec.r):
-                up, down = u.copy(), u.copy()
-                up.at(k)[node, i] += step
-                down.at(k)[node, i] -= step
-                j_up = cost(spec, tree, up, validate=False)
-                j_down = cost(spec, tree, down, validate=False)
-                vals[node, i] = (j_up - j_down) / (2.0 * step) / tree.abs_prob[k][node]
-        g.set_level(k, vals)
+        n_rows = 2 * tree.size(k) * spec.r
+        costs = np.empty(n_rows)
+        for start in range(0, n_rows, chunk):
+            rows = np.arange(start, min(start + chunk, n_rows))
+            costs[rows] = batch_cost(spec, tree, _fd_rows(u, k, rows, step))
+            for row in rows[np.isinf(costs[rows])]:
+                node, i = divmod(int(row) // 2, spec.r)
+                moved = u.copy()
+                moved.at(k)[node, i] += step if row % 2 == 0 else -step
+                costs[row] = cost(spec, tree, moved, validate=False)
+        vals = (costs[0::2] - costs[1::2]).reshape(-1, spec.r) / (2.0 * step)
+        g.set_level(k, vals / tree.abs_prob[k][:, None])
     return g
 
 

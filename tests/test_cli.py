@@ -336,3 +336,37 @@ def test_non_finite_coefficient_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "A: coefficients must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_control_csv_non_finite_exits_2(tmp_path, capsys, value):
+    spec = CSV_CASES["trinomial"]()
+    tree = spec.build_tree()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(serialize_problem(spec))
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 3)).split("\n")
+    row = 1 + 1 + 3 + 4  # header, level 0, level 1, then level 2 node 4
+    lines[row] = ",".join(lines[row].split(",")[:2] + [value])
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines))
+    for command in ("check", "simulate"):
+        assert main([command, str(cfg), str(bad)]) == 2
+        assert "not finite at level 2, node 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"h": 0.0}, "grid.h: step size must be positive, got 0.0"),
+    ({"h": -0.5}, "grid.h: step size must be positive, got -0.5"),
+    ({"N": -1}, "grid.N: number of control steps must be >= 0, got -1"),
+    ({"N": 2.7}, "grid.N: expected an integer, got 2.7"),
+    ({"N": True}, "grid.N: expected a number, got True"),
+])
+def test_grid_out_of_range_exits_2(tmp_path, capsys, grid, message):
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    cfg["grid"].update(grid)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    control = tmp_path / "u.csv"
+    control.write_text("time,node_id,u_1\n0.0,0,0.0\n")
+    assert main(["simulate", str(path), str(control)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

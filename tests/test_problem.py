@@ -117,6 +117,36 @@ def test_parse_names_key_of_non_numeric_scalar(mutate, message):
         parse_problem(json.dumps(cfg))
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda c: c["grid"].update(N=2.7), "grid.N: expected an integer, got 2.7"),
+    (lambda c: c["grid"].update(N=2.0), "grid.N: expected an integer, got 2.0"),
+    (lambda c: c["grid"].update(N=True), "grid.N: expected a number, got True"),
+    (lambda c: c["grid"].update(N="2"), "grid.N: expected an integer, got '2'"),
+    (lambda c: c["dims"].update(n=1.5), "dims.n: expected an integer, got 1.5"),
+    (lambda c: c["dims"].update(r=False), "dims.r: expected a number, got False"),
+    (lambda c: c["dims"].update(d=1e0), "dims.d: expected an integer, got 1.0"),
+    (lambda c: c["dims"].update(n=0), "dims.n: must be >= 1, got 0"),
+    (lambda c: c["dims"].update(d=0), "dims.d: must be >= 1, got 0"),
+    (lambda c: c["grid"].update(N=-1), "grid.N: number of control steps must be >= 0, got -1"),
+    (lambda c: c["grid"].update(h=0.0), "grid.h: step size must be positive, got 0.0"),
+    (lambda c: c["grid"].update(h=-1.0), "grid.h: step size must be positive, got -1.0"),
+    (lambda c: c["grid"].update(t0=True), "grid.t0: expected a number, got True"),
+])
+def test_parse_rejects_non_integer_and_out_of_range_fields(mutate, message):
+    cfg = json.loads(json.dumps(MINIMAL_LQ))
+    mutate(cfg)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_problem(json.dumps(cfg))
+
+
+def test_parse_keeps_integer_fields_of_to_config():
+    spec = random_lq(5, steps_max=3)
+    again = parse_problem(json.dumps(to_config(spec)))
+    assert (again.n, again.r, again.d, again.grid.n_steps) == (
+        spec.n, spec.r, spec.d, spec.grid.n_steps)
+    assert all(type(v) is int for v in (again.n, again.r, again.d, again.grid.n_steps))
+
+
 @pytest.mark.parametrize("coefficients, key", [
     ({"R": [["abc"]]}, "R"),
     ({"R": [[2.0]], "A": [[1.0, 2.0]]}, "A"),

@@ -1,16 +1,22 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+from mfsmp import smp
 from mfsmp.adjoint import linearize, solve_adjoint
-from mfsmp.forward import constant_control, simulate
+from mfsmp.cli import main, write_control_csv
+from mfsmp.errors import CostDomainError, SimulationError
+from mfsmp.forward import constant_control, cost, simulate
 from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
                              smooth_nonlinear)
-from mfsmp.problem import builtin
+from mfsmp.problem import builtin, parse_problem, serialize_problem
 from mfsmp.smp import (SpikeVariation, adjoint_gradient, duality_residual,
                        fd_cost_gradient, gradient_consistency, hamiltonian,
                        hamiltonian_gradient, necessary_check, rate_check, rate_ratios,
                        spike_cost_increment, sufficiency_check, variational_state)
-from mfsmp.tree import expect
+from mfsmp.tree import AdaptedProcess, expect
 
 
 def _solved(spec, tree, u):
@@ -258,6 +264,144 @@ def test_fd_gradient_carries_probability_weight(e1):
     u = constant_control(spec, tree, 0.5)
     g_fd = fd_cost_gradient(spec, tree, u)
     assert g_fd.at(0)[0, 0] == pytest.approx(4.0 * 0.5, rel=1e-8)  # root prob is 1
+
+
+def _fd_loop(spec, tree, u, step=1e-5):
+    """Reference finite differences: one unbatched `cost` per +-step perturbation,
+    in the order level, node, coordinate, +step before -step."""
+    g = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
+    for k in range(tree.grid.n_steps + 1):
+        vals = np.zeros((tree.size(k), spec.r))
+        for node in range(tree.size(k)):
+            for i in range(spec.r):
+                up, down = u.copy(), u.copy()
+                up.at(k)[node, i] += step
+                down.at(k)[node, i] -= step
+                j_up = cost(spec, tree, up, validate=False)
+                j_down = cost(spec, tree, down, validate=False)
+                vals[node, i] = (j_up - j_down) / (2.0 * step) / tree.abs_prob[k][node]
+        g.set_level(k, vals)
+    return g
+
+
+FD_TABLES_CFG = {
+    "dims": {"n": 2, "r": 1, "d": 1},
+    "grid": {"t0": 0.0, "h": 0.5, "N": 2},
+    "noise": {"kind": "binary"},
+    "x0": [0.5, -0.3],
+    "tables": {
+        "A": {"per_step": [[[0.1, 0.2], [0.0, -0.3]], [[0.0, 0.1], [0.2, 0.0]],
+                           [[-0.2, 0.0], [0.1, 0.1]]]},
+        "A_mean": [[0.05, 0.0], [0.0, 0.1]],
+        "B": {"per_step": [[[1.0], [0.5]], [[0.5], [1.0]], [[0.2], [0.3]]]},
+        "sigma": [{"C": [[0.2, 0.0], [0.0, 0.1]], "s0": [0.1, 0.2]}],
+        "Q": [[1.0, 0.0], [0.0, 1.0]], "Q_mean": [[0.2, 0.0], [0.0, 0.2]],
+        "R": {"per_step": [[[2.0]], [[1.0]], [[1.5]]]},
+        "G": [[1.0, 0.0], [0.0, 1.0]], "g": [0.1, -0.2],
+    },
+    "admissible": [{"t": "all", "lo": [-1.0], "hi": [1.0]}],
+    "direction": "minimize",
+}
+
+FD_CASES = {
+    "lq-d2-r2": lambda: builtin(
+        "lq_meanfield", n=2, r=2, d=2, h=0.5, N=2, t0=0.25, x0=[0.3, -1.0],
+        A=[[0.1, 0.2], [0.0, -0.3]], A_mean=[[0.05, 0.0], [0.0, 0.1]],
+        B=[[1.0, 0.5], [0.2, 1.0]],
+        sigma=[{"s0": [0.1, 0.2], "C": [[0.1, 0.0], [0.0, 0.2]]},
+               {"s0": [0.3, 0.0], "C_mean": [[0.0, 0.1], [0.1, 0.0]]}],
+        Q=[[1.0, 0.0], [0.0, 1.0]], Q_mean=[[0.3, 0.0], [0.0, 0.3]], R=[[2.0, 0.0], [0.0, 1.0]],
+        G=[[1.0, 0.0], [0.0, 1.0]], G_mean=[[0.2, 0.0], [0.0, 0.2]], q=[0.1, -0.2],
+        lo=-1.0, hi=1.0),
+    "trinomial": lambda: builtin(
+        "lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[1.0], noise="trinomial",
+        trinomial_p=0.2, A_mean=[[0.3]], B=[[1.0]], sigma=[{"s0": [1.0], "C": [[0.3]]}],
+        R=[[2.0]], G=[[1.0]], G_mean=[[0.5]], lo=-2.0, hi=2.0),
+    "tables": lambda: parse_problem(json.dumps(FD_TABLES_CFG)),
+    "prodcons": lambda: builtin("prodcons", delta_util=0.5, depreciation=0.3, h=0.5, N=3,
+                                x0=1.0, v_floor=0.05, v_cap=1.0),
+}
+
+
+def _rows_per_chunk(monkeypatch, spec, tree, rows):
+    """Patch the chunk budget so a finite-difference chunk holds `rows` rows."""
+    widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
+    monkeypatch.setattr(smp, "FD_CHUNK_FLOATS", rows * widest)
+
+
+@pytest.mark.parametrize("rows", [None, 3])  # 3: +-step pairs straddle chunk edges
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_fd_gradient_batched_matches_loop(case, rows, monkeypatch):
+    # batch rows see the level means as contiguous repeats, the unbatched
+    # cost as broadcast views, and matrix products may round the two apart
+    spec = FD_CASES[case]()
+    tree = spec.build_tree()
+    if rows is not None:
+        _rows_per_chunk(monkeypatch, spec, tree, rows)
+    u = random_control(spec, tree, 21)
+    g, ref = fd_cost_gradient(spec, tree, u), _fd_loop(spec, tree, u)
+    for k in range(tree.grid.n_steps + 1):
+        bound = 1e-8 * np.maximum(1.0, np.abs(ref.at(k)))
+        assert np.all(np.abs(g.at(k) - ref.at(k)) <= bound), (case, k)
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (CostDomainError, SimulationError) as exc:
+        return type(exc), str(exc), exc.level, getattr(exc, "node", None)
+    raise AssertionError("no error raised")
+
+
+def _overflow_cases():
+    # a state that overflows at level 3 below node 3 of level 2, whatever the step
+    state = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[1.0], B=[[1e10]],
+                    R=[[1.0]], lo=-1e300, hi=1e300)
+    # a finite state and a control whose quadratic cost overflows at level 1, node 1
+    running = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[1.0], B=[[1.0]],
+                      R=[[1.0]], Q=[[1.0]], lo=-1e300, hi=1e300)
+    # costs that never read the state, so only the state shows the overflow
+    blind = dataclasses.replace(state, coeffs=dataclasses.replace(
+        state.coeffs, l=lambda t, x, y, u: np.zeros(len(u)), phi=lambda x, y: np.zeros(len(x))))
+    return [(state, (2, 3, 1e305), SimulationError),
+            (running, (1, 1, 1e160), CostDomainError),
+            (blind, (2, 3, 1e305), SimulationError)]
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_fd_gradient_raises_as_loop_does(rows, monkeypatch):
+    for spec, (k, node, value), error in _overflow_cases():
+        tree = spec.build_tree()
+        if rows is not None:
+            _rows_per_chunk(monkeypatch, spec, tree, rows)
+        u = constant_control(spec, tree, 0.1)
+        u.at(k)[node, 0] = value
+        expected = _raised(_fd_loop, spec, tree, u)
+        assert expected[0] is error
+        assert _raised(fd_cost_gradient, spec, tree, u) == expected
+
+
+@pytest.mark.parametrize("rows", [None, 3])
+def test_fd_gradient_on_consumption_boundary_skips_in_cli(rows, monkeypatch, tmp_path, capsys):
+    # -step from the consumption floor 1e-6 leaves the utility's domain at
+    # level 2, node 2: the loop and the batch raise the same CostDomainError
+    spec = builtin("prodcons", delta_util=0.5, depreciation=0.3, h=0.5, N=2, x0=1.0,
+                   v_floor=1e-6, v_cap=1.0)
+    tree = spec.build_tree()
+    if rows is not None:
+        _rows_per_chunk(monkeypatch, spec, tree, rows)
+    u = random_control(spec, tree, 5)
+    u.at(2)[2, 0] = 1e-6
+    expected = _raised(_fd_loop, spec, tree, u)
+    assert expected == (CostDomainError, "running cost undefined at level 2, node 2", 2, 2)
+    assert _raised(fd_cost_gradient, spec, tree, u) == expected
+    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, u))
+    main(["check", str(cfg), str(control)])
+    gradient = json.loads(capsys.readouterr().out)["gradient"]
+    assert gradient["pass"] and gradient["residuals"] == []
+    assert gradient["notes"][0].startswith("finite-difference comparison skipped")
 
 
 def test_literal_mean_drift_convention_breaks_duality():
