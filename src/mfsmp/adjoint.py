@@ -1,24 +1,25 @@
 """Linearization and exact backward solves for the mean-field adjoint system.
 
-Conventions.  The linear one-step system on the tree is
+Conventions.  The linear one-step system on the tree, level k to k+1, is
 
-    z(t+h) = (I + A(t)) z(t) + A1(t) E z(t) + c(t)
-             + sum_j (B_j(t) z(t) + B1_j(t) E z(t) + e_j(t)) w^j(t)
+    z_{k+1} = Phi_k z_k + c_k + sum_j e_j(k) w^j(k)
+    Phi_k z = (I + A) z + A1 E z + sum_j (B_j z + B1_j E z) w^j(k)
 
-with A = h * (drift x-gradient), A1 = h * (drift mean-gradient), B_j / B1_j the
-diffusion gradients, and optional additive forcing (c, e_j).  The paired
-backward system solved here reads, per step,
+with A = h * (drift x-gradient), A1 = h * (drift mean-gradient) and B_j / B1_j
+the diffusion gradients, all evaluated at step k, and optional additive
+forcing (c, e_j).  `apply_transition` is Phi_k.  `apply_transition_adjoint` is
+its transpose Phi*_k in the probability-weighted pairing
+<z, v>_k = sum_m pi_m z_m . v_m of level k:
 
-    p(t)   = (I + A^T) E{p(t+h) | F_t} + E[A1^T p(t+h)]
-             + sum_j B_j^T q_j(t) + sum_j E[B1_j^T q_j(t)] - rhs(t)
-    q_j(t) = E{p(t+h) w^j(t) | F_t}
+    Phi*_k v = (I + A^T) E{v | F_k} + E[A1^T E{v | F_k}]
+               + sum_j B_j^T E{v w^j | F_k} + sum_j E[B1_j^T E{v w^j | F_k}]
 
-with terminal p = -terminal gradient.  The expectation-coupled terms are
-unconditional level means, constant across nodes of their level.  The step
-factor on the mean drift gradient is deliberate: it is the unique choice under
-which the discrete summation-by-parts pairing of p against the spike response
-closes exactly (set ``mean_drift_step=False`` to reproduce the h-free variant
-for comparison).
+The backward system solved here reads p_k = Phi*_k p_{k+1} - rhs_k with
+q_j(k) = E{p_{k+1} w^j | F_k} and terminal p = -terminal gradient.  The
+expectation-coupled terms are unconditional level means, constant across
+nodes of their level.  The step factor on the mean drift gradient is what
+makes the backward step the transpose of the forward one, so the discrete
+summation-by-parts pairing of p against the spike response closes exactly.
 """
 
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ class AdjointSolution:
     q: AdaptedProcess   # levels 0..N, values (d, n)
 
 
-def linearize(spec, tree, traj, u, mean_drift_step: bool = True) -> LinearSystemData:
+def linearize(spec, tree, traj, u) -> LinearSystemData:
     """Evaluate the adjoint coefficients along (x̂, Ex̂, û), node by node."""
     grid = tree.grid
     h = grid.h
@@ -72,14 +73,12 @@ def linearize(spec, tree, traj, u, mean_drift_step: bool = True) -> LinearSystem
         x = traj.at(k)
         y = np.broadcast_to(traj.means[k], x.shape)
         uk = u.at(k)
-        t = grid.time(k)
-        drift_x.append(h * np.asarray(c.f_x(t, x, y, uk)))
-        mean_scale = h if mean_drift_step else 1.0
-        drift_mean.append(mean_scale * np.asarray(c.f_y(t, x, y, uk)))
-        diff_x.append(np.asarray(c.sigma_x(t, x, y, uk)))
-        diff_mean.append(np.asarray(c.sigma_y(t, x, y, uk)))
-        lx = np.asarray(c.l_x(t, x, y, uk))
-        ly_mean = expect(tree, np.asarray(c.l_y(t, x, y, uk)), k)
+        drift_x.append(h * np.asarray(c.f_x(k, x, y, uk)))
+        drift_mean.append(h * np.asarray(c.f_y(k, x, y, uk)))
+        diff_x.append(np.asarray(c.sigma_x(k, x, y, uk)))
+        diff_mean.append(np.asarray(c.sigma_y(k, x, y, uk)))
+        lx = np.asarray(c.l_x(k, x, y, uk))
+        ly_mean = expect(tree, np.asarray(c.l_y(k, x, y, uk)), k)
         running.append(lx + ly_mean)
     kT = grid.n_steps + 1
     xT = traj.at(kT)
@@ -99,18 +98,12 @@ def solve_adjoint(data: LinearSystemData, tree) -> AdjointSolution:
     p.set_level(n_steps + 1, -data.terminal)
     for k in range(n_steps, -1, -1):
         pc = p.at(k + 1)
-        ep = cond_expect(tree, pc, k + 1)
         qk = cond_expect_noise(tree, pc, k + 1)
         q.set_level(k, qk)
-        w = tree.abs_prob[k]
-        mean_drift = np.einsum("m,mij,mi->j", w, data.drift_mean[k], ep)
-        mean_diff = np.einsum("m,mjab,mja->b", w, data.diff_mean[k], qk)
-        pk = (ep
-              + np.einsum("mij,mi->mj", data.drift_x[k], ep)
-              + np.einsum("mjab,mja->mb", data.diff_x[k], qk)
-              + mean_drift + mean_diff
-              - data.running[k])
-        p.set_level(k, pk)
+        # the transposed transition, fed the q it stores rather than
+        # computing E{p w | F} a second time
+        p.set_level(k, _transpose_local(data, tree, k, cond_expect(tree, pc, k + 1), qk)
+                    - data.running[k])
     return AdjointSolution(p, q)
 
 
@@ -137,6 +130,29 @@ def apply_transition(data: LinearSystemData, tree, k: int, z) -> np.ndarray:
     diff = (np.einsum("mjab,mb->mja", data.diff_x[k], z)
             + np.einsum("mjab,b->mja", data.diff_mean[k], zbar))
     return tree.children(k, base, diff)
+
+
+def _transpose_local(data, tree, k, ep, qk):
+    """Level-k part of the transposed step-k transition, given E{v | F_k} and
+    E{v w^j | F_k} of the level-k+1 values v."""
+    w = tree.abs_prob[k]
+    mean_drift = np.einsum("m,mij,mi->j", w, data.drift_mean[k], ep)
+    mean_diff = np.einsum("m,mjab,mja->b", w, data.diff_mean[k], qk)
+    return (ep
+            + np.einsum("mij,mi->mj", data.drift_x[k], ep)
+            + np.einsum("mjab,mja->mb", data.diff_x[k], qk)
+            + mean_drift + mean_diff)
+
+
+def apply_transition_adjoint(data: LinearSystemData, tree, k: int, v) -> np.ndarray:
+    """Transpose of `apply_transition` at step k in the probability-weighted
+    pairing, <apply_transition(z), v>_{k+1} = <z, apply_transition_adjoint(v)>_k:
+    level k+1 -> k."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (tree.size(k + 1), data.n):
+        raise MfsmpError(f"expected level-{k + 1} values of shape ({tree.size(k + 1)}, {data.n})")
+    return _transpose_local(data, tree, k, cond_expect(tree, v, k + 1),
+                            cond_expect_noise(tree, v, k + 1))
 
 
 def propagate(data: LinearSystemData, tree, z, k_from: int, k_to: int) -> np.ndarray:
@@ -182,75 +198,28 @@ def variation_of_constants(data: LinearSystemData, tree, z0) -> AdaptedProcess:
     return out
 
 
-def transition_matrix(data: LinearSystemData, tree, k: int) -> np.ndarray:
-    """Explicit matrix of the one-step transition on stacked level vectors."""
-    n = data.n
-    m0, m1 = tree.size(k), tree.size(k + 1)
-    par = np.arange(m1) // tree.branch
-    inc = tree.increments(k + 1)
-    eye = np.eye(n)
-    local = (eye[None] + data.drift_x[k][par]
-             + np.einsum("cj,cjab->cab", inc, data.diff_x[k][par]))
-    mean_part = (data.drift_mean[k][par]
-                 + np.einsum("cj,cjab->cab", inc, data.diff_mean[k][par]))
-    mat = np.zeros((m1, n, m0, n))
-    mat[np.arange(m1), :, par, :] = local
-    mat += mean_part[:, :, None, :] * tree.abs_prob[k][None, None, :, None]
-    return mat.reshape(m1 * n, m0 * n)
-
-
-def transition_chain_matrix(data: LinearSystemData, tree, k_from: int, k_to: int) -> np.ndarray:
-    n = data.n
-    if k_to < k_from:
-        return np.zeros((tree.size(k_to) * n, tree.size(k_from) * n))
-    out = np.eye(tree.size(k_from) * n)
-    for k in range(k_from, k_to):
-        out = transition_matrix(data, tree, k) @ out
-    return out
-
-
-def _node_weights(tree, level, n):
-    return np.repeat(tree.abs_prob[level], n)
-
-
 def closed_form_costate(data: LinearSystemData, tree) -> AdaptedProcess:
-    """Costate via the transition-chain representation.
+    """Costate via the transition-chain representation
 
-    The chain matrices are adjointed with respect to the probability-weighted
-    inner product on each level (<z, w>_k = sum_m pi_m z_m . w_m), which is the
-    duality that makes the pairing against forward solutions exact.  Without
-    expectation coupling (zero mean-gradient blocks) this reproduces the
-    backward recursion by construction; with coupling it is the duality-based
-    reading and is reported rather than asserted against the recursion.
-    """
+        p_k = -(Phi*_k ... Phi*_N terminal + sum_{s=k..N} Phi*_k ... Phi*_{s-1} running_s)
+
+    with each chain of transposed transitions applied from scratch, matrix
+    free.  The backward recursion sums the same terms by Horner's rule, so the
+    two agree to roundoff, with or without expectation coupling."""
     n_steps = tree.grid.n_steps
-    n = data.n
-    p = AdaptedProcess.zeros(tree, 0, n_steps + 1, (n,))
-    terminal_vec = data.terminal.reshape(-1)
+
+    def chain(v, s, level):
+        for k in range(s - 1, level - 1, -1):
+            v = apply_transition_adjoint(data, tree, k, v)
+        return v
+
+    p = AdaptedProcess.zeros(tree, 0, n_steps + 1, (data.n,))
     for level in range(n_steps + 2):
-        w_here = _node_weights(tree, level, n)
-        acc = np.zeros(tree.size(level) * n)
-        chain = transition_chain_matrix(data, tree, level, n_steps + 1)
-        acc += chain.T @ (_node_weights(tree, n_steps + 1, n) * terminal_vec)
+        total = chain(data.terminal, n_steps + 1, level)
         for s in range(level, n_steps + 1):
-            chain_s = transition_chain_matrix(data, tree, level, s)
-            vec = data.running[s].reshape(-1)
-            acc += chain_s.T @ (_node_weights(tree, s, n) * vec)
-        p.set_level(level, (-acc / w_here).reshape(tree.size(level), n))
+            total = total + chain(data.running[s], s, level)
+        p.set_level(level, -total)
     return p
-
-
-def invertibility_report(data: LinearSystemData, tree, levels=None) -> CheckReport:
-    """Diagnostic: smallest singular value of each realized chain from the root."""
-    report = CheckReport("transition-chain-invertibility")
-    n_steps = tree.grid.n_steps
-    levels = range(1, n_steps + 2) if levels is None else levels
-    for level in levels:
-        chain = transition_chain_matrix(data, tree, 0, level)
-        smin = float(np.linalg.svd(chain, compute_uv=False)[-1])
-        report.add(f"sigma_min(chain 0->{level})", 0.0 if smin > 0 else 1.0, 0.0, level=level)
-        report.note(f"level {level}: smallest singular value {smin:.6e}")
-    return report
 
 
 def integrability_report(adj: AdjointSolution, tree) -> CheckReport:

@@ -59,28 +59,26 @@ def forward_levels(spec, tree: ScenarioTree, controls):
     (..., m_k, r), k = 0..N, whose leading axes are a batch.  Yields the state
     (..., m_k, n) and level mean (..., n) of each level k = 0..N+1 in turn, so
     a consumer holds one level at a time; overflow is carried on as inf/NaN."""
-    grid = tree.grid
-    n, d, h, c = spec.n, spec.d, grid.h, spec.coeffs
+    n, d, h, c = spec.n, spec.d, tree.grid.h, spec.coeffs
     x = np.broadcast_to(spec.x0, controls[0].shape[:-2] + (1, n))
     for k, uk in enumerate(controls):
         mean = np.einsum("...mn,m->...n", x, tree.abs_prob[k])
         yield x, mean
         xf, yf = _rows(x, mean)
         uf = uk.reshape(-1, spec.r)
-        t = grid.time(k)
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = c.f(t, xf, yf, uf).reshape(x.shape)
-            diff = c.sigma(t, xf, yf, uf).reshape(x.shape[:-1] + (d, n))
+            drift = c.f(k, xf, yf, uf).reshape(x.shape)
+            diff = c.sigma(k, xf, yf, uf).reshape(x.shape[:-1] + (d, n))
             x = tree.children(k, x + h * drift, diff)
     yield x, np.einsum("...mn,m->...n", x, tree.abs_prob[len(controls)])
 
 
 def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
     """Level-k cost values (..., m_k) of a state and mean from `forward_levels`:
-    l(t_k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1."""
+    l(k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1."""
     xf, yf = _rows(x, mean)
     if k < len(controls):
-        vals = spec.coeffs.l(tree.grid.time(k), xf, yf, controls[k].reshape(-1, spec.r))
+        vals = spec.coeffs.l(k, xf, yf, controls[k].reshape(-1, spec.r))
     else:
         vals = spec.coeffs.phi(xf, yf)
     return vals.reshape(x.shape[:-1])
@@ -144,7 +142,7 @@ def mean_recursion_residual(spec, tree, u, traj) -> float:
     for k in range(grid.n_steps + 1):
         x = traj.at(k)
         y = np.broadcast_to(traj.means[k], x.shape)
-        drift_mean = expect(tree, spec.coeffs.f(grid.time(k), x, y, u.at(k)), k)
+        drift_mean = expect(tree, spec.coeffs.f(k, x, y, u.at(k)), k)
         mean = mean + grid.h * drift_mean
         worst = max(worst, float(np.max(np.abs(traj.means[k + 1] - mean))))
     return worst

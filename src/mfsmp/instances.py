@@ -101,40 +101,40 @@ def smooth_nonlinear(seed):
     rw = rng.uniform(0.3, 0.8, r)
     gw = rng.uniform(0.2, 0.6, n)
 
-    def f(t, x, y, u):
+    def f(k, x, y, u):
         return a * np.tanh(x) + b * np.tanh(y) + u @ bu.T
 
-    def f_x(t, x, y, u):
+    def f_x(k, x, y, u):
         return _diag_rows(a * (1.0 - np.tanh(x) ** 2))
 
-    def f_y(t, x, y, u):
+    def f_y(k, x, y, u):
         return _diag_rows(b * (1.0 - np.tanh(y) ** 2))
 
-    def f_u(t, x, y, u):
+    def f_u(k, x, y, u):
         return np.broadcast_to(bu, (x.shape[0], n, r))
 
-    def sigma(t, x, y, u):
+    def sigma(k, x, y, u):
         return (cs * np.sin(x) + s0)[:, None, :]
 
-    def sigma_x(t, x, y, u):
+    def sigma_x(k, x, y, u):
         return _diag_rows(cs * np.cos(x))[:, None, :, :]
 
-    def sigma_y(t, x, y, u):
+    def sigma_y(k, x, y, u):
         return np.zeros((x.shape[0], d, n, n))
 
-    def sigma_u(t, x, y, u):
+    def sigma_u(k, x, y, u):
         return np.zeros((x.shape[0], d, n, r))
 
-    def l(t, x, y, u):
+    def l(k, x, y, u):
         return 0.5 * ((x ** 2) @ qw + (u ** 2) @ rw)
 
-    def l_x(t, x, y, u):
+    def l_x(k, x, y, u):
         return qw * x
 
-    def l_y(t, x, y, u):
+    def l_y(k, x, y, u):
         return np.zeros_like(x)
 
-    def l_u(t, x, y, u):
+    def l_u(k, x, y, u):
         return rw * u
 
     def phi(x, y):

@@ -2,7 +2,8 @@
 
 Coefficient evaluators are vectorized over nodes: with m evaluation points,
 state x is (m, n), mean argument y is (m, n) (the level mean broadcast to rows,
-or a genuine per-row batch), control u is (m, r), and t is the scalar time.
+or a genuine per-row batch), control u is (m, r), and k is the integer step
+0..N whose coefficients apply; the terminal cost phi takes no step.
 Returned shapes are
 
     f (m, n)          sigma (m, d, n)        l (m,)        phi (m,)
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, MfsmpError
 from .report import CheckReport
-from .tree import NoiseModel, TimeGrid, build_tree
+from .tree import NoiseModel, TimeGrid, build_tree, validate_noise
 
 _TOP_KEYS = {"dims", "grid", "noise", "x0", "family", "tables", "admissible", "direction"}
 
@@ -36,7 +37,8 @@ _LQ_SIGMA_KEYS = {"C": ("n", "n"), "C_mean": ("n", "n"), "D": ("n", "r"), "s0": 
 
 @dataclass
 class CoefficientSet:
-    """Vectorized evaluators for the drift, diffusions, running and terminal cost."""
+    """Vectorized evaluators for the drift, diffusions, running and terminal cost:
+    `f(k, x, y, u)` and its kin take the integer step k, `phi(x, y)` none."""
 
     f: callable
     f_x: callable
@@ -205,75 +207,60 @@ def _lq_tables(n, r, d, n_steps, params, time_varying):
     return tables, sigma_tabs
 
 
-def _lq_coeffs(n, r, d, grid, tables, sigma_tabs, sign):
-    """Build exact-derivative evaluators from stacked coefficient tables.
+def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
+    """Build exact-derivative evaluators from stacked coefficient tables, each
+    evaluator reading row k of every table.
 
     `sign` is +1 for minimize, -1 for maximize (flips the cost family only).
     """
-    t0, h, n_steps = grid.t0, grid.h, grid.n_steps
-    tb = {k: v.copy() for k, v in tables.items()}
+    tb = {key: v.copy() for key, v in tables.items()}
     for key in ("Q", "Q_mean", "G", "G_mean"):
         tb[key] = sign * np.stack([_sym(m) for m in tb[key]])
     for key in ("R",):
         tb[key] = sign * np.stack([_sym(m) for m in tb[key]])
     for key in ("q", "q_mean", "r_lin", "l0", "g", "g_mean", "phi0"):
         tb[key] = sign * tb[key]
-    sg = [{k: v.copy() for k, v in tab.items()} for tab in sigma_tabs]
+    sg = [{key: v.copy() for key, v in tab.items()} for tab in sigma_tabs]
 
-    def step_of(t):
-        k = int(round((t - t0) / h))
-        if not 0 <= k <= n_steps:
-            raise MfsmpError(f"time {t} is outside the control grid")
-        return k
-
-    def f(t, x, y, u):
-        k = step_of(t)
+    def f(k, x, y, u):
         return x @ tb["A"][k].T + y @ tb["A_mean"][k].T + u @ tb["B"][k].T + tb["f0"][k]
 
-    def f_x(t, x, y, u):
-        return _rows(tb["A"][step_of(t)], x.shape[0])
+    def f_x(k, x, y, u):
+        return _rows(tb["A"][k], x.shape[0])
 
-    def f_y(t, x, y, u):
-        return _rows(tb["A_mean"][step_of(t)], x.shape[0])
+    def f_y(k, x, y, u):
+        return _rows(tb["A_mean"][k], x.shape[0])
 
-    def f_u(t, x, y, u):
-        return _rows(tb["B"][step_of(t)], x.shape[0])
+    def f_u(k, x, y, u):
+        return _rows(tb["B"][k], x.shape[0])
 
-    def sigma(t, x, y, u):
-        k = step_of(t)
+    def sigma(k, x, y, u):
         cols = [x @ sg[j]["C"][k].T + y @ sg[j]["C_mean"][k].T + u @ sg[j]["D"][k].T + sg[j]["s0"][k]
                 for j in range(d)]
         return np.stack(cols, axis=1)
 
-    def sigma_x(t, x, y, u):
-        k = step_of(t)
+    def sigma_x(k, x, y, u):
         return _rows(np.stack([sg[j]["C"][k] for j in range(d)]), x.shape[0])
 
-    def sigma_y(t, x, y, u):
-        k = step_of(t)
+    def sigma_y(k, x, y, u):
         return _rows(np.stack([sg[j]["C_mean"][k] for j in range(d)]), x.shape[0])
 
-    def sigma_u(t, x, y, u):
-        k = step_of(t)
+    def sigma_u(k, x, y, u):
         return _rows(np.stack([sg[j]["D"][k] for j in range(d)]), x.shape[0])
 
-    def l(t, x, y, u):
-        k = step_of(t)
+    def l(k, x, y, u):
         quad = 0.5 * (np.einsum("mi,ij,mj->m", x, tb["Q"][k], x)
                       + np.einsum("mi,ij,mj->m", y, tb["Q_mean"][k], y)
                       + np.einsum("mi,ij,mj->m", u, tb["R"][k], u))
         return quad + x @ tb["q"][k] + y @ tb["q_mean"][k] + u @ tb["r_lin"][k] + tb["l0"][k]
 
-    def l_x(t, x, y, u):
-        k = step_of(t)
+    def l_x(k, x, y, u):
         return x @ tb["Q"][k].T + tb["q"][k]
 
-    def l_y(t, x, y, u):
-        k = step_of(t)
+    def l_y(k, x, y, u):
         return y @ tb["Q_mean"][k].T + tb["q_mean"][k]
 
-    def l_u(t, x, y, u):
-        k = step_of(t)
+    def l_u(k, x, y, u):
         return u @ tb["R"][k].T + tb["r_lin"][k]
 
     def phi(x, y):
@@ -309,39 +296,39 @@ def _prodcons_coeffs(grid, delta_util, depreciation):
     expo = 1.0 - 1.0 / du       # negative for 0 < du < 1
     growth = 1.0 - depreciation
 
-    def f(t, x, y, u):
+    def f(k, x, y, u):
         return growth * x - u / h
 
-    def f_x(t, x, y, u):
+    def f_x(k, x, y, u):
         return np.full((x.shape[0], 1, 1), growth)
 
-    def f_y(t, x, y, u):
+    def f_y(k, x, y, u):
         return np.zeros((x.shape[0], 1, 1))
 
-    def f_u(t, x, y, u):
+    def f_u(k, x, y, u):
         return np.full((x.shape[0], 1, 1), -1.0 / h)
 
-    def sigma(t, x, y, u):
+    def sigma(k, x, y, u):
         return 0.5 * x.reshape(-1, 1, 1)
 
-    def sigma_x(t, x, y, u):
+    def sigma_x(k, x, y, u):
         return np.full((x.shape[0], 1, 1, 1), 0.5)
 
-    def sigma_y(t, x, y, u):
+    def sigma_y(k, x, y, u):
         return np.zeros((x.shape[0], 1, 1, 1))
 
-    def sigma_u(t, x, y, u):
+    def sigma_u(k, x, y, u):
         return np.zeros((x.shape[0], 1, 1, 1))
 
-    def l(t, x, y, u):
+    def l(k, x, y, u):
         return -coef * _pospow(u[:, 0], expo)
 
-    def l_x(t, x, y, u):
+    def l_x(k, x, y, u):
         return np.zeros((x.shape[0], 1))
 
     l_y = l_x
 
-    def l_u(t, x, y, u):
+    def l_u(k, x, y, u):
         return (-_pospow(u[:, 0], -1.0 / du)).reshape(-1, 1)
 
     def phi(x, y):
@@ -367,12 +354,26 @@ def _noise_from_config(kind, params, d, h):
         p = _number(params.pop("p", 0.25), "noise.params.p")
         if params:
             raise ConfigError(f"trinomial noise: unknown params {sorted(params)}")
+        if not 0.0 < p < 0.5:
+            raise ConfigError(f"noise.params.p: trinomial tail probability must lie in "
+                              f"(0, 0.5), got {p}")
         return NoiseModel.trinomial(d, h, p)
     if kind == "custom":
         support = params.pop("support", None)
         if params or support is None:
             raise ConfigError("custom noise needs exactly a 'support' list of [value, prob] pairs")
-        return NoiseModel.from_support(d, h, support)
+        try:
+            noise = NoiseModel.from_support(d, h, support)
+        except MfsmpError as exc:
+            raise ConfigError(f"noise.params.support: {exc}") from exc
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ConfigError(f"noise.params.support: expected [value, prob] pairs ({exc})") from exc
+        # the tolerance `build_tree` matches the second moment target with
+        worst = validate_noise(noise, tol=1e-12 * max(1.0, h)).worst
+        if not worst.ok:
+            raise ConfigError(f"noise.params.support: moments break the model, "
+                              f"{worst.label} = {worst.value!r} (zero mean and E w^2 = h needed)")
+        return noise
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
@@ -409,17 +410,26 @@ def _admissible_from_config(entries, n_steps, r):
         extra = set(entry) - {"t", "lo", "hi"}
         if extra:
             raise ConfigError(f"admissible entry: unknown keys {sorted(extra)}")
+        missing = {"t", "lo", "hi"} - set(entry)
+        if missing:
+            raise ConfigError(f"admissible entry: missing keys {sorted(missing)}")
         lo_row = np.array([_bound(v) for v in entry["lo"]])
         hi_row = np.array([_bound(v) for v in entry["hi"]])
         if lo_row.shape != (r,) or hi_row.shape != (r,):
             raise ConfigError(f"admissible bounds must have length r={r}")
         t = entry["t"]
-        steps = range(n_steps + 1) if t == "all" else [int(t)]
+        if t != "all" and (isinstance(t, bool) or not isinstance(t, int)):
+            raise ConfigError(f"admissible.t: expected 'all' or an integer step, got {t!r}")
+        steps = range(n_steps + 1) if t == "all" else [t]
         for k in steps:
             if not 0 <= k <= n_steps:
                 raise ConfigError(f"admissible step {k} outside 0..{n_steps}")
             if not np.isnan(lo[k]).all():
                 raise ConfigError(f"admissible step {k} specified more than once")
+            if np.any(lo_row > hi_row):
+                i = int(np.argmax(lo_row > hi_row))
+                raise ConfigError(f"admissible step {k}: empty box at coordinate {i}, "
+                                  f"lo={lo_row[i]} > hi={hi_row[i]}")
             lo[k], hi[k] = lo_row, hi_row
     if np.isnan(lo).any():
         missing = sorted(set(np.argwhere(np.isnan(lo[:, 0])).ravel().tolist()))
@@ -471,7 +481,7 @@ def _builtin_lq(params):
     admissible = AdmissibleSet.box(grid.n_steps, r, lo, hi)
     tables, sigma_tabs = _lq_tables(n, r, d, grid.n_steps, params, time_varying=False)
     sign = -1.0 if direction == "maximize" else 1.0
-    coeffs = _lq_coeffs(n, r, d, grid, tables, sigma_tabs, sign)
+    coeffs = _lq_coeffs(n, r, d, tables, sigma_tabs, sign)
     raw = _canonical({k: v for k, v in params.items()})
     return ProblemSpec(n, r, d, grid, noise, meta["x0"], coeffs, admissible,
                        direction=direction, family="lq_meanfield", family_params=raw)
@@ -557,6 +567,8 @@ def parse_problem(config_text: str) -> ProblemSpec:
         raise ConfigError(f"x0 must be finite, got {x0.tolist()}")
     admissible = _admissible_from_config(cfg["admissible"], grid.n_steps, r)
     direction = cfg["direction"]
+    if direction not in ("minimize", "maximize"):
+        raise ConfigError(f"direction: must be 'minimize' or 'maximize', got {direction!r}")
 
     if "family" in cfg:
         fam = cfg["family"]
@@ -568,7 +580,7 @@ def parse_problem(config_text: str) -> ProblemSpec:
         if name == "lq_meanfield":
             tables, sigma_tabs = _lq_tables(n, r, d, grid.n_steps, fparams, time_varying=False)
             sign = -1.0 if direction == "maximize" else 1.0
-            coeffs = _lq_coeffs(n, r, d, grid, tables, sigma_tabs, sign)
+            coeffs = _lq_coeffs(n, r, d, tables, sigma_tabs, sign)
             spec = ProblemSpec(n, r, d, grid, noise, x0, coeffs, admissible,
                                direction=direction, family="lq_meanfield",
                                family_params=_canonical(fparams))
@@ -593,7 +605,7 @@ def parse_problem(config_text: str) -> ProblemSpec:
     else:
         tables, sigma_tabs = _lq_tables(n, r, d, grid.n_steps, cfg["tables"], time_varying=True)
         sign = -1.0 if direction == "maximize" else 1.0
-        coeffs = _lq_coeffs(n, r, d, grid, tables, sigma_tabs, sign)
+        coeffs = _lq_coeffs(n, r, d, tables, sigma_tabs, sign)
         spec = ProblemSpec(n, r, d, grid, noise, x0, coeffs, admissible,
                            direction=direction, family="tables",
                            family_params=_canonical(cfg["tables"]))
@@ -670,7 +682,7 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
     x = spec.x0 + rng.uniform(-0.5, 0.5, (m, n)) * scale
     y = spec.x0 + rng.uniform(-0.5, 0.5, (m, n)) * scale
     u = _sample_controls(spec, rng, m)
-    t = spec.grid.t0
+    k = 0
     c = spec.coeffs
 
     expected = {
@@ -679,7 +691,7 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
         "sigma_u": (m, d, n, r), "l_x": (m, n), "l_y": (m, n), "l_u": (m, r),
     }
     for name, shape in expected.items():
-        got = np.shape(getattr(c, name)(t, x, y, u))
+        got = np.shape(getattr(c, name)(k, x, y, u))
         report.add(f"shape[{name}]", 0.0 if got == shape else 1.0, 0.0)
     for name, shape in {"phi": (m,), "phi_x": (m, n), "phi_y": (m, n)}.items():
         got = np.shape(getattr(c, name)(x, y))
@@ -703,15 +715,15 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
             worst = max(worst, float(err))
         report.add(f"fd[{label}]", worst, tol)
 
-    fd_check("f_x", lambda a, b, v: c.f(t, a, b, v), lambda: c.f_x(t, x, y, u), "x", n)
-    fd_check("f_y", lambda a, b, v: c.f(t, a, b, v), lambda: c.f_y(t, x, y, u), "y", n)
-    fd_check("f_u", lambda a, b, v: c.f(t, a, b, v), lambda: c.f_u(t, x, y, u), "u", r)
-    fd_check("sigma_x", lambda a, b, v: c.sigma(t, a, b, v), lambda: c.sigma_x(t, x, y, u), "x", n)
-    fd_check("sigma_y", lambda a, b, v: c.sigma(t, a, b, v), lambda: c.sigma_y(t, x, y, u), "y", n)
-    fd_check("sigma_u", lambda a, b, v: c.sigma(t, a, b, v), lambda: c.sigma_u(t, x, y, u), "u", r)
-    fd_check("l_x", lambda a, b, v: c.l(t, a, b, v), lambda: c.l_x(t, x, y, u), "x", n)
-    fd_check("l_y", lambda a, b, v: c.l(t, a, b, v), lambda: c.l_y(t, x, y, u), "y", n)
-    fd_check("l_u", lambda a, b, v: c.l(t, a, b, v), lambda: c.l_u(t, x, y, u), "u", r)
+    fd_check("f_x", lambda a, b, v: c.f(k, a, b, v), lambda: c.f_x(k, x, y, u), "x", n)
+    fd_check("f_y", lambda a, b, v: c.f(k, a, b, v), lambda: c.f_y(k, x, y, u), "y", n)
+    fd_check("f_u", lambda a, b, v: c.f(k, a, b, v), lambda: c.f_u(k, x, y, u), "u", r)
+    fd_check("sigma_x", lambda a, b, v: c.sigma(k, a, b, v), lambda: c.sigma_x(k, x, y, u), "x", n)
+    fd_check("sigma_y", lambda a, b, v: c.sigma(k, a, b, v), lambda: c.sigma_y(k, x, y, u), "y", n)
+    fd_check("sigma_u", lambda a, b, v: c.sigma(k, a, b, v), lambda: c.sigma_u(k, x, y, u), "u", r)
+    fd_check("l_x", lambda a, b, v: c.l(k, a, b, v), lambda: c.l_x(k, x, y, u), "x", n)
+    fd_check("l_y", lambda a, b, v: c.l(k, a, b, v), lambda: c.l_y(k, x, y, u), "y", n)
+    fd_check("l_u", lambda a, b, v: c.l(k, a, b, v), lambda: c.l_u(k, x, y, u), "u", r)
     fd_check("phi_x", lambda a, b, v: c.phi(a, b), lambda: c.phi_x(x, y), "x", n)
     fd_check("phi_y", lambda a, b, v: c.phi(a, b), lambda: c.phi_y(x, y), "y", n)
 

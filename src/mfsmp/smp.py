@@ -2,11 +2,11 @@
 
 Everything here uses the internal minimization convention.  The Hamiltonian
 
-    H(t, v) = <E{p(t+h) | F_t}, h f(t, x, Ex, v)> + sum_j <q_j(t), sigma_j(t, x, Ex, v)>
-              - l(t, x, Ex, v)
+    H(k, v) = <E{p_{k+1} | F_k}, h f(k, x, Ex, v)> + sum_j <q_j(k), sigma_j(k, x, Ex, v)>
+              - l(k, x, Ex, v)
 
 is maximized by an optimal control along feasible directions:
-<H_u(t, u*), v - u*> <= 0 for every admissible v.  Equivalently, flipping the
+<H_u(k, u*), v - u*> <= 0 for every admissible v.  Equivalently, flipping the
 sign of H turns the condition into an infimum; both statements describe the
 same control and the reports note the orientation in use.  The gradient of the
 cost functional in the probability-weighted (L2) inner product is -H_u node by
@@ -55,35 +55,33 @@ def conditional_costate(tree, adj, k: int) -> np.ndarray:
 
 
 def hamiltonian(spec, tree, traj, adj, k: int, v) -> np.ndarray:
-    """H(t_k, v) per level-k node; v is (r,) or (m_k, r)."""
+    """H(k, v) per level-k node; v is (r,) or (m_k, r)."""
     x = traj.at(k)
     m = x.shape[0]
     v = np.broadcast_to(np.asarray(v, dtype=float), (m, spec.r))
     y = np.broadcast_to(traj.means[k], x.shape)
-    t = tree.grid.time(k)
     ep = conditional_costate(tree, adj, k)
     qk = adj.q.at(k)
     c = spec.coeffs
-    drift_term = tree.grid.h * np.einsum("mi,mi->m", ep, c.f(t, x, y, v))
-    diff_term = np.einsum("mji,mji->m", qk, c.sigma(t, x, y, v))
-    return drift_term + diff_term - c.l(t, x, y, v)
+    drift_term = tree.grid.h * np.einsum("mi,mi->m", ep, c.f(k, x, y, v))
+    diff_term = np.einsum("mji,mji->m", qk, c.sigma(k, x, y, v))
+    return drift_term + diff_term - c.l(k, x, y, v)
 
 
 def _hamiltonian_gradient_parts(spec, tree, traj, adj, u, k):
     x = traj.at(k)
     y = np.broadcast_to(traj.means[k], x.shape)
     uk = u.at(k)
-    t = tree.grid.time(k)
     ep = conditional_costate(tree, adj, k)
     qk = adj.q.at(k)
     c = spec.coeffs
-    state_part = (tree.grid.h * np.einsum("mia,mi->ma", c.f_u(t, x, y, uk), ep)
-                  + np.einsum("mjia,mji->ma", c.sigma_u(t, x, y, uk), qk))
-    return state_part, np.asarray(c.l_u(t, x, y, uk))
+    state_part = (tree.grid.h * np.einsum("mia,mi->ma", c.f_u(k, x, y, uk), ep)
+                  + np.einsum("mjia,mji->ma", c.sigma_u(k, x, y, uk), qk))
+    return state_part, np.asarray(c.l_u(k, x, y, uk))
 
 
 def hamiltonian_gradient(spec, tree, traj, adj, u, k: int) -> np.ndarray:
-    """H_u(t_k, u(t_k)) per level-k node: h f_u^T E{p|F} + sum_j sigma_u^T q_j - l_u."""
+    """H_u(k, u(k)) per level-k node: h f_u^T E{p|F} + sum_j sigma_u^T q_j - l_u."""
     state_part, lu = _hamiltonian_gradient_parts(spec, tree, traj, adj, u, k)
     return state_part - lu
 
@@ -115,38 +113,28 @@ def necessary_check(spec, tree, traj, adj, u, tol: float = 1e-6) -> CheckReport:
     return report
 
 
-def variational_data(spec, tree, traj, u, spike: SpikeVariation,
-                     drift_step: bool = True) -> LinearSystemData:
-    """Linearized system with the spike forcing attached at the spike step.
-
-    With ``drift_step`` the drift block carries the step factor h, making the
-    response the exact derivative of the forward map; disabling it reproduces
-    the h-free variant of the recursion for comparison.
-    """
-    data = linearize(spec, tree, traj, u, mean_drift_step=drift_step)
-    if not drift_step:
-        h = tree.grid.h
-        data.drift_x = [a / h for a in data.drift_x]
+def variational_data(spec, tree, traj, u, spike: SpikeVariation) -> LinearSystemData:
+    """Linearized system with the spike forcing attached at the spike step; the
+    drift blocks and forcing carry the step factor h, so the response is the
+    exact derivative of the forward map."""
+    data = linearize(spec, tree, traj, u)
     n, d = spec.n, spec.d
     data.drift_force = [np.zeros((tree.size(k), n)) for k in range(tree.grid.n_steps + 1)]
     data.diff_force = [np.zeros((tree.size(k), d, n)) for k in range(tree.grid.n_steps + 1)]
     k = spike.step
     x = traj.at(k)
     y = np.broadcast_to(traj.means[k], x.shape)
-    t = tree.grid.time(k)
     bump = spike.scale * np.broadcast_to(spike.delta, (tree.size(k), spec.r))
-    scale = tree.grid.h if drift_step else 1.0
-    data.drift_force[k] = scale * np.einsum(
-        "mia,ma->mi", spec.coeffs.f_u(t, x, y, u.at(k)), bump)
+    data.drift_force[k] = tree.grid.h * np.einsum(
+        "mia,ma->mi", spec.coeffs.f_u(k, x, y, u.at(k)), bump)
     data.diff_force[k] = np.einsum(
-        "mjia,ma->mji", spec.coeffs.sigma_u(t, x, y, u.at(k)), bump)
+        "mjia,ma->mji", spec.coeffs.sigma_u(k, x, y, u.at(k)), bump)
     return data
 
 
-def variational_state(spec, tree, traj, u, spike: SpikeVariation,
-                      drift_step: bool = True) -> AdaptedProcess:
+def variational_state(spec, tree, traj, u, spike: SpikeVariation) -> AdaptedProcess:
     """First-order state response to the spike (zero initial value)."""
-    data = variational_data(spec, tree, traj, u, spike, drift_step=drift_step)
+    data = variational_data(spec, tree, traj, u, spike)
     return solve_linear_forward(data, tree, np.zeros(spec.n))
 
 
@@ -296,10 +284,9 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
         xs = np.stack([x1, x2, 0.5 * (x1 + x2)])
         ys = np.stack([y1, y2, 0.5 * (y1 + y2)])
         vs = np.stack([v1, v2, 0.5 * (v1 + v2)])
-        t = grid.time(k)
-        hvals = (grid.h * c.f(t, xs, ys, vs) @ ep
-                 + np.einsum("mji,ji->m", c.sigma(t, xs, ys, vs), qn)
-                 - c.l(t, xs, ys, vs))
+        hvals = (grid.h * c.f(k, xs, ys, vs) @ ep
+                 + np.einsum("mji,ji->m", c.sigma(k, xs, ys, vs), qn)
+                 - c.l(k, xs, ys, vs))
         if np.all(np.isfinite(hvals)):
             worst = max(worst, float(0.5 * (hvals[0] + hvals[1]) - hvals[2]))
     report.add("Hamiltonian midpoint concavity violation", worst, tol_convexity)
@@ -309,9 +296,8 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     for k in range(grid.n_steps + 1):
         x = traj.at(k)
         y = np.broadcast_to(traj.means[k], x.shape)
-        t = grid.time(k)
         uk = u.at(k)
-        for arr in (c.f_y(t, x, y, uk), c.sigma_y(t, x, y, uk), c.l_y(t, x, y, uk)):
+        for arr in (c.f_y(k, x, y, uk), c.sigma_y(k, x, y, uk), c.l_y(k, x, y, uk)):
             worst = max(worst, float(np.max(-np.asarray(arr), initial=0.0)))
     xT_b = traj.at(kT)
     yT = np.broadcast_to(traj.means[kT], xT_b.shape)

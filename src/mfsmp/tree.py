@@ -70,7 +70,7 @@ class NoiseModel:
             if np.any(p <= 0.0):
                 raise MfsmpError(f"component {j}: probabilities must be positive")
             if abs(p.sum() - 1.0) > 1e-12:
-                raise MfsmpError(f"component {j}: probabilities sum to {p.sum()!r}, not 1")
+                raise MfsmpError(f"component {j}: probabilities sum to {float(p.sum())!r}, not 1")
 
     @classmethod
     def binary(cls, dim, step):

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from mfsmp.adjoint import (LinearSystemData, apply_transition, closed_form_costate,
-                           integrability_report, invertibility_report, linearize,
+from mfsmp.adjoint import (LinearSystemData, apply_transition, apply_transition_adjoint,
+                           closed_form_costate, integrability_report, linearize,
                            propagate, q_definition_residual, solve_adjoint,
-                           solve_linear_forward, transition_chain_matrix,
-                           variation_of_constants)
+                           solve_linear_forward, variation_of_constants)
 from mfsmp.errors import MfsmpError
 from mfsmp.forward import constant_control, simulate
 from mfsmp.instances import random_control, random_lq, random_prodcons
@@ -31,6 +30,48 @@ def _zero_data(tree, n=1, d=1, rng=None, diag=None):
         running=[np.zeros((tree.size(k), n)) for k in range(steps)],
         terminal=np.zeros((tree.size(steps), n)))
     return data
+
+
+def _transition_matrix(data, tree, k):
+    """Dense matrix of the step-k transition on stacked level vectors, the
+    reference for the matrix-free operators."""
+    n = data.n
+    m0, m1 = tree.size(k), tree.size(k + 1)
+    par = np.arange(m1) // tree.branch
+    inc = tree.increments(k + 1)
+    local = (np.eye(n)[None] + data.drift_x[k][par]
+             + np.einsum("cj,cjab->cab", inc, data.diff_x[k][par]))
+    mean_part = (data.drift_mean[k][par]
+                 + np.einsum("cj,cjab->cab", inc, data.diff_mean[k][par]))
+    mat = np.zeros((m1, n, m0, n))
+    mat[np.arange(m1), :, par, :] = local
+    mat += mean_part[:, :, None, :] * tree.abs_prob[k][None, None, :, None]
+    return mat.reshape(m1 * n, m0 * n)
+
+
+def _operator_case(name):
+    """Linear data on a small tree: random blocks without expectation
+    coupling for the noise laws, a linearized mean-field LQ for the last."""
+    rng = np.random.default_rng(len(name))
+    if name == "mean-field":
+        spec = random_lq(11, n_max=2, steps_max=3, mean_field=True)
+        tree = spec.build_tree()
+        u = random_control(spec, tree, 12)
+        data = linearize(spec, tree, simulate(spec, tree, u), u)
+        assert any(np.any(a != 0.0) for a in data.drift_mean)
+        return tree, data
+    noise = {"binary d=1": NoiseModel.binary(1, 0.5), "binary d=2": NoiseModel.binary(2, 0.5),
+             "trinomial": NoiseModel.trinomial(1, 0.5, 0.2)}[name]
+    tree = build_tree(TimeGrid(0.0, 0.5, 2), noise)
+    n, d = 2, noise.dim
+    data = _zero_data(tree, n=n, d=d)
+    for k in range(3):
+        data.drift_x[k] = rng.uniform(-0.5, 0.5, (tree.size(k), n, n))
+        data.diff_x[k] = rng.uniform(-0.5, 0.5, (tree.size(k), d, n, n))
+    return tree, data
+
+
+OPERATOR_CASES = ["binary d=1", "binary d=2", "trinomial", "mean-field"]
 
 
 def test_linearize_e1_values(e1):
@@ -201,9 +242,10 @@ def test_closed_form_single_step_hand_oracle():
     assert adj.p.at(0)[0, 0] == pytest.approx(expected_root, abs=1e-12)
 
 
-def test_closed_form_matches_backward_without_mean_field():
+@pytest.mark.parametrize("mean_field", [False, True], ids=["plain", "mean-field"])
+def test_closed_form_matches_backward(mean_field):
     for seed in range(4):
-        spec = random_lq(seed, steps_max=3, mean_field=False)
+        spec = random_lq(seed, steps_max=3, mean_field=mean_field)
         tree = spec.build_tree()
         u = random_control(spec, tree, 90 + seed)
         traj = simulate(spec, tree, u)
@@ -235,20 +277,44 @@ def test_integrability_prodcons_terminal_unit():
     assert values["E|p|^2 @level 6"] == pytest.approx(1.0)
 
 
-def test_chain_matrix_and_invertibility_report():
-    spec = random_lq(21, steps_max=2, n_max=2, d_max=1)
-    tree = spec.build_tree()
-    u = random_control(spec, tree, 22)
-    traj = simulate(spec, tree, u)
-    data = linearize(spec, tree, traj, u)
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_dense_chain_matches_propagate(case):
+    tree, data = _operator_case(case)
+    last = tree.grid.n_steps + 1
     rng = np.random.default_rng(23)
-    z = rng.uniform(-1, 1, (1, spec.n))
-    mat = transition_chain_matrix(data, tree, 0, tree.grid.n_steps + 1)
-    np.testing.assert_allclose(
-        (mat @ z.ravel()).reshape(-1, spec.n),
-        propagate(data, tree, z, 0, tree.grid.n_steps + 1), atol=1e-12)
-    report = invertibility_report(data, tree)
-    assert len(report.notes) == tree.grid.n_steps + 1
+    for k_from in range(last):
+        chain = np.eye(tree.size(k_from) * data.n)
+        z = rng.uniform(-1.0, 1.0, (tree.size(k_from), data.n))
+        for k_to in range(k_from + 1, last + 1):
+            chain = _transition_matrix(data, tree, k_to - 1) @ chain
+            np.testing.assert_allclose(
+                (chain @ z.ravel()).reshape(-1, data.n),
+                propagate(data, tree, z, k_from, k_to), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", OPERATOR_CASES)
+def test_transition_adjoint_is_weighted_transpose(case):
+    # <Phi z, v>_{k+1} = <z, Phi* v>_k, and Phi* = W_k^-1 M^T W_{k+1} for the
+    # dense matrix M of the transition and diagonal node weights W
+    tree, data = _operator_case(case)
+    rng = np.random.default_rng(24)
+    for k in range(tree.grid.n_steps + 1):
+        z = rng.uniform(-1.0, 1.0, (tree.size(k), data.n))
+        v = rng.uniform(-1.0, 1.0, (tree.size(k + 1), data.n))
+        adj = apply_transition_adjoint(data, tree, k, v)
+        lhs = np.sum(tree.abs_prob[k + 1][:, None] * apply_transition(data, tree, k, z) * v)
+        rhs = np.sum(tree.abs_prob[k][:, None] * z * adj)
+        assert abs(lhs - rhs) <= 1e-12
+        w_from = np.repeat(tree.abs_prob[k], data.n)
+        w_to = np.repeat(tree.abs_prob[k + 1], data.n)
+        dense = (_transition_matrix(data, tree, k).T @ (w_to * v.ravel())) / w_from
+        np.testing.assert_allclose(adj.ravel(), dense, rtol=0.0, atol=1e-12)
+
+
+def test_transition_adjoint_rejects_wrong_level():
+    tree = build_tree(TimeGrid(0.0, 1.0, 1), NoiseModel.binary(1, 1.0))
+    with pytest.raises(MfsmpError, match="level-1 values"):
+        apply_transition_adjoint(_zero_data(tree), tree, 0, np.zeros((1, 1)))
 
 
 def test_mean_field_contributions_level_constant():

@@ -370,3 +370,59 @@ def test_grid_out_of_range_exits_2(tmp_path, capsys, grid, message):
     control.write_text("time,node_id,u_1\n0.0,0,0.0\n")
     assert main(["simulate", str(path), str(control)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def _admissible_steps(cfg, entries):
+    cfg["grid"]["N"] = 2
+    cfg["admissible"] = entries
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda c: c.update(noise={"kind": "trinomial", "params": {"p": 0.7}}),
+     "noise.params.p: trinomial tail probability must lie in (0, 0.5), got 0.7"),
+    (lambda c: c.update(admissible=[{"t": "all", "lo": [1.0], "hi": [-1.0]}]),
+     "admissible step 0: empty box at coordinate 0, lo=1.0 > hi=-1.0"),
+    (lambda c: c.update(noise={"kind": "custom", "params": {"support": [[1.0, 0.5], [-1.0, 0.4]]}}),
+     "noise.params.support: component 0: probabilities sum to 0.9, not 1"),
+    (lambda c: c.update(noise={"kind": "custom", "params": {"support": [[2.0, 0.5], [-2.0, 0.5]]}}),
+     "noise.params.support: moments break the model, |E w^1 w^1 - h| = 3.0"),
+    (lambda c: c.update(noise={"kind": "custom", "params": {"support": [[1.5, 0.5], [-0.5, 0.5]]}}),
+     "noise.params.support: moments break the model, |E w^1| = 0.5"),
+    (lambda c: c.update(direction="sideways"),
+     "direction: must be 'minimize' or 'maximize', got 'sideways'"),
+    (lambda c: c.update(admissible=[{"t": "x", "lo": [-1.0], "hi": [1.0]}]),
+     "admissible.t: expected 'all' or an integer step, got 'x'"),
+    (lambda c: _admissible_steps(c, [{"t": k, "lo": [-1.0], "hi": [1.0]} for k in (0, 1, 2.7)]),
+     "admissible.t: expected 'all' or an integer step, got 2.7"),
+    (lambda c: c.update(admissible=[{"t": "all", "lo": [-1.0]}]),
+     "admissible entry: missing keys ['hi']"),
+], ids=["trinomial-p", "empty-box", "support-sum", "support-second-moment", "support-mean",
+        "direction", "step-string", "step-float", "missing-hi"])
+def test_solve_config_errors_exit_2(tmp_path, capsys, mutate, message):
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    mutate(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_simulate_reads_coefficients_by_step_far_from_time_origin(tmp_path, capsys):
+    # at t0 = 1e16 the times t0 + k h do not give k back by rounding (t0 + 1
+    # is t0 in floating point), so step 1 must read its own table row
+    cfg = json.loads(json.dumps(ZERO_CONFIG))
+    del cfg["family"]
+    cfg["grid"] = {"t0": 1e16, "h": 1.0, "N": 2}
+    cfg["x0"] = [1.0]
+    cfg["tables"] = {"A": {"per_step": [[[0.0]], [[5.0]], [[-3.0]]]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    control = tmp_path / "u.csv"
+    control.write_text("time,node_id,u_1\n" + "".join(f"0.0,{i},0.0\n" for i in range(7)))
+    assert main(["simulate", str(path), str(control)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    means = np.zeros(4)
+    for row in rows:
+        level = int(np.log2(int(row[1]) + 1))
+        means[level] += float(row[3]) * float(row[4])
+    np.testing.assert_array_equal(means, [1.0, 1.0, 6.0, -12.0])

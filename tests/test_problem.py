@@ -201,7 +201,7 @@ def test_validate_spec_builtins_pass():
 def test_validate_spec_flags_wrong_partial():
     spec = e1_problem()
     broken = dataclasses.replace(
-        spec.coeffs, f_x=lambda t, x, y, u: np.full((x.shape[0], 1, 1), 0.5))
+        spec.coeffs, f_x=lambda k, x, y, u: np.full((x.shape[0], 1, 1), 0.5))
     bad = dataclasses.replace(spec, coeffs=broken)
     report = validate_spec(bad)
     assert not report.passed

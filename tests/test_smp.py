@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from mfsmp import smp
-from mfsmp.adjoint import linearize, solve_adjoint
+from mfsmp.adjoint import linearize, solve_adjoint, solve_linear_forward
 from mfsmp.cli import main, write_control_csv
 from mfsmp.errors import CostDomainError, SimulationError
 from mfsmp.forward import constant_control, cost, simulate
 from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
                              smooth_nonlinear)
-from mfsmp.problem import builtin, parse_problem, serialize_problem
+from mfsmp.problem import builtin, parse_problem, serialize_problem, validate_spec
 from mfsmp.smp import (SpikeVariation, adjoint_gradient, duality_residual,
                        fd_cost_gradient, gradient_consistency, hamiltonian,
                        hamiltonian_gradient, necessary_check, rate_check, rate_ratios,
-                       spike_cost_increment, sufficiency_check, variational_state)
+                       spike_cost_increment, sufficiency_check, variational_data,
+                       variational_state)
 from mfsmp.tree import AdaptedProcess, expect
 
 
@@ -362,7 +363,7 @@ def _overflow_cases():
                       R=[[1.0]], Q=[[1.0]], lo=-1e300, hi=1e300)
     # costs that never read the state, so only the state shows the overflow
     blind = dataclasses.replace(state, coeffs=dataclasses.replace(
-        state.coeffs, l=lambda t, x, y, u: np.zeros(len(u)), phi=lambda x, y: np.zeros(len(x))))
+        state.coeffs, l=lambda k, x, y, u: np.zeros(len(u)), phi=lambda x, y: np.zeros(len(x))))
     return [(state, (2, 3, 1e305), SimulationError),
             (running, (1, 1, 1e160), CostDomainError),
             (blind, (2, 3, 1e305), SimulationError)]
@@ -419,14 +420,15 @@ def test_literal_mean_drift_convention_breaks_duality():
     spike = random_spike(spec, tree, u, 4, 0.05, step=0)
     adj_default = solve_adjoint(linearize(spec, tree, traj, u), tree)
     assert duality_residual(spec, tree, traj, adj_default, u, spike) <= 1e-12
-    adj_literal = solve_adjoint(
-        linearize(spec, tree, traj, u, mean_drift_step=False), tree)
+    literal = linearize(spec, tree, traj, u)
+    literal.drift_mean = [a / tree.grid.h for a in literal.drift_mean]
+    adj_literal = solve_adjoint(literal, tree)
     assert duality_residual(spec, tree, traj, adj_literal, u, spike) > 1e-6
 
 
 def test_literal_variational_drift_differs():
-    # the h-free response recursion is exposed for comparison and genuinely
-    # differs from the exact derivative when h != 1
+    # the h-free response recursion genuinely differs from the exact
+    # derivative of the forward map when h != 1
     spec = random_lq(77, steps_max=2)
     assert spec.grid.h != 1.0
     tree = spec.build_tree()
@@ -434,7 +436,12 @@ def test_literal_variational_drift_differs():
     traj = simulate(spec, tree, u)
     spike = random_spike(spec, tree, u, 79, 0.1, step=0)
     xi = variational_state(spec, tree, traj, u, spike)
-    xi_lit = variational_state(spec, tree, traj, u, spike, drift_step=False)
+    # the h-free variant: drift blocks and drift forcing without the step factor
+    literal, h = variational_data(spec, tree, traj, u, spike), tree.grid.h
+    literal.drift_x = [a / h for a in literal.drift_x]
+    literal.drift_mean = [a / h for a in literal.drift_mean]
+    literal.drift_force = [c / h for c in literal.drift_force]
+    xi_lit = solve_linear_forward(literal, tree, np.zeros(spec.n))
     gap = max(float(np.max(np.abs(xi.at(k) - xi_lit.at(k))))
               for k in range(tree.grid.n_steps + 2))
     assert gap > 1e-6
@@ -452,3 +459,41 @@ def test_gradient_scales_with_cost_scaling():
     g2 = adjoint_gradient(spec2, tree, u)
     for k in range(3):
         np.testing.assert_array_equal(2.0 * g1.at(k), g2.at(k))
+
+
+STEP_EVALUATORS = ("f", "f_x", "f_y", "f_u", "sigma", "sigma_x", "sigma_y", "sigma_u",
+                   "l", "l_x", "l_y", "l_u")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_lq(5, steps_max=3, bounded=True),
+    lambda: random_prodcons(3),
+    lambda: smooth_nonlinear(1),
+], ids=["lq", "prodcons", "smooth-nonlinear"])
+def test_evaluators_receive_integer_steps(make):
+    # every consumer passes the step index as a Python int, never a float time
+    spec = make()
+    seen = set()
+
+    def checked(fn):
+        def evaluator(k, x, y, u):
+            assert type(k) is int, f"step {k!r} passed as {type(k).__name__}"
+            seen.add(k)
+            return fn(k, x, y, u)
+        return evaluator
+
+    spec = dataclasses.replace(spec, coeffs=dataclasses.replace(
+        spec.coeffs, **{name: checked(getattr(spec.coeffs, name)) for name in STEP_EVALUATORS}))
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 6)
+    spike = random_spike(spec, tree, u, 7, 0.05, step=0)
+    traj = simulate(spec, tree, u)
+    cost(spec, tree, u, traj=traj)
+    linearize(spec, tree, traj, u)
+    _, _, adj = adjoint_gradient(spec, tree, u, return_all=True)
+    necessary_check(spec, tree, traj, adj, u)
+    sufficiency_check(spec, tree, traj, adj, u, samples=20)
+    duality_residual(spec, tree, traj, adj, u, spike)
+    rate_ratios(spec, tree, u, spike, eps_values=(1e-2,))
+    assert validate_spec(spec).passed
+    assert seen == set(range(tree.grid.n_steps + 1))
