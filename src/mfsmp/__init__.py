@@ -20,8 +20,8 @@ from .problem import (AdmissibleSet, CoefficientSet, ProblemSpec, builtin,
                       parse_problem, project, serialize_problem, to_config,
                       validate_spec)
 from .report import CheckReport, Residual
-from .smp import (SpikeVariation, adjoint_gradient, duality_residual, hamiltonian,
-                  hamiltonian_gradient, necessary_check, rate_check, rate_ratios,
+from .smp import (SpikeVariation, adjoint_gradient, certify_gradient, duality_residual,
+                  hamiltonian, hamiltonian_gradient, necessary_check, rate_check, rate_ratios,
                   spike_cost_increment, sufficiency_check, variational_state)
 from .tree import (AdaptedProcess, NoiseModel, ScenarioTree, TimeGrid, build_tree,
                    cond_expect, cond_expect_noise, expect, validate_noise)

@@ -18,13 +18,14 @@ import numpy as np
 
 from . import __version__
 from .adjoint import integrability_report, linearize, solve_adjoint
-from .errors import ConfigError, CostDomainError, MfsmpError
+from .errors import ConfigError, MfsmpError
 from .forward import check_feasible, cost, simulate
 from .optimize import OptimizerOptions, optimize
 from .problem import parse_problem
 from .prodcons import comparison_csv, comparison_rows, plot_data_csv
 from .selftest import report_json, run_selftest
-from .smp import duality_residual, gradient_consistency, necessary_check, sufficiency_check
+from .smp import (adjoint_gradient, certify_gradient, duality_residual, necessary_check,
+                  sufficiency_check)
 from .tree import AdaptedProcess
 from .instances import random_spike
 
@@ -194,8 +195,7 @@ def _load_spec(path: str):
 
 
 def _check_reports(spec, tree, u, tol):
-    traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    g, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
     necessary = necessary_check(spec, tree, traj, adj, u, tol=tol)
     sufficient = sufficiency_check(spec, tree, traj, adj, u, tol_hamiltonian=max(tol, 1e-6))
     spike = random_spike(spec, tree, u, seed=0, scale=1e-3)
@@ -204,19 +204,7 @@ def _check_reports(spec, tree, u, tol):
                    "residuals": [{"label": "duality residual", "value": dual,
                                   "tol": 1e-10, "level": None, "node": None}],
                    "notes": []}
-    try:
-        grad_err, _, _ = gradient_consistency(spec, tree, u)
-        grad_rep = {"name": "gradient-consistency", "pass": bool(grad_err <= 1e-6),
-                    "residuals": [{"label": "max relative gradient error",
-                                   "value": grad_err, "tol": 1e-6,
-                                   "level": None, "node": None}],
-                    "notes": []}
-    except CostDomainError:
-        # control sits on a boundary beyond which the cost is undefined, so a
-        # central difference cannot straddle it; nothing failed, nothing to compare
-        grad_rep = {"name": "gradient-consistency", "pass": True, "residuals": [],
-                    "notes": ["finite-difference comparison skipped: cost undefined "
-                              "beyond the admissible boundary at the supplied control"]}
+    grad_rep = certify_gradient(spec, tree, u, g, traj=traj).to_dict()
     integr = integrability_report(adj, tree)
     return {
         "necessary": necessary.to_dict(),

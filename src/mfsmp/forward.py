@@ -58,7 +58,9 @@ def forward_levels(spec, tree: ScenarioTree, controls):
     """The exact state recursion for per-step controls `controls[k]` of shape
     (..., m_k, r), k = 0..N, whose leading axes are a batch.  Yields the state
     (..., m_k, n) and level mean (..., n) of each level k = 0..N+1 in turn, so
-    a consumer holds one level at a time; overflow is carried on as inf/NaN."""
+    a consumer holds one level at a time; overflow is carried on as inf/NaN.
+    The states take the controls' dtype: complex controls (a complex step)
+    give complex states, with complex-safe coefficients."""
     n, d, h, c = spec.n, spec.d, tree.grid.h, spec.coeffs
     x = np.broadcast_to(spec.x0, controls[0].shape[:-2] + (1, n))
     for k, uk in enumerate(controls):
@@ -86,13 +88,20 @@ def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
 
 def batch_cost(spec, tree, controls) -> np.ndarray:
     """Cost J of each batch row of per-step controls (B, m_k, r), k = 0..N,
-    summed level by level with the einsum `cost` uses.  A row whose state or
-    cost is not finite, where `cost` raises or returns a non-finite J, is +inf."""
+    summed level by level with the einsum `cost` uses (pairwise for complex
+    controls).  A row whose state or cost is not finite, where `cost` raises
+    or returns a non-finite J, is +inf."""
     costs = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (x, mean) in enumerate(forward_levels(spec, tree, controls)):
             vals = level_cost(spec, tree, controls, k, x, mean)
-            costs = costs + np.einsum("...m,m->...", vals, tree.abs_prob[k])
+            if np.iscomplexobj(vals):
+                # a complex step puts a few large imaginary terms among many
+                # equal tiny ones; a running sum rounds each tiny one the same
+                # way, drifting by up to nodes * eps, a pairwise sum does not
+                costs = costs + np.sum(vals * tree.abs_prob[k], axis=-1)
+            else:
+                costs = costs + np.einsum("...m,m->...", vals, tree.abs_prob[k])
     finite = np.isfinite(costs)
     # a non-finite state passes on to every descendant and, as path
     # probabilities are positive, into the mean of the leaves; the per-row

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
-from .forward import batch_cost, cost
+from .forward import batch_cost, cost, simulate
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
 
@@ -81,25 +81,28 @@ def _pg_norm(spec, u, g) -> float:
     return worst
 
 
-def _safe_cost(spec, tree, u) -> float:
+def _safe_cost(spec, tree, u):
+    """J and the trajectory of u, or (inf, None) where its state or cost is
+    undefined; the trajectory goes on to `adjoint_gradient` if u is accepted."""
     try:
-        return cost(spec, tree, u)
+        traj = simulate(spec, tree, u)
+        return cost(spec, tree, u, traj=traj), traj
     except (CostDomainError, SimulationError):
-        return np.inf
+        return np.inf, None
 
 
 def optimize(spec, tree, u0: AdaptedProcess | None = None,
              options: OptimizerOptions | None = None) -> OptimizeResult:
     options = options or OptimizerOptions()
     u = _project_control(spec, u0) if u0 is not None else _initial_control(spec, tree, options)
-    j_val = _safe_cost(spec, tree, u)
+    j_val, traj = _safe_cost(spec, tree, u)
     if not np.isfinite(j_val):
         raise CostDomainError("cost undefined at the (projected) initial control")
     history = []
     reason = "max-iters"
     iterations = 0
     for _ in range(options.max_iters):
-        g = adjoint_gradient(spec, tree, u)
+        g = adjoint_gradient(spec, tree, u, traj=traj)
         pg = _pg_norm(spec, u, g)
         history.append([j_val, pg])
         if pg <= options.grad_tol:
@@ -112,7 +115,7 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
             for k in u.levels():
                 trial.set_level(k, spec.admissible.project(k, u.at(k) - alpha * g.at(k)))
             predicted = _predicted_decrease(tree, u, trial, g)
-            j_trial = _safe_cost(spec, tree, trial)
+            j_trial, traj_trial = _safe_cost(spec, tree, trial)
             if np.isfinite(j_trial) and j_trial <= j_val - options.armijo_c * predicted:
                 accepted = True
                 break
@@ -122,13 +125,13 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
             break
         iterations += 1
         decrease = j_val - j_trial
-        u, j_val = trial, j_trial
+        u, j_val, traj = trial, j_trial, traj_trial
         if decrease <= options.stall_tol:
-            history.append([j_val, _pg_norm(spec, u, adjoint_gradient(spec, tree, u))])
+            history.append([j_val, _pg_norm(spec, u, adjoint_gradient(spec, tree, u, traj=traj))])
             reason = "cost-stall"
             break
     else:
-        history.append([j_val, _pg_norm(spec, u, adjoint_gradient(spec, tree, u))])
+        history.append([j_val, _pg_norm(spec, u, adjoint_gradient(spec, tree, u, traj=traj))])
     return OptimizeResult(u=u, cost=j_val, iterations=iterations,
                           history=history, reason=reason)
 

@@ -38,7 +38,14 @@ _LQ_SIGMA_KEYS = {"C": ("n", "n"), "C_mean": ("n", "n"), "D": ("n", "r"), "s0": 
 @dataclass
 class CoefficientSet:
     """Vectorized evaluators for the drift, diffusions, running and terminal cost:
-    `f(k, x, y, u)` and its kin take the integer step k, `phi(x, y)` none."""
+    `f(k, x, y, u)` and its kin take the integer step k, `phi(x, y)` none.
+
+    Contract: f, sigma, l and phi are complex-safe.  Given complex x, y, u
+    they return complex values analytic in them: no `abs`, no comparison of
+    values, no cast to float.  The gradient certificate (`smp.certify_gradient`)
+    evaluates them at complex steps; where a cast drops an imaginary part
+    (`ComplexWarning`) or an evaluator raises `TypeError`, it falls back to
+    central differences."""
 
     f: callable
     f_x: callable
@@ -220,48 +227,62 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
         tb[key] = sign * np.stack([_sym(m) for m in tb[key]])
     for key in ("q", "q_mean", "r_lin", "l0", "g", "g_mean", "phi0"):
         tb[key] = sign * tb[key]
-    sg = [{key: v.copy() for key, v in tab.items()} for tab in sigma_tabs]
+    n_steps = len(tb["A"]) - 1
+    # row k of every table; "sigma" holds row k of each diffusion's tables
+    rows = [dict({key: v[k] for key, v in tb.items()},
+                 sigma=[{key: v[k].copy() for key, v in tab.items()} for tab in sigma_tabs])
+            for k in range(n_steps + 1)]
+
+    def step(k):
+        if not 0 <= k <= n_steps:
+            raise MfsmpError(f"coefficient step {k!r} outside 0..{n_steps}")
+        return rows[k]
 
     def f(k, x, y, u):
-        return x @ tb["A"][k].T + y @ tb["A_mean"][k].T + u @ tb["B"][k].T + tb["f0"][k]
+        t = step(k)
+        return x @ t["A"].T + y @ t["A_mean"].T + u @ t["B"].T + t["f0"]
 
     def f_x(k, x, y, u):
-        return _rows(tb["A"][k], x.shape[0])
+        return _rows(step(k)["A"], x.shape[0])
 
     def f_y(k, x, y, u):
-        return _rows(tb["A_mean"][k], x.shape[0])
+        return _rows(step(k)["A_mean"], x.shape[0])
 
     def f_u(k, x, y, u):
-        return _rows(tb["B"][k], x.shape[0])
+        return _rows(step(k)["B"], x.shape[0])
 
     def sigma(k, x, y, u):
-        cols = [x @ sg[j]["C"][k].T + y @ sg[j]["C_mean"][k].T + u @ sg[j]["D"][k].T + sg[j]["s0"][k]
-                for j in range(d)]
+        cols = [x @ t["C"].T + y @ t["C_mean"].T + u @ t["D"].T + t["s0"]
+                for t in step(k)["sigma"]]
         return np.stack(cols, axis=1)
 
     def sigma_x(k, x, y, u):
-        return _rows(np.stack([sg[j]["C"][k] for j in range(d)]), x.shape[0])
+        return _rows(np.stack([t["C"] for t in step(k)["sigma"]]), x.shape[0])
 
     def sigma_y(k, x, y, u):
-        return _rows(np.stack([sg[j]["C_mean"][k] for j in range(d)]), x.shape[0])
+        return _rows(np.stack([t["C_mean"] for t in step(k)["sigma"]]), x.shape[0])
 
     def sigma_u(k, x, y, u):
-        return _rows(np.stack([sg[j]["D"][k] for j in range(d)]), x.shape[0])
+        return _rows(np.stack([t["D"] for t in step(k)["sigma"]]), x.shape[0])
 
     def l(k, x, y, u):
-        quad = 0.5 * (np.einsum("mi,ij,mj->m", x, tb["Q"][k], x)
-                      + np.einsum("mi,ij,mj->m", y, tb["Q_mean"][k], y)
-                      + np.einsum("mi,ij,mj->m", u, tb["R"][k], u))
-        return quad + x @ tb["q"][k] + y @ tb["q_mean"][k] + u @ tb["r_lin"][k] + tb["l0"][k]
+        t = step(k)
+        quad = 0.5 * (np.einsum("mi,ij,mj->m", x, t["Q"], x)
+                      + np.einsum("mi,ij,mj->m", y, t["Q_mean"], y)
+                      + np.einsum("mi,ij,mj->m", u, t["R"], u))
+        return quad + x @ t["q"] + y @ t["q_mean"] + u @ t["r_lin"] + t["l0"]
 
     def l_x(k, x, y, u):
-        return x @ tb["Q"][k].T + tb["q"][k]
+        t = step(k)
+        return x @ t["Q"].T + t["q"]
 
     def l_y(k, x, y, u):
-        return y @ tb["Q_mean"][k].T + tb["q_mean"][k]
+        t = step(k)
+        return y @ t["Q_mean"].T + t["q_mean"]
 
     def l_u(k, x, y, u):
-        return u @ tb["R"][k].T + tb["r_lin"][k]
+        t = step(k)
+        return u @ t["R"].T + t["r_lin"]
 
     def phi(x, y):
         return (0.5 * (np.einsum("mi,ij,mj->m", x, tb["G"][0], x)
@@ -279,10 +300,13 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
 
 
 def _pospow(v, expo):
-    """v**expo on v > 0, NaN elsewhere (consumers raise a domain error on NaN)."""
-    safe = np.where(v > 0, v, 1.0)
+    """v**expo where the real part of v is positive, NaN elsewhere (consumers
+    raise a domain error on NaN).  The principal power is analytic there, so
+    a complex step through it is exact."""
+    inside = np.real(v) > 0
+    safe = np.where(inside, v, 1.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(v > 0, np.power(safe, expo), np.nan)
+        return np.where(inside, np.power(safe, expo), np.nan)
 
 
 def _prodcons_coeffs(grid, delta_util, depreciation):
@@ -406,13 +430,17 @@ def _admissible_from_config(entries, n_steps, r):
         raise ConfigError("admissible must be a non-empty list of {t, lo, hi} entries")
     lo = np.full((n_steps + 1, r), np.nan)
     hi = np.full((n_steps + 1, r), np.nan)
-    for entry in entries:
+    for index, entry in enumerate(entries):
         extra = set(entry) - {"t", "lo", "hi"}
         if extra:
             raise ConfigError(f"admissible entry: unknown keys {sorted(extra)}")
         missing = {"t", "lo", "hi"} - set(entry)
         if missing:
             raise ConfigError(f"admissible entry: missing keys {sorted(missing)}")
+        for key in ("lo", "hi"):
+            if not isinstance(entry[key], list):
+                raise ConfigError(f"admissible[{index}].{key}: expected a list of r={r} "
+                                  f"bounds, got {entry[key]!r}")
         lo_row = np.array([_bound(v) for v in entry["lo"]])
         hi_row = np.array([_bound(v) for v in entry["hi"]])
         if lo_row.shape != (r,) or hi_row.shape != (r,):
@@ -590,6 +618,9 @@ def parse_problem(config_text: str) -> ProblemSpec:
             extra = set(fparams) - {"delta_util", "depreciation"}
             if extra:
                 raise ConfigError(f"prodcons family: unknown params {sorted(extra)}")
+            if "delta_util" not in fparams:
+                raise ConfigError("family.params.delta_util: missing; prodcons needs its "
+                                  "utility exponent in (0, 1)")
             du = _number(fparams["delta_util"], "family.params.delta_util")
             if not 0.0 < du < 1.0:
                 raise ConfigError(f"prodcons utility exponent must lie in (0, 1), got {du}")

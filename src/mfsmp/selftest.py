@@ -22,8 +22,8 @@ from .optimize import OptimizerOptions, brute_force, optimize
 from .problem import validate_spec
 from .prodcons import comparison_rows, plot_data_csv, replica
 from .report import CheckReport
-from .smp import (adjoint_gradient, duality_residual, fd_cost_gradient, necessary_check,
-                  rate_ratios)
+from .smp import (adjoint_gradient, certify_gradient, duality_residual, fd_cost_gradient,
+                  necessary_check, rate_ratios)
 from .tree import NoiseModel, validate_noise
 
 KNOWN_FAULTS = ("grad-sign", "noise-mean")
@@ -88,8 +88,8 @@ def suite_duality(trials=50, fault=None, threads=1) -> CheckReport:
     return report
 
 
-def _gradient_instance(args):
-    seed, fault = args
+def gradient_instance(seed):
+    """Problem, tree and control of gradient-suite instance `seed`."""
     if seed % 4 == 3:
         spec = random_prodcons(seed, steps_max=3)
     elif seed % 4 == 2:
@@ -97,7 +97,12 @@ def _gradient_instance(args):
     else:
         spec = random_lq(seed, steps_max=3)
     tree = spec.build_tree()
-    u = random_control(spec, tree, 30_000 + seed)
+    return spec, tree, random_control(spec, tree, 30_000 + seed)
+
+
+def _gradient_instance(args):
+    seed, fault = args
+    spec, tree, u = gradient_instance(seed)
     g = adjoint_gradient(spec, tree, u)
     g_fd = fd_cost_gradient(spec, tree, u)
     sign = -1.0 if fault == "grad-sign" else 1.0
@@ -113,6 +118,25 @@ def suite_gradient(trials=20, fault=None, threads=1) -> CheckReport:
     rows = _map(_gradient_instance, [(seed, fault) for seed in range(trials or 20)], threads)
     for i, (family, err) in enumerate(rows):
         report.add(f"max relative gradient error #{i} ({family})", err, 1e-6)
+    return report
+
+
+def _certificate_instance(seed, fault):
+    spec, tree, u = gradient_instance(seed)
+    g = adjoint_gradient(spec, tree, u)
+    if fault == "grad-sign":
+        for k in g.levels():
+            g.set_level(k, -g.at(k))
+    return spec.family or "custom", certify_gradient(spec, tree, u, g)
+
+
+def suite_certificate(trials=20, fault=None, threads=1) -> CheckReport:
+    report = CheckReport("gradient-certificate")
+    # one thread: the certificate's warnings filter is process-wide state
+    rows = [_certificate_instance(seed, fault) for seed in range(trials or 20)]
+    for i, (family, cert) in enumerate(rows):
+        for res in cert.residuals:
+            report.add(f"#{i} ({family}) {res.label}", res.value, res.tol, res.level, res.node)
     return report
 
 
@@ -260,6 +284,7 @@ SUITES = {
     "noise": suite_noise,
     "duality": suite_duality,
     "gradient": suite_gradient,
+    "certificate": suite_certificate,
     "operator": suite_operator,
     "rates": suite_rates,
     "optimizer": suite_optimizer,

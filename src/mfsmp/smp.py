@@ -1,4 +1,5 @@
-"""Hamiltonian machinery: first-order conditions, spike variations, duality checks.
+"""Hamiltonian machinery: first-order conditions, spike variations, duality checks
+and the gradient certificate.
 
 Everything here uses the internal minimization convention.  The Hamiltonian
 
@@ -15,6 +16,7 @@ probability shows up as a weight.
 """
 
 from dataclasses import dataclass
+import warnings
 
 import numpy as np
 
@@ -24,9 +26,25 @@ from .forward import batch_cost, cost, simulate
 from .report import CheckReport
 from .tree import AdaptedProcess, cond_expect, expect
 
-# floats in the widest level array of a batched finite-difference chunk
-# (256 KB): bounds the memory `fd_cost_gradient` adds, whatever the tree
-FD_CHUNK_FLOATS = 1 << 15
+# numpy >= 1.25 keeps its warnings in `numpy.exceptions`
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+# bytes in the widest level array of a batch chunk (256 KB): bounds the memory
+# a batch of perturbed controls adds, whatever the tree and the dtype
+CHUNK_BYTES = 1 << 18
+
+# the gradient certificate: complex step, coordinate sample, full-support
+# directions and the Taylor ladder (largest per-node move of each rung)
+CS_STEP = 1e-30
+CERT_SEED = 0
+CERT_DEEPEST = 32
+CERT_RANDOM = 16
+CERT_DIRECTIONS = 2
+TAYLOR_MOVES = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+CERT_SAMPLE_TOL = 1e-6
+CERT_DIRECTION_TOL = 1e-12
+CERT_ORDER_SHORTFALL_TOL = 0.5
+FD_STEP = 1e-5
 
 
 @dataclass(eq=False)
@@ -54,18 +72,21 @@ def conditional_costate(tree, adj, k: int) -> np.ndarray:
     return cond_expect(tree, adj.p.at(k + 1), k + 1)
 
 
+def _hamiltonian_rows(spec, h, k, x, y, ep, qk, v) -> np.ndarray:
+    """H(k, v) per row, each row with its own state, mean, E{p|F} and q."""
+    c = spec.coeffs
+    drift_term = h * np.einsum("mi,mi->m", ep, c.f(k, x, y, v))
+    diff_term = np.einsum("mji,mji->m", qk, c.sigma(k, x, y, v))
+    return drift_term + diff_term - c.l(k, x, y, v)
+
+
 def hamiltonian(spec, tree, traj, adj, k: int, v) -> np.ndarray:
     """H(k, v) per level-k node; v is (r,) or (m_k, r)."""
     x = traj.at(k)
-    m = x.shape[0]
-    v = np.broadcast_to(np.asarray(v, dtype=float), (m, spec.r))
+    v = np.broadcast_to(np.asarray(v, dtype=float), (x.shape[0], spec.r))
     y = np.broadcast_to(traj.means[k], x.shape)
-    ep = conditional_costate(tree, adj, k)
-    qk = adj.q.at(k)
-    c = spec.coeffs
-    drift_term = tree.grid.h * np.einsum("mi,mi->m", ep, c.f(k, x, y, v))
-    diff_term = np.einsum("mji,mji->m", qk, c.sigma(k, x, y, v))
-    return drift_term + diff_term - c.l(k, x, y, v)
+    return _hamiltonian_rows(spec, tree.grid.h, k, x, y,
+                             conditional_costate(tree, adj, k), adj.q.at(k), v)
 
 
 def _hamiltonian_gradient_parts(spec, tree, traj, adj, u, k):
@@ -240,6 +261,11 @@ def _sample_box(rng, lo, hi, base):
     return out
 
 
+def _max_skipping_nan(values) -> float:
+    """Largest value that is not NaN, or -inf: a running `max` from -inf."""
+    return float(np.max(values[~np.isnan(values)], initial=-np.inf))
+
+
 def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 0,
                       tol_convexity: float = 1e-10, tol_signs: float = 1e-12,
                       tol_hamiltonian: float = 1e-6) -> CheckReport:
@@ -256,40 +282,49 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     kT = grid.n_steps + 1
 
     # (i) terminal cost midpoint convexity in (x, y)
-    worst = -np.inf
     xT = traj.at(kT)
     scale = 1.0 + np.abs(xT).max()
-    for _ in range(samples):
+    pts = np.empty((4, samples, spec.n))
+    for s in range(samples):
         node = rng.integers(xT.shape[0])
-        pts = xT[node] + rng.uniform(-0.5, 0.5, (4, spec.n)) * scale
-        x1, x2, y1, y2 = pts
-        vals = c.phi(np.stack([x1, x2, 0.5 * (x1 + x2)]),
-                     np.stack([y1, y2, 0.5 * (y1 + y2)]))
-        worst = max(worst, float(vals[2] - 0.5 * (vals[0] + vals[1])))
-    report.add("terminal midpoint convexity violation", worst, tol_convexity)
+        pts[:, s] = xT[node] + rng.uniform(-0.5, 0.5, (4, spec.n)) * scale
+    x1, x2, y1, y2 = pts
+    vals = c.phi(np.concatenate([x1, x2, 0.5 * (x1 + x2)]),
+                 np.concatenate([y1, y2, 0.5 * (y1 + y2)])).reshape(3, samples)
+    report.add("terminal midpoint convexity violation",
+               _max_skipping_nan(vals[2] - 0.5 * (vals[0] + vals[1])), tol_convexity)
 
-    # (ii) Hamiltonian midpoint concavity in (x, y, v) with frozen (p, q)
-    worst = -np.inf
-    for _ in range(samples):
+    # (ii) Hamiltonian midpoint concavity in (x, y, v) with frozen (p, q); the
+    # samples are drawn first, then each step's rows go through one evaluator call
+    eps = [conditional_costate(tree, adj, k) for k in range(grid.n_steps + 1)]
+    steps, nodes = np.empty(samples, dtype=int), np.empty(samples, dtype=int)
+    xs, ys = np.empty((samples, 3, spec.n)), np.empty((samples, 3, spec.n))
+    vs = np.empty((samples, 3, spec.r))
+    for s in range(samples):
         k = int(rng.integers(grid.n_steps + 1))
         xk = traj.at(k)
         node = int(rng.integers(xk.shape[0]))
-        ep = conditional_costate(tree, adj, k)[node]
-        qn = adj.q.at(k)[node]
-        s = 1.0 + float(np.abs(xk[node]).max())
-        x1, x2 = (xk[node] + rng.uniform(-0.5, 0.5, (2, spec.n)) * s)
-        y1, y2 = (traj.means[k] + rng.uniform(-0.5, 0.5, (2, spec.n)) * s)
+        span = 1.0 + float(np.abs(xk[node]).max())
+        x1, x2 = (xk[node] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span)
+        y1, y2 = (traj.means[k] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span)
         v1 = _sample_box(rng, spec.admissible.lo[k], spec.admissible.hi[k], u.at(k)[node])
         v2 = _sample_box(rng, spec.admissible.lo[k], spec.admissible.hi[k], u.at(k)[node])
-        xs = np.stack([x1, x2, 0.5 * (x1 + x2)])
-        ys = np.stack([y1, y2, 0.5 * (y1 + y2)])
-        vs = np.stack([v1, v2, 0.5 * (v1 + v2)])
-        hvals = (grid.h * c.f(k, xs, ys, vs) @ ep
-                 + np.einsum("mji,ji->m", c.sigma(k, xs, ys, vs), qn)
-                 - c.l(k, xs, ys, vs))
-        if np.all(np.isfinite(hvals)):
-            worst = max(worst, float(0.5 * (hvals[0] + hvals[1]) - hvals[2]))
-    report.add("Hamiltonian midpoint concavity violation", worst, tol_convexity)
+        steps[s], nodes[s] = k, node
+        xs[s] = x1, x2, 0.5 * (x1 + x2)
+        ys[s] = y1, y2, 0.5 * (y1 + y2)
+        vs[s] = v1, v2, 0.5 * (v1 + v2)
+    gaps = np.full(samples, np.nan)
+    for k in np.unique(steps).tolist():
+        sel = np.flatnonzero(steps == k)
+        at = np.repeat(nodes[sel], 3)
+        x, y, v = (a[sel].reshape(3 * sel.size, -1) for a in (xs, ys, vs))
+        hvals = (np.einsum("mi,mi->m", grid.h * c.f(k, x, y, v), eps[k][at])
+                 + np.einsum("mji,mji->m", c.sigma(k, x, y, v), adj.q.at(k)[at])
+                 - c.l(k, x, y, v)).reshape(-1, 3)
+        finite = np.isfinite(hvals).all(axis=1)
+        gaps[sel[finite]] = 0.5 * (hvals[finite, 0] + hvals[finite, 1]) - hvals[finite, 2]
+    report.add("Hamiltonian midpoint concavity violation", _max_skipping_nan(gaps),
+               tol_convexity)
 
     # (iii) nonnegative mean-gradients along the trajectory
     worst = 0.0
@@ -304,12 +339,12 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     worst = max(worst, float(np.max(-np.asarray(c.phi_y(xT_b, yT)), initial=0.0)))
     report.add("negative mean-gradient entries", worst, tol_signs)
 
-    # (iv) Hamiltonian optimality over box vertices / unbounded probes
+    # (iv) Hamiltonian optimality over box vertices / unbounded probes: the
+    # candidate and every probe combination of a step in one evaluator call
     worst = -np.inf
     for k in range(grid.n_steps + 1):
         lo, hi = spec.admissible.lo[k], spec.admissible.hi[k]
         uk = u.at(k)
-        h_at_u = hamiltonian(spec, tree, traj, adj, k, uk)
         probes = []
         for i in range(spec.r):
             cands = []
@@ -322,27 +357,32 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
             else:
                 cands += [uk[:, i] + span * (1.0 + np.abs(uk[:, i])) for span in (1.0, 10.0)]
             probes.append(cands)
-        idx = np.ndindex(*[len(p) for p in probes])
-        for combo in idx:
-            v = np.stack([probes[i][combo[i]] for i in range(spec.r)], axis=1)
-            h_v = hamiltonian(spec, tree, traj, adj, k, v)
-            gap = h_v - h_at_u
-            gap = gap[np.isfinite(gap)]
-            if gap.size:
-                worst = max(worst, float(np.max(gap)))
+        cands = [uk] + [np.stack([probes[i][combo[i]] for i in range(spec.r)], axis=1)
+                        for combo in np.ndindex(*[len(p) for p in probes])]
+        x = np.tile(traj.at(k), (len(cands), 1))
+        hv = _hamiltonian_rows(spec, grid.h, k, x, np.broadcast_to(traj.means[k], x.shape),
+                               np.tile(eps[k], (len(cands), 1)),
+                               np.tile(adj.q.at(k), (len(cands), 1, 1)),
+                               np.concatenate(cands)).reshape(len(cands), -1)
+        gap = hv[1:] - hv[0]
+        gap = gap[np.isfinite(gap)]
+        if gap.size:
+            worst = max(worst, float(np.max(gap)))
     report.add("H(vertex) - H(candidate) max", worst, tol_hamiltonian)
     if report.passed:
         report.note("verdict: sufficient-conditions-hold (sampled evidence, not a proof)")
     return report
 
 
-def adjoint_gradient(spec, tree, u, return_all: bool = False):
+def adjoint_gradient(spec, tree, u, return_all: bool = False, traj=None):
     """Cost gradient in the probability-weighted inner product: -H_u node by node.
 
     Against coordinate-wise finite differences of the cost, each node's value
-    picks up that node's path probability as the metric weight.
+    picks up that node's path probability as the metric weight.  `traj`, when
+    given, is `simulate(spec, tree, u)` already run, and is not run again.
     """
-    traj = simulate(spec, tree, u)
+    if traj is None:
+        traj = simulate(spec, tree, u)
     adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
     g = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
     for k in range(tree.grid.n_steps + 1):
@@ -350,6 +390,20 @@ def adjoint_gradient(spec, tree, u, return_all: bool = False):
     if return_all:
         return g, traj, adj
     return g
+
+
+def _chunked_costs(spec, tree, n_rows, controls_of, dtype=float) -> np.ndarray:
+    """`batch_cost` of `n_rows` rows, whose per-step controls `controls_of`
+    builds for an array of row indices, in chunks whose widest level array
+    holds at most about `CHUNK_BYTES` bytes of `dtype`."""
+    widest = (tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
+              * np.dtype(dtype).itemsize)
+    chunk = max(1, CHUNK_BYTES // widest)
+    costs = np.empty(n_rows, dtype)
+    for start in range(0, n_rows, chunk):
+        rows = np.arange(start, min(start + chunk, n_rows))
+        costs[rows] = batch_cost(spec, tree, controls_of(rows))
+    return costs
 
 
 def _fd_rows(u, k, rows, step):
@@ -365,34 +419,218 @@ def _fd_rows(u, k, rows, step):
     return controls
 
 
-def fd_cost_gradient(spec, tree, u, step: float = 1e-5) -> AdaptedProcess:
+def fd_cost_gradient(spec, tree, u, step: float = FD_STEP) -> AdaptedProcess:
     """Central finite differences of the cost per nodal control coordinate,
     mapped into the probability-weighted metric (divided by node probability).
     Perturbed evaluations skip feasibility validation, so the base control
     should sit strictly inside its boxes.
 
     The +-step perturbations of a level run as batch rows of one forward
-    recursion, in chunks of about `FD_CHUNK_FLOATS` floats per level array.
-    A row whose state or cost is not finite is evaluated again by `cost`, so
-    the first one in the order level, node, coordinate, +step before -step
-    raises what the unbatched evaluation raises."""
+    recursion, in chunks of about `CHUNK_BYTES` per level array.  A row
+    whose state or cost is not finite is evaluated again by `cost`, so the
+    first one in the order level, node, coordinate, +step before -step
+    raises what the unbatched evaluation raises.  This costs 2 r (control
+    nodes) forward passes; `certify_gradient` is the check that scales."""
     g = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
-    widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
-    chunk = max(1, FD_CHUNK_FLOATS // widest)
     for k in range(tree.grid.n_steps + 1):
-        n_rows = 2 * tree.size(k) * spec.r
-        costs = np.empty(n_rows)
-        for start in range(0, n_rows, chunk):
-            rows = np.arange(start, min(start + chunk, n_rows))
-            costs[rows] = batch_cost(spec, tree, _fd_rows(u, k, rows, step))
-            for row in rows[np.isinf(costs[rows])]:
-                node, i = divmod(int(row) // 2, spec.r)
-                moved = u.copy()
-                moved.at(k)[node, i] += step if row % 2 == 0 else -step
-                costs[row] = cost(spec, tree, moved, validate=False)
+        costs = _chunked_costs(spec, tree, 2 * tree.size(k) * spec.r,
+                               lambda rows: _fd_rows(u, k, rows, step))
+        for row in np.flatnonzero(np.isinf(costs)):
+            node, i = divmod(int(row) // 2, spec.r)
+            moved = u.copy()
+            moved.at(k)[node, i] += step if row % 2 == 0 else -step
+            costs[row] = cost(spec, tree, moved, validate=False)
         vals = (costs[0::2] - costs[1::2]).reshape(-1, spec.r) / (2.0 * step)
         g.set_level(k, vals / tree.abs_prob[k][:, None])
     return g
+
+
+def certificate_sample(tree, r: int) -> np.ndarray:
+    """Control coordinates (level, node, i), one per row, that the gradient
+    certificate differentiates one at a time: every coordinate of the root,
+    of `CERT_DEEPEST` seeded nodes of the deepest control level and of
+    `CERT_RANDOM` further seeded nodes; every coordinate of the tree when it
+    has no more control nodes than that."""
+    n_steps = tree.grid.n_steps
+    first = np.array([tree.global_id(k, 0) for k in range(n_steps + 2)])
+    total = int(first[-1])
+    if total <= 1 + CERT_DEEPEST + CERT_RANDOM:
+        flat = np.arange(total)
+    else:
+        rng = np.random.default_rng(CERT_SEED)
+        size = tree.size(n_steps)
+        deepest = first[n_steps] + rng.choice(size, min(CERT_DEEPEST, size), replace=False)
+        rest = np.setdiff1d(np.arange(1, total), deepest)
+        flat = np.union1d(np.append(deepest, 0), rng.choice(rest, CERT_RANDOM, replace=False))
+    level = np.searchsorted(first, flat, side="right") - 1
+    nodes = np.repeat(np.stack([level, flat - first[level]], axis=1), r, axis=0)
+    return np.concatenate([nodes, np.tile(np.arange(r), flat.size)[:, None]], axis=1)
+
+
+def certificate_directions(spec, tree, u):
+    """`CERT_DIRECTIONS` seeded sign patterns w = +-1 over every control
+    coordinate, as lists of per-level (m_k, r) arrays; the certificate moves
+    u along v = w / p_node.  Where the largest Taylor rung would leave the
+    box a sign points inward, and it is 0 where neither sign stays inside."""
+    rng = np.random.default_rng(CERT_SEED + 1)
+    reach = TAYLOR_MOVES[0] * _least_control_prob(tree)
+    directions = []
+    for _ in range(CERT_DIRECTIONS):
+        w = []
+        for k in u.levels():
+            lo, hi = spec.admissible.lo[k], spec.admissible.hi[k]
+            move = reach / tree.abs_prob[k][:, None]
+
+            def inside(sign):
+                moved = u.at(k) + sign * move
+                return (moved >= lo) & (moved <= hi)
+
+            wk = rng.choice([-1.0, 1.0], size=u.at(k).shape)
+            w.append(np.where(inside(wk), wk, np.where(inside(-wk), -wk, 0.0)))
+        directions.append(w)
+    return directions
+
+
+def _least_control_prob(tree) -> float:
+    return min(float(tree.abs_prob[k].min()) for k in range(tree.grid.n_steps + 1))
+
+
+def _moved_costs(spec, tree, u, rows, coords, moves, dtype=float) -> np.ndarray:
+    """Cost of u + a e for each (a, c, d) in `rows`: e is the unit vector of
+    coordinate coords[c] when c >= 0, else the direction moves[d] (per-level
+    arrays).  The rows run as batch rows of one forward recursion."""
+    def controls_of(idx):
+        controls = []
+        for k in u.levels():
+            uk = np.repeat(u.at(k)[None].astype(dtype), idx.size, axis=0)
+            for b, i in enumerate(idx):
+                a, c, d = rows[i]
+                if c < 0:
+                    uk[b] += a * moves[d][k]
+                elif coords[c, 0] == k:
+                    uk[b, coords[c, 1], coords[c, 2]] += a
+            controls.append(uk)
+        return controls
+    return _chunked_costs(spec, tree, len(rows), controls_of, dtype)
+
+
+def complex_step_derivatives(spec, tree, u, coords, moves):
+    """Exact first derivatives of J at u, Im J(u + i tau e) / tau with tau =
+    `CS_STEP`, along every coordinate of `coords` (raw partials, not divided
+    by the node probability) and every direction of `moves`, as rows of one
+    complex forward recursion.  There is no subtraction, so the error is
+    roundoff relative to each derivative's own terms, whatever the depth.
+
+    The coefficients must be complex-safe: analytic in complex arguments, no
+    `abs`, no value comparisons on the imaginary part, no cast to float.  A
+    cast that drops the imaginary part raises `ComplexWarning` here."""
+    rows = ([(1j * CS_STEP, c, -1) for c in range(len(coords))]
+            + [(1j * CS_STEP, -1, d) for d in range(len(moves))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ComplexWarning)
+        im = _moved_costs(spec, tree, u, rows, coords, moves, complex).imag / CS_STEP
+    return im[:len(coords)], im[len(coords):]
+
+
+def _central_derivatives(spec, tree, u, coords, moves, step):
+    """Central differences on the rows of `complex_step_derivatives`: step
+    `step` on each coordinate, `step` times the least node probability along
+    each direction v = w / p_node (a move of at most `step` per node)."""
+    along = step * _least_control_prob(tree)
+    rows = ([(s * step, c, -1) for c in range(len(coords)) for s in (1.0, -1.0)]
+            + [(s * along, -1, d) for d in range(len(moves)) for s in (1.0, -1.0)])
+    costs = _moved_costs(spec, tree, u, rows, coords, moves)
+    with np.errstate(invalid="ignore"):
+        diff = costs[0::2] - costs[1::2]
+    n = len(coords)
+    return diff[:n] / (2.0 * step), diff[n:] / (2.0 * along)
+
+
+def certify_gradient(spec, tree, u, g, traj=None) -> CheckReport:
+    """Certify a cost gradient g at u (probability-weighted metric, as
+    `adjoint_gradient` returns it) in time linear in the tree, with a fixed
+    number of forward passes whatever the depth:
+
+    - complex-step partials on `certificate_sample` agree with g to
+      `CERT_SAMPLE_TOL` (relative, as `gradient_consistency` measures);
+    - along each of `certificate_directions`, v = w / p_node, the complex-step
+      derivative equals <g, v>_P = sum g w to `CERT_DIRECTION_TOL` of
+      sum (|g + l_u| + |l_u|) |w|, which sees an error at any single node;
+    - the Taylor remainder |J(u + eps v) - J(u) - eps sum g w| shrinks like
+      eps^2 down the rungs of `TAYLOR_MOVES` (real batch rows), checked on
+      the last two neighbouring rungs whose remainders are finite and above
+      the roundoff floor 1e-12 (1 + |J|).
+
+    Coefficients that are not complex-safe (`ComplexWarning` or `TypeError`
+    in the complex rows) fall back to central differences on the same rows,
+    each checked to `CERT_SAMPLE_TOL`."""
+    report = CheckReport("gradient-certificate")
+    coords = certificate_sample(tree, spec.r)
+    directions = certificate_directions(spec, tree, u)
+    moves = [[wk / tree.abs_prob[k][:, None] for k, wk in enumerate(w)] for w in directions]
+    try:
+        partials, along = complex_step_derivatives(spec, tree, u, coords, moves)
+        method, direction_tol = "complex-step", CERT_DIRECTION_TOL
+    except (ComplexWarning, TypeError) as exc:
+        report.note(f"coefficients are not complex-safe ({type(exc).__name__}): "
+                    f"central differences (step {FD_STEP:g}) on the same rows")
+        partials, along = _central_derivatives(spec, tree, u, coords, moves, FD_STEP)
+        method, direction_tol = "finite-difference", CERT_SAMPLE_TOL
+    ref = partials / np.array([tree.abs_prob[k][m] for k, m, _ in coords.tolist()])
+    with np.errstate(invalid="ignore"):
+        err = (np.abs(np.array([g.at(k)[m, i] for k, m, i in coords.tolist()]) - ref)
+               / np.maximum(1.0, np.abs(ref)))
+    skipped = ~np.isfinite(ref)
+    if method == "finite-difference" and skipped.any():
+        # a step off the control leaves the cost's domain
+        report.note(f"{int(skipped.sum())} sampled coordinates skipped: cost undefined "
+                    f"a finite-difference step away")
+        err[skipped] = 0.0
+    worst = int(np.argmax(err))  # the first NaN, if any
+    report.add(f"{method} gradient on {len(coords)} sampled coordinates, max relative error",
+               err[worst], CERT_SAMPLE_TOL, level=int(coords[worst, 0]),
+               node=int(coords[worst, 1]))
+
+    if traj is None:
+        traj = simulate(spec, tree, u, validate=False)
+    # g = (state part) - l_u node by node; the two parts cancel near an
+    # optimum, and roundoff scales with their sizes, not with |g|
+    size = []
+    for k in u.levels():
+        x = traj.at(k)
+        lu = np.asarray(spec.coeffs.l_u(k, x, np.broadcast_to(traj.means[k], x.shape), u.at(k)))
+        size.append(np.abs(g.at(k) + lu) + np.abs(lu))
+    gw = [sum(float(np.sum(g.at(k) * w[k])) for k in u.levels()) for w in directions]
+    scale = [sum(float(np.sum(size[k] * np.abs(w[k]))) for k in u.levels()) for w in directions]
+    for d, (exact, inner, sc) in enumerate(zip(along, gw, scale)):
+        report.add(f"{method} derivative along direction #{d} vs sum g w, relative to "
+                   f"sum (|g + l_u| + |l_u|) |w|",
+                   abs(exact - inner) / max(sc, np.finfo(float).tiny), direction_tol)
+
+    eps = TAYLOR_MOVES * _least_control_prob(tree)
+    rows = [(0.0, -1, 0)] + [(e, -1, d) for d in range(len(moves)) for e in eps]
+    costs = _moved_costs(spec, tree, u, rows, coords, moves)
+    floor = 1e-12 * (1.0 + abs(costs[0]))
+    for d, inner in enumerate(gw):
+        with np.errstate(invalid="ignore"):
+            rem = np.abs(costs[1 + d * eps.size:1 + (d + 1) * eps.size] - costs[0] - eps * inner)
+        # the order shows on the last two neighbouring rungs above roundoff;
+        # with none, the remainder is roundoff, unless a rung left the domain
+        usable = np.isfinite(rem) & (rem > floor)
+        pairs = np.flatnonzero(usable[:-1] & usable[1:])
+        if pairs.size:
+            j = pairs[-1]
+            order = float(np.log(rem[j] / rem[j + 1]) / np.log(eps[0] / eps[1]))
+            shortfall = max(0.0, 2.0 - order)
+        else:
+            shortfall = 0.0 if np.isfinite(rem).all() else np.inf
+        report.add(f"Taylor remainder along direction #{d}: 2 - observed order",
+                   shortfall, CERT_ORDER_SHORTFALL_TOL)
+    total = int(sum(tree.size(k) for k in u.levels()))
+    report.note(f"rows: {len(coords)} sampled coordinates of {total * spec.r} "
+                f"(seed {CERT_SEED}), {len(moves)} directions w / p_node with w = +-1, "
+                f"Taylor moves {TAYLOR_MOVES[0]:g} .. {TAYLOR_MOVES[-1]:g} per node")
+    return report
 
 
 def gradient_consistency(spec, tree, u, step: float = 1e-5):

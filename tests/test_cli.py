@@ -396,8 +396,18 @@ def _admissible_steps(cfg, entries):
      "admissible.t: expected 'all' or an integer step, got 2.7"),
     (lambda c: c.update(admissible=[{"t": "all", "lo": [-1.0]}]),
      "admissible entry: missing keys ['hi']"),
+    (lambda c: c.update(admissible=[{"t": "all", "lo": -1.0, "hi": [1.0]}]),
+     "admissible[0].lo: expected a list of r=1 bounds, got -1.0"),
+    (lambda c: _admissible_steps(c, [{"t": 0, "lo": [-1.0], "hi": [1.0]},
+                                     {"t": 1, "lo": [-1.0], "hi": [1.0]},
+                                     {"t": 2, "lo": [-1.0], "hi": 1.0}]),
+     "admissible[2].hi: expected a list of r=1 bounds, got 1.0"),
+    (lambda c: c.update(family={"name": "prodcons", "params": {"depreciation": 0.5}},
+                        direction="maximize"),
+     "family.params.delta_util: missing; prodcons needs its utility exponent in (0, 1)"),
 ], ids=["trinomial-p", "empty-box", "support-sum", "support-second-moment", "support-mean",
-        "direction", "step-string", "step-float", "missing-hi"])
+        "direction", "step-string", "step-float", "missing-hi", "scalar-lo", "scalar-hi",
+        "prodcons-no-delta-util"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, mutate, message):
     cfg = json.loads(json.dumps(ZERO_CONFIG))
     mutate(cfg)

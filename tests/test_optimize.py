@@ -233,3 +233,30 @@ def test_optimizer_matches_oracle_on_convex_instances():
         traj = simulate(spec, tree, result.u)
         adj = solve_adjoint(linearize(spec, tree, traj, result.u), tree)
         assert necessary_check(spec, tree, traj, adj, result.u, tol=1e-6).passed
+
+
+def test_optimize_simulates_each_trial_once(monkeypatch):
+    # the accepted trial's trajectory goes on to the next adjoint gradient,
+    # so the gradient never simulates a control the line search just ran
+    import importlib
+    from mfsmp import smp
+    opt_module = importlib.import_module("mfsmp.optimize")  # the package exports the function
+    spec = random_lq(3, steps_max=3, convex=True)
+    tree = spec.build_tree()
+    calls = {"optimize": 0, "smp": 0, "cost": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(opt_module, "simulate", "optimize")
+    counted(smp, "simulate", "smp")
+    counted(opt_module, "cost", "cost")
+    result = optimize(spec, tree, options=OptimizerOptions(max_iters=20, seed=1))
+    assert calls["smp"] == 0
+    # one trajectory per cost evaluation: the start and every line-search trial
+    assert calls["optimize"] == calls["cost"] > result.iterations

@@ -192,6 +192,35 @@ def test_prodcons_requires_unit_interval_exponent():
         builtin("mystery")
 
 
+STEP_EVALUATORS = ("f", "f_x", "f_y", "f_u", "sigma", "sigma_x", "sigma_y", "sigma_u",
+                   "l", "l_x", "l_y", "l_u")
+
+
+@pytest.mark.parametrize("name", STEP_EVALUATORS)
+def test_lq_evaluators_reject_steps_outside_grid(name):
+    # a negative step used to wrap to the last table row, N + 1 to fail as IndexError
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=2, x0=[0.0],
+                   A=[[1.0]], B=[[1.0]], R=[[1.0]], lo=-1.0, hi=1.0)
+    fn = getattr(spec.coeffs, name)
+    x, u = np.zeros((1, 1)), np.zeros((1, 1))
+    fn(2, x, x, u)
+    for k in (-1, 3):
+        with pytest.raises(MfsmpError, match=f"^coefficient step {k} outside 0..2$"):
+            fn(k, x, x, u)
+
+
+def test_tables_drift_read_by_step_not_wrapped():
+    cfg = json.loads(json.dumps(MINIMAL_LQ))
+    cfg["grid"]["N"] = 1
+    cfg.pop("family")
+    cfg["tables"] = {"A": {"per_step": [[[1.0]], [[5.0]]]}}
+    coeffs = parse_problem(json.dumps(cfg)).coeffs
+    x = np.ones((1, 1))
+    assert coeffs.f(1, x, 0 * x, 0 * x)[0, 0] == 5.0
+    with pytest.raises(MfsmpError, match="coefficient step -1 outside 0..1"):
+        coeffs.f(-1, x, 0 * x, 0 * x)
+
+
 def test_validate_spec_builtins_pass():
     assert validate_spec(e1_problem()).passed
     assert validate_spec(random_prodcons(3)).passed

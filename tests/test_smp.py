@@ -327,7 +327,7 @@ FD_CASES = {
 def _rows_per_chunk(monkeypatch, spec, tree, rows):
     """Patch the chunk budget so a finite-difference chunk holds `rows` rows."""
     widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
-    monkeypatch.setattr(smp, "FD_CHUNK_FLOATS", rows * widest)
+    monkeypatch.setattr(smp, "CHUNK_BYTES", rows * widest * np.dtype(float).itemsize)
 
 
 @pytest.mark.parametrize("rows", [None, 3])  # 3: +-step pairs straddle chunk edges
@@ -383,9 +383,12 @@ def test_fd_gradient_raises_as_loop_does(rows, monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [None, 3])
-def test_fd_gradient_on_consumption_boundary_skips_in_cli(rows, monkeypatch, tmp_path, capsys):
+def test_fd_gradient_on_consumption_boundary_raises_and_cli_certifies(rows, monkeypatch,
+                                                                      tmp_path, capsys):
     # -step from the consumption floor 1e-6 leaves the utility's domain at
-    # level 2, node 2: the loop and the batch raise the same CostDomainError
+    # level 2, node 2: the loop and the batch raise the same CostDomainError.
+    # The complex step never leaves the real control, so the CLI's
+    # certificate checks the gradient there too
     spec = builtin("prodcons", delta_util=0.5, depreciation=0.3, h=0.5, N=2, x0=1.0,
                    v_floor=1e-6, v_cap=1.0)
     tree = spec.build_tree()
@@ -401,8 +404,8 @@ def test_fd_gradient_on_consumption_boundary_skips_in_cli(rows, monkeypatch, tmp
     control.write_text(write_control_csv(spec, tree, u))
     main(["check", str(cfg), str(control)])
     gradient = json.loads(capsys.readouterr().out)["gradient"]
-    assert gradient["pass"] and gradient["residuals"] == []
-    assert gradient["notes"][0].startswith("finite-difference comparison skipped")
+    assert gradient["pass"] and len(gradient["residuals"]) == 5
+    assert gradient["residuals"][0]["label"].startswith("complex-step gradient on 7 sampled")
 
 
 def test_literal_mean_drift_convention_breaks_duality():
@@ -497,3 +500,261 @@ def test_evaluators_receive_integer_steps(make):
     rate_ratios(spec, tree, u, spike, eps_values=(1e-2,))
     assert validate_spec(spec).passed
     assert seen == set(range(tree.grid.n_steps + 1))
+
+
+def _negated(g):
+    out = g.copy()
+    for k in out.levels():
+        out.set_level(k, -g.at(k))
+    return out
+
+
+def _deep_lq(n_steps):
+    """Unconstrained convex mean-field LQ, n = 2, r = d = 1, h = 0.5."""
+    return builtin("lq_meanfield", n=2, r=1, d=1, h=0.5, N=n_steps, x0=[0.3, -0.2],
+                   A=[[0.1, 0.2], [0.0, -0.3]], A_mean=[[0.05, 0.0], [0.0, 0.1]],
+                   B=[[1.0], [0.5]], sigma=[{"s0": [0.1, 0.2], "C": [[0.2, 0.0], [0.0, 0.1]]}],
+                   Q=[[1.0, 0.0], [0.0, 1.0]], Q_mean=[[0.2, 0.0], [0.0, 0.2]], R=[[2.0]],
+                   G=[[1.0, 0.0], [0.0, 1.0]], G_mean=[[0.2, 0.0], [0.0, 0.2]], q=[0.1, -0.2])
+
+
+def _floor_prodcons():
+    """Prodcons control with one node on its consumption floor (FD cannot straddle it)."""
+    spec = builtin("prodcons", delta_util=0.5, depreciation=0.3, h=0.5, N=2, x0=1.0,
+                   v_floor=1e-6, v_cap=1.0)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 5)
+    u.at(2)[2, 0] = 1e-6
+    return spec, tree, u
+
+
+CERT_CASES = dict(FD_CASES, **{
+    "lq-binary": lambda: _deep_lq(4),
+    "smooth-nonlinear": lambda: smooth_nonlinear(2),
+})
+
+
+@pytest.mark.parametrize("case", sorted(CERT_CASES) + ["prodcons-floor"])
+def test_certificate_passes_and_fails_on_flipped_sign(case):
+    if case == "prodcons-floor":
+        spec, tree, u = _floor_prodcons()
+    else:
+        spec = CERT_CASES[case]()
+        tree = spec.build_tree()
+        u = random_control(spec, tree, 21)
+    g = adjoint_gradient(spec, tree, u)
+    report = smp.certify_gradient(spec, tree, u, g)
+    assert report.passed, report.to_dict()
+    assert report.residuals[0].label.startswith("complex-step gradient")
+    flipped = smp.certify_gradient(spec, tree, u, _negated(g))
+    assert not flipped.passed
+    # the directions and the Taylor ladder see the flip without the sample
+    assert not any(r.ok for r in flipped.residuals[1:])
+
+
+def test_complex_step_matches_fd_on_selftest_instances():
+    from mfsmp.selftest import gradient_instance
+    for seed in range(20):
+        spec, tree, u = gradient_instance(seed)
+        coords = smp.certificate_sample(tree, spec.r)
+        control_nodes = sum(tree.size(k) for k in u.levels())
+        assert len(coords) == min(control_nodes, 49) * spec.r
+        partials, _ = smp.complex_step_derivatives(spec, tree, u, coords, [])
+        g_fd = fd_cost_gradient(spec, tree, u)
+        for (k, node, i), value in zip(coords.tolist(), partials):
+            cs = value / tree.abs_prob[k][node]
+            ref = g_fd.at(k)[node, i]
+            assert abs(cs - ref) <= 1e-6 * max(1.0, abs(ref)), (seed, k, node, i)
+
+
+def _sampled_fd_error(spec, tree, u, g, coords, step=1e-5):
+    worst = 0.0
+    for k, node, i in coords.tolist():
+        up, down = u.copy(), u.copy()
+        up.at(k)[node, i] += step
+        down.at(k)[node, i] -= step
+        fd = (cost(spec, tree, up) - cost(spec, tree, down)) / (2 * step * tree.abs_prob[k][node])
+        worst = max(worst, abs(g.at(k)[node, i] - fd) / max(1.0, abs(fd)))
+    return worst
+
+
+def test_certificate_exact_at_depth_where_fd_loses_digits():
+    spec = _deep_lq(12)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 1)
+    g = adjoint_gradient(spec, tree, u)
+    report = smp.certify_gradient(spec, tree, u, g)
+    assert report.passed
+    assert report.residuals[0].value <= 1e-12
+    coords = smp.certificate_sample(tree, spec.r)
+    # central differences on the same coordinates lose digits to cancellation
+    assert _sampled_fd_error(spec, tree, u, g, coords) > 1e-7
+
+
+def test_certificate_catches_one_corrupted_deepest_node_outside_sample():
+    spec = _deep_lq(12)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 1)
+    g = adjoint_gradient(spec, tree, u)
+    n_steps = tree.grid.n_steps
+    coords = smp.certificate_sample(tree, spec.r)
+    sampled = set(coords[coords[:, 0] == n_steps, 1].tolist())
+    outside = [m for m in range(tree.size(n_steps)) if m not in sampled]
+    node = int(np.random.default_rng(3).choice(outside))
+    g.at(n_steps)[node, 0] *= 1.0 + 1e-6
+    report = smp.certify_gradient(spec, tree, u, g)
+    assert not report.passed
+    assert report.residuals[0].ok  # the sample cannot see it; the directions do
+    assert not all(r.ok for r in report.residuals[1:3])
+
+
+def test_certificate_row_counts_do_not_grow_with_depth(monkeypatch):
+    counts = {}
+
+    def counting(spec, tree, controls):
+        key = (tree.grid.n_steps, controls[0].dtype.kind)
+        counts[key] = counts.get(key, 0) + controls[0].shape[0]
+        return batch_cost(spec, tree, controls)
+
+    batch_cost = smp.batch_cost
+    monkeypatch.setattr(smp, "batch_cost", counting)
+    for n_steps in (6, 12):
+        spec = _deep_lq(n_steps)
+        tree = spec.build_tree()
+        u = random_control(spec, tree, 1)
+        assert smp.certify_gradient(spec, tree, u, adjoint_gradient(spec, tree, u)).passed
+    assert counts[(6, "c")] == counts[(12, "c")] == 49 + smp.CERT_DIRECTIONS
+    assert counts[(6, "f")] == counts[(12, "f")] == 1 + smp.CERT_DIRECTIONS * len(
+        smp.TAYLOR_MOVES)
+
+
+def _real_only(spec, wrap):
+    """The spec with its running cost passed through `wrap`, which is not complex-safe."""
+    l = spec.coeffs.l
+    return dataclasses.replace(spec, coeffs=dataclasses.replace(
+        spec.coeffs, l=lambda k, x, y, u: wrap(l(k, x, y, u))))
+
+
+@pytest.mark.parametrize("wrap, error", [
+    (lambda v: np.asarray(v, dtype=float), "ComplexWarning"),
+    (lambda v: np.array(v.tolist(), dtype=float), "TypeError"),
+], ids=["cast", "python-floats"])
+def test_certificate_falls_back_to_central_differences(wrap, error):
+    base = random_lq(6, steps_max=3)
+    spec = _real_only(base, wrap)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 8)
+    g = adjoint_gradient(spec, tree, u)
+    report = smp.certify_gradient(spec, tree, u, g)
+    assert report.notes[0].startswith(f"coefficients are not complex-safe ({error})")
+    assert report.passed and report.residuals[0].label.startswith("finite-difference gradient")
+    assert not smp.certify_gradient(spec, tree, u, _negated(g)).passed
+    # the real forward path is unchanged by the wrapper
+    assert cost(spec, tree, u) == cost(base, tree, u)
+
+
+def test_adjoint_gradient_reuses_given_trajectory():
+    spec = random_lq(5, steps_max=3)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 2)
+    traj = simulate(spec, tree, u)
+    g1 = adjoint_gradient(spec, tree, u)
+    g2 = adjoint_gradient(spec, tree, u, traj=traj)
+    for k in g1.levels():
+        np.testing.assert_array_equal(g1.at(k), g2.at(k))
+
+
+def _sufficiency_loop(spec, tree, traj, adj, u, samples=200, seed=0):
+    """Reference for parts (ii) and (iv) of `sufficiency_check`: one evaluator
+    call per sample and per probe combination, drawing the rng in the same order."""
+    rng = np.random.default_rng(seed)
+    c, grid, kT = spec.coeffs, tree.grid, tree.grid.n_steps + 1
+    for _ in range(samples):  # part (i)'s draws
+        rng.integers(traj.at(kT).shape[0])
+        rng.uniform(-0.5, 0.5, (4, spec.n))
+    concavity = -np.inf
+    for _ in range(samples):
+        k = int(rng.integers(grid.n_steps + 1))
+        xk = traj.at(k)
+        node = int(rng.integers(xk.shape[0]))
+        ep, qn = smp.conditional_costate(tree, adj, k)[node], adj.q.at(k)[node]
+        span = 1.0 + float(np.abs(xk[node]).max())
+        x1, x2 = xk[node] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span
+        y1, y2 = traj.means[k] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span
+        v1, v2 = (smp._sample_box(rng, spec.admissible.lo[k], spec.admissible.hi[k],
+                                  u.at(k)[node]) for _ in range(2))
+        xs, ys, vs = (np.stack([a, b, 0.5 * (a + b)]) for a, b in ((x1, x2), (y1, y2), (v1, v2)))
+        hvals = (grid.h * c.f(k, xs, ys, vs) @ ep
+                 + np.einsum("mji,ji->m", c.sigma(k, xs, ys, vs), qn) - c.l(k, xs, ys, vs))
+        if np.all(np.isfinite(hvals)):
+            concavity = max(concavity, float(0.5 * (hvals[0] + hvals[1]) - hvals[2]))
+    vertex = -np.inf
+    for k in range(grid.n_steps + 1):
+        lo, hi, uk = spec.admissible.lo[k], spec.admissible.hi[k], u.at(k)
+        probes = []
+        for i in range(spec.r):
+            low = ([np.full(uk.shape[0], lo[i])] if np.isfinite(lo[i]) else
+                   [uk[:, i] - s * (1.0 + np.abs(uk[:, i])) for s in (1.0, 10.0)])
+            high = ([np.full(uk.shape[0], hi[i])] if np.isfinite(hi[i]) else
+                    [uk[:, i] + s * (1.0 + np.abs(uk[:, i])) for s in (1.0, 10.0)])
+            probes.append(low + high)
+        h_at_u = hamiltonian(spec, tree, traj, adj, k, uk)
+        for combo in np.ndindex(*[len(p) for p in probes]):
+            v = np.stack([probes[i][combo[i]] for i in range(spec.r)], axis=1)
+            gap = hamiltonian(spec, tree, traj, adj, k, v) - h_at_u
+            if np.isfinite(gap).any():
+                vertex = max(vertex, float(np.max(gap[np.isfinite(gap)])))
+    return concavity, vertex
+
+
+@pytest.mark.parametrize("make, rtol", [
+    (lambda: random_prodcons(2), 0.0),
+    (lambda: smooth_nonlinear(1), 0.0),
+    (lambda: random_lq(4, r_max=2), 1e-12),
+    (lambda: random_lq(9, bounded=True), 1e-12),
+], ids=["prodcons", "smooth-nonlinear", "lq", "lq-boxed"])
+def test_sufficiency_batches_match_per_sample_loop(make, rtol):
+    # LQ costs round a row differently in a longer batch (three-operand
+    # einsum); prodcons and smooth-nonlinear rows are evaluated exactly alike
+    spec = make()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 4)
+    traj, adj = _solved(spec, tree, u)
+    report = sufficiency_check(spec, tree, traj, adj, u)
+    values = {r.label: r.value for r in report.residuals}
+    concavity, vertex = _sufficiency_loop(spec, tree, traj, adj, u)
+    assert values["Hamiltonian midpoint concavity violation"] == pytest.approx(
+        concavity, rel=rtol, abs=0.0)
+    assert values["H(vertex) - H(candidate) max"] == pytest.approx(vertex, rel=rtol, abs=0.0)
+
+
+def _capped_cost(spec, limit):
+    """The spec with its running cost undefined where the control reaches `limit`."""
+    l = spec.coeffs.l
+    return dataclasses.replace(spec, coeffs=dataclasses.replace(
+        spec.coeffs, l=lambda k, x, y, v: np.where(np.real(v[:, 0]) < limit, l(k, x, y, v),
+                                                   np.nan)))
+
+
+def test_certificate_taylor_skips_rungs_outside_cost_domain():
+    base = _deep_lq(7)
+    tree = base.build_tree()
+    u = random_control(base, tree, 9)
+    directions = smp.certificate_directions(base, tree, u)
+    # the deepest level has the least probability, so it moves by the full rung
+    up = np.flatnonzero((directions[0][7] > 0) & (directions[1][7] > 0))[0]
+
+    # a domain a little above the largest control: the largest move leaves
+    # it, and the order is read on the smaller rungs
+    spec = _capped_cost(base, float(u.at(7).max()) + 0.005)
+    for w in directions:
+        assert np.any(u.at(7) + smp.TAYLOR_MOVES[0] * w[7] >= float(u.at(7).max()) + 0.005)
+    assert smp.certify_gradient(spec, tree, u, adjoint_gradient(spec, tree, u)).passed
+
+    # a node on the domain's edge that both directions move out of: no rung
+    # is finite, so the Taylor test cannot pass
+    u.at(7)[up, 0] = 0.9
+    spec = _capped_cost(base, 0.9 + 1e-12)
+    report = smp.certify_gradient(spec, tree, u, adjoint_gradient(spec, tree, u))
+    assert [r.value for r in report.residuals[3:]] == [np.inf, np.inf]
+    assert all(r.ok for r in report.residuals[:3])
