@@ -33,12 +33,14 @@ from .tree import AdaptedProcess, cond_expect, cond_expect_noise, expect
 
 @dataclass(eq=False)
 class LinearSystemData:
-    """Node-indexed coefficients of the linear pair over steps 0..N."""
+    """Node-indexed coefficients of the linear pair over steps 0..N.  The
+    Jacobian blocks of a step hold one array per node or, where they are the
+    same at every node, one block with a length-1 node axis."""
 
-    drift_x: list       # per step: (m_k, n, n)
-    drift_mean: list    # per step: (m_k, n, n)
-    diff_x: list        # per step: (m_k, d, n, n)
-    diff_mean: list     # per step: (m_k, d, n, n)
+    drift_x: list       # per step: (m_k | 1, n, n)
+    drift_mean: list    # per step: (m_k | 1, n, n)
+    diff_x: list        # per step: (m_k | 1, d, n, n)
+    diff_mean: list     # per step: (m_k | 1, d, n, n)
     running: list       # per step: (m_k, n)  backward forcing
     terminal: np.ndarray  # (m_{N+1}, n)
     drift_force: list | None = None  # per step: (m_k, n)  forward forcing
@@ -64,7 +66,8 @@ class AdjointSolution:
 
 
 def linearize(spec, tree, traj, u) -> LinearSystemData:
-    """Evaluate the adjoint coefficients along (x̂, Ex̂, û), node by node."""
+    """Evaluate the adjoint coefficients along (x̂, Ex̂, û), node by node; a
+    step-constant Jacobian stays one (1, ...) block."""
     grid = tree.grid
     h = grid.h
     c = spec.coeffs

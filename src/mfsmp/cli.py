@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .adjoint import integrability_report, linearize, solve_adjoint
+from .adjoint import integrability_report
 from .errors import ConfigError, MfsmpError
 from .forward import check_feasible, cost, simulate
 from .optimize import OptimizerOptions, optimize
@@ -194,8 +194,8 @@ def _load_spec(path: str):
     return parse_problem(text)
 
 
-def _check_reports(spec, tree, u, tol):
-    g, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
+def _check_reports(spec, tree, u, tol, g, traj, adj):
+    """Every check of control u, given its `adjoint_gradient(..., return_all=True)`."""
     necessary = necessary_check(spec, tree, traj, adj, u, tol=tol)
     sufficient = sufficiency_check(spec, tree, traj, adj, u, tol_hamiltonian=max(tol, 1e-6))
     spike = random_spike(spec, tree, u, seed=0, scale=1e-3)
@@ -223,8 +223,7 @@ def cmd_solve(args) -> int:
     options = OptimizerOptions(max_iters=args.max_iters, grad_tol=args.grad_tol,
                                stall_tol=args.stall_tol)
     result = optimize(spec, tree, options=options)
-    traj = simulate(spec, tree, result.u)
-    adj = solve_adjoint(linearize(spec, tree, traj, result.u), tree)
+    g, traj, adj = adjoint_gradient(spec, tree, result.u, return_all=True)
     out = Path(args.out)
     outputs = []
     opt_report = {
@@ -247,7 +246,7 @@ def cmd_solve(args) -> int:
            outputs)
     _write(out, "adjoint.csv", partial(write_adjoint_csv, spec, tree, adj), outputs)
     _write(out, "control.csv", partial(write_control_csv, spec, tree, result.u), outputs)
-    checks = _check_reports(spec, tree, result.u, args.tol)
+    checks = _check_reports(spec, tree, result.u, args.tol, g, traj, adj)
     _write(out, "checks.json", json.dumps(checks, sort_keys=True, indent=2) + "\n", outputs)
     opts = {"tol": args.tol, "max_iters": args.max_iters, "grad_tol": args.grad_tol,
             "stall_tol": args.stall_tol}
@@ -261,7 +260,8 @@ def cmd_check(args) -> int:
     tree = spec.build_tree()
     u = read_control_csv(spec, tree, Path(args.control).read_text())
     check_feasible(spec, tree, u)
-    checks = _check_reports(spec, tree, u, args.tol)
+    checks = _check_reports(spec, tree, u, args.tol,
+                            *adjoint_gradient(spec, tree, u, return_all=True))
     text = json.dumps(checks, sort_keys=True, indent=2) + "\n"
     if args.out:
         outputs = []

@@ -79,10 +79,11 @@ def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
     """Level-k cost values (..., m_k) of a state and mean from `forward_levels`:
     l(k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1."""
     xf, yf = _rows(x, mean)
-    if k < len(controls):
-        vals = spec.coeffs.l(k, xf, yf, controls[k].reshape(-1, spec.r))
-    else:
-        vals = spec.coeffs.phi(xf, yf)
+    with np.errstate(over="ignore", invalid="ignore"):  # callers flag non-finite values
+        if k < len(controls):
+            vals = spec.coeffs.l(k, xf, yf, controls[k].reshape(-1, spec.r))
+        else:
+            vals = spec.coeffs.phi(xf, yf)
     return vals.reshape(x.shape[:-1])
 
 

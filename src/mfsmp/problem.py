@@ -7,9 +7,12 @@ or a genuine per-row batch), control u is (m, r), and k is the integer step
 Returned shapes are
 
     f (m, n)          sigma (m, d, n)        l (m,)        phi (m,)
-    f_x, f_y (m, n, n)   f_u (m, n, r)
-    sigma_x, sigma_y (m, d, n, n)   sigma_u (m, d, n, r)
+    f_x, f_y (m | 1, n, n)   f_u (m | 1, n, r)
+    sigma_x, sigma_y (m | 1, d, n, n)   sigma_u (m | 1, d, n, r)
     l_x, l_y (m, n)   l_u (m, r)   phi_x, phi_y (m, n)
+
+A Jacobian that is the same at every node of a step may come as one block
+with a length-1 node axis (LQ, tables, prodcons); consumers broadcast it.
 
 Maximization problems are normalized at construction: the stored running and
 terminal costs are negated so that every downstream consumer minimizes.
@@ -33,6 +36,7 @@ _LQ_MATRIX_KEYS = {
     "G": ("n", "n"), "G_mean": ("n", "n"), "g": ("n",), "g_mean": ("n",), "phi0": (),
 }
 _LQ_SIGMA_KEYS = {"C": ("n", "n"), "C_mean": ("n", "n"), "D": ("n", "r"), "s0": ("n",)}
+_JACOBIANS = ("f_x", "f_y", "f_u", "sigma_x", "sigma_y", "sigma_u")
 
 
 @dataclass
@@ -45,7 +49,11 @@ class CoefficientSet:
     values, no cast to float.  The gradient certificate (`smp.certify_gradient`)
     evaluates them at complex steps; where a cast drops an imaginary part
     (`ComplexWarning`) or an evaluator raises `TypeError`, it falls back to
-    central differences."""
+    central differences.
+
+    The Jacobians f_x, f_y, f_u, sigma_x, sigma_y and sigma_u return either
+    one array per node, (m, ...), or one block (1, ...) for every node of the
+    step.  A block may be shared and read-only: consumers do not write to it."""
 
     f: callable
     f_x: callable
@@ -143,8 +151,24 @@ def project(spec: ProblemSpec, step: int, v):
     return spec.admissible.project(step, v)
 
 
-def _rows(arr, m):
-    return np.broadcast_to(arr, (m,) + np.shape(arr))
+def _lin(v, w):
+    """sum_j w_j v[:, j] per row of v (w_j numbers or per-row arrays), from
+    elementwise ufuncs only: unlike an einsum or matmul reduction, a row's bits
+    do not depend on the batch it is evaluated in.  Complex-safe."""
+    out = w[0] * v[:, 0]
+    for j in range(1, len(w)):
+        out += w[j] * v[:, j]
+    return out
+
+
+def _quad(v, mat):
+    """v_m . (mat v_m) per row m of v, row-independent as `_lin`."""
+    out = None
+    for i, row in enumerate(mat):
+        term = _lin(v, row)
+        term *= v[:, i]
+        out = term if out is None else np.add(out, term, out=out)
+    return out
 
 
 def _sym(mat):
@@ -228,9 +252,17 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
     for key in ("q", "q_mean", "r_lin", "l0", "g", "g_mean", "phi0"):
         tb[key] = sign * tb[key]
     n_steps = len(tb["A"]) - 1
+    # the Jacobians are the same at every node of a step: row k of each is
+    # returned as one read-only block with a length-1 node axis
+    jac = {"f_x": tb["A"], "f_y": tb["A_mean"], "f_u": tb["B"]}
+    jac.update({name: np.stack([tab[key] for tab in sigma_tabs], axis=1)
+                for name, key in (("sigma_x", "C"), ("sigma_y", "C_mean"), ("sigma_u", "D"))})
+    for table in jac.values():
+        table.flags.writeable = False
     # row k of every table; "sigma" holds row k of each diffusion's tables
     rows = [dict({key: v[k] for key, v in tb.items()},
-                 sigma=[{key: v[k].copy() for key, v in tab.items()} for tab in sigma_tabs])
+                 sigma=[{key: v[k].copy() for key, v in tab.items()} for tab in sigma_tabs],
+                 **{name: v[k:k + 1] for name, v in jac.items()})
             for k in range(n_steps + 1)]
 
     def step(k):
@@ -238,39 +270,22 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
             raise MfsmpError(f"coefficient step {k!r} outside 0..{n_steps}")
         return rows[k]
 
+    def block(name):
+        return lambda k, x, y, u: step(k)[name]
+
     def f(k, x, y, u):
         t = step(k)
         return x @ t["A"].T + y @ t["A_mean"].T + u @ t["B"].T + t["f0"]
-
-    def f_x(k, x, y, u):
-        return _rows(step(k)["A"], x.shape[0])
-
-    def f_y(k, x, y, u):
-        return _rows(step(k)["A_mean"], x.shape[0])
-
-    def f_u(k, x, y, u):
-        return _rows(step(k)["B"], x.shape[0])
 
     def sigma(k, x, y, u):
         cols = [x @ t["C"].T + y @ t["C_mean"].T + u @ t["D"].T + t["s0"]
                 for t in step(k)["sigma"]]
         return np.stack(cols, axis=1)
 
-    def sigma_x(k, x, y, u):
-        return _rows(np.stack([t["C"] for t in step(k)["sigma"]]), x.shape[0])
-
-    def sigma_y(k, x, y, u):
-        return _rows(np.stack([t["C_mean"] for t in step(k)["sigma"]]), x.shape[0])
-
-    def sigma_u(k, x, y, u):
-        return _rows(np.stack([t["D"] for t in step(k)["sigma"]]), x.shape[0])
-
     def l(k, x, y, u):
         t = step(k)
-        quad = 0.5 * (np.einsum("mi,ij,mj->m", x, t["Q"], x)
-                      + np.einsum("mi,ij,mj->m", y, t["Q_mean"], y)
-                      + np.einsum("mi,ij,mj->m", u, t["R"], u))
-        return quad + x @ t["q"] + y @ t["q_mean"] + u @ t["r_lin"] + t["l0"]
+        quad = 0.5 * (_quad(x, t["Q"]) + _quad(y, t["Q_mean"]) + _quad(u, t["R"]))
+        return quad + _lin(x, t["q"]) + _lin(y, t["q_mean"]) + _lin(u, t["r_lin"]) + t["l0"]
 
     def l_x(k, x, y, u):
         t = step(k)
@@ -285,9 +300,8 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
         return u @ t["R"].T + t["r_lin"]
 
     def phi(x, y):
-        return (0.5 * (np.einsum("mi,ij,mj->m", x, tb["G"][0], x)
-                       + np.einsum("mi,ij,mj->m", y, tb["G_mean"][0], y))
-                + x @ tb["g"][0] + y @ tb["g_mean"][0] + tb["phi0"][0])
+        return (0.5 * (_quad(x, tb["G"][0]) + _quad(y, tb["G_mean"][0]))
+                + _lin(x, tb["g"][0]) + _lin(y, tb["g_mean"][0]) + tb["phi0"][0])
 
     def phi_x(x, y):
         return x @ tb["G"][0].T + tb["g"][0]
@@ -295,7 +309,8 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
     def phi_y(x, y):
         return y @ tb["G_mean"][0].T + tb["g_mean"][0]
 
-    return CoefficientSet(f, f_x, f_y, f_u, sigma, sigma_x, sigma_y, sigma_u,
+    return CoefficientSet(f, block("f_x"), block("f_y"), block("f_u"),
+                          sigma, block("sigma_x"), block("sigma_y"), block("sigma_u"),
                           l, l_x, l_y, l_u, phi, phi_x, phi_y)
 
 
@@ -324,25 +339,25 @@ def _prodcons_coeffs(grid, delta_util, depreciation):
         return growth * x - u / h
 
     def f_x(k, x, y, u):
-        return np.full((x.shape[0], 1, 1), growth)
+        return np.full((1, 1, 1), growth)
 
     def f_y(k, x, y, u):
-        return np.zeros((x.shape[0], 1, 1))
+        return np.zeros((1, 1, 1))
 
     def f_u(k, x, y, u):
-        return np.full((x.shape[0], 1, 1), -1.0 / h)
+        return np.full((1, 1, 1), -1.0 / h)
 
     def sigma(k, x, y, u):
         return 0.5 * x.reshape(-1, 1, 1)
 
     def sigma_x(k, x, y, u):
-        return np.full((x.shape[0], 1, 1, 1), 0.5)
+        return np.full((1, 1, 1, 1), 0.5)
 
     def sigma_y(k, x, y, u):
-        return np.zeros((x.shape[0], 1, 1, 1))
+        return np.zeros((1, 1, 1, 1))
 
     def sigma_u(k, x, y, u):
-        return np.zeros((x.shape[0], 1, 1, 1))
+        return np.zeros((1, 1, 1, 1))
 
     def l(k, x, y, u):
         return -coef * _pospow(u[:, 0], expo)
@@ -723,7 +738,9 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
     }
     for name, shape in expected.items():
         got = np.shape(getattr(c, name)(k, x, y, u))
-        report.add(f"shape[{name}]", 0.0 if got == shape else 1.0, 0.0)
+        # a Jacobian may also come as one block for every node of the step
+        ok = got == shape or (name in _JACOBIANS and got == (1,) + shape[1:])
+        report.add(f"shape[{name}]", 0.0 if ok else 1.0, 0.0)
     for name, shape in {"phi": (m,), "phi_x": (m, n), "phi_y": (m, n)}.items():
         got = np.shape(getattr(c, name)(x, y))
         report.add(f"shape[{name}]", 0.0 if got == shape else 1.0, 0.0)
@@ -741,8 +758,11 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
             else:
                 hi_v, lo_v = value_fn(x, y, u + shift), value_fn(x, y, u + (-shift))
             fd = (np.asarray(hi_v) - np.asarray(lo_v)) / (2.0 * fd_step)
-            an = analytic[..., i]
-            err = np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(fd)))
+            try:
+                # a length-1 node axis broadcasts over the sampled rows
+                err = np.max(np.abs(fd - analytic[..., i]) / np.maximum(1.0, np.abs(fd)))
+            except (IndexError, ValueError):
+                err = np.inf  # a shape the shape check has already flagged
             worst = max(worst, float(err))
         report.add(f"fd[{label}]", worst, tol)
 

@@ -6,8 +6,6 @@ timestamps, stable ordering) so consecutive runs are byte-identical.
 """
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,28 +27,7 @@ from .tree import NoiseModel, validate_noise
 KNOWN_FAULTS = ("grad-sign", "noise-mean")
 
 
-def thread_count(threads=None):
-    """Worker cap for embarrassingly parallel trials; MFSMP_THREADS wins."""
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("MFSMP_THREADS")
-    if env is None:
-        return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"MFSMP_THREADS must be an integer, got {env!r}") from exc
-    return max(1, value)
-
-
-def _map(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def suite_noise(trials=None, fault=None, threads=1) -> CheckReport:
+def suite_noise(trials=None, fault=None) -> CheckReport:
     report = CheckReport("noise-moments")
     models = [
         ("binary d=1 h=1", NoiseModel.binary(1, 1.0)),
@@ -80,9 +57,9 @@ def _duality_instance(seed):
     return spec.family or "custom", duality_residual(spec, tree, traj, adj, u, spike)
 
 
-def suite_duality(trials=50, fault=None, threads=1) -> CheckReport:
+def suite_duality(trials=50, fault=None) -> CheckReport:
     report = CheckReport("duality-identity")
-    rows = _map(_duality_instance, range(trials or 50), threads)
+    rows = [_duality_instance(seed) for seed in range(trials or 50)]
     for i, (family, res) in enumerate(rows):
         report.add(f"duality residual #{i} ({family})", res, 1e-10)
     return report
@@ -100,8 +77,7 @@ def gradient_instance(seed):
     return spec, tree, random_control(spec, tree, 30_000 + seed)
 
 
-def _gradient_instance(args):
-    seed, fault = args
+def _gradient_instance(seed, fault):
     spec, tree, u = gradient_instance(seed)
     g = adjoint_gradient(spec, tree, u)
     g_fd = fd_cost_gradient(spec, tree, u)
@@ -113,9 +89,9 @@ def _gradient_instance(args):
     return spec.family or "custom", worst
 
 
-def suite_gradient(trials=20, fault=None, threads=1) -> CheckReport:
+def suite_gradient(trials=20, fault=None) -> CheckReport:
     report = CheckReport("gradient-consistency")
-    rows = _map(_gradient_instance, [(seed, fault) for seed in range(trials or 20)], threads)
+    rows = [_gradient_instance(seed, fault) for seed in range(trials or 20)]
     for i, (family, err) in enumerate(rows):
         report.add(f"max relative gradient error #{i} ({family})", err, 1e-6)
     return report
@@ -130,9 +106,8 @@ def _certificate_instance(seed, fault):
     return spec.family or "custom", certify_gradient(spec, tree, u, g)
 
 
-def suite_certificate(trials=20, fault=None, threads=1) -> CheckReport:
+def suite_certificate(trials=20, fault=None) -> CheckReport:
     report = CheckReport("gradient-certificate")
-    # one thread: the certificate's warnings filter is process-wide state
     rows = [_certificate_instance(seed, fault) for seed in range(trials or 20)]
     for i, (family, cert) in enumerate(rows):
         for res in cert.residuals:
@@ -174,9 +149,9 @@ def _operator_instance(seed):
     return mean_field, semi, rep_res, closed_res
 
 
-def suite_operator(trials=8, fault=None, threads=1) -> CheckReport:
+def suite_operator(trials=8, fault=None) -> CheckReport:
     report = CheckReport("transition-operator")
-    rows = _map(_operator_instance, range(trials or 8), threads)
+    rows = [_operator_instance(seed) for seed in range(trials or 8)]
     for i, (mean_field, semi, rep_res, closed_res) in enumerate(rows):
         report.add(f"semigroup composition #{i}", semi, 1e-12)
         report.add(f"representation vs recursion #{i}", rep_res, 1e-12)
@@ -185,7 +160,7 @@ def suite_operator(trials=8, fault=None, threads=1) -> CheckReport:
     return report
 
 
-def suite_rates(trials=None, fault=None, threads=1) -> CheckReport:
+def suite_rates(trials=None, fault=None) -> CheckReport:
     report = CheckReport("expansion-rates")
     for seed in (4, 8):
         spec = random_lq(seed, steps_max=3)
@@ -229,9 +204,9 @@ def _optimizer_instance(seed):
     return abs(result.cost - j_star), worst_dir, monotone
 
 
-def suite_optimizer(trials=5, fault=None, threads=1) -> CheckReport:
+def suite_optimizer(trials=5, fault=None) -> CheckReport:
     report = CheckReport("optimizer-vs-oracle")
-    rows = _map(_optimizer_instance, range(trials or 5), threads)
+    rows = [_optimizer_instance(seed) for seed in range(trials or 5)]
     for i, (gap, worst_dir, monotone) in enumerate(rows):
         report.add(f"|J(optimize) - J(grid oracle)| #{i}", gap, 1e-4)
         report.add(f"first-order condition residual #{i}", worst_dir, 1e-6)
@@ -239,7 +214,7 @@ def suite_optimizer(trials=5, fault=None, threads=1) -> CheckReport:
     return report
 
 
-def suite_prodcons(trials=None, fault=None, threads=1) -> CheckReport:
+def suite_prodcons(trials=None, fault=None) -> CheckReport:
     report = CheckReport("prodcons-reproduction")
     rep = replica(0.5, 0.5, 5)
     report.add("|p(6h) - 1|", abs(rep.p[6] - 1.0), 0.0)
@@ -267,7 +242,7 @@ def suite_prodcons(trials=None, fault=None, threads=1) -> CheckReport:
     return report
 
 
-def suite_validation(trials=6, fault=None, threads=1) -> CheckReport:
+def suite_validation(trials=6, fault=None) -> CheckReport:
     report = CheckReport("spec-validation")
     for seed in range(trials or 6):
         spec = random_lq(seed) if seed % 2 else random_prodcons(seed)
@@ -293,17 +268,16 @@ SUITES = {
 }
 
 
-def run_selftest(suite=None, trials=None, inject_fault=None, threads=None):
+def run_selftest(suite=None, trials=None, inject_fault=None):
     """Run the verification suites and assemble a deterministic report dict."""
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ConfigError(f"unknown fault {inject_fault!r}; known: {', '.join(KNOWN_FAULTS)}")
     if suite is not None and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     names = [suite] if suite else list(SUITES)
-    workers = thread_count(threads)
     reports = {}
     for name in names:
-        reports[name] = SUITES[name](trials=trials, fault=inject_fault, threads=workers)
+        reports[name] = SUITES[name](trials=trials, fault=inject_fault)
     report = {
         "version": __version__,
         "options": {"suite": suite, "trials": trials, "inject_fault": inject_fault},

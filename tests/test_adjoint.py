@@ -39,10 +39,15 @@ def _transition_matrix(data, tree, k):
     m0, m1 = tree.size(k), tree.size(k + 1)
     par = np.arange(m1) // tree.branch
     inc = tree.increments(k + 1)
-    local = (np.eye(n)[None] + data.drift_x[k][par]
-             + np.einsum("cj,cjab->cab", inc, data.diff_x[k][par]))
-    mean_part = (data.drift_mean[k][par]
-                 + np.einsum("cj,cjab->cab", inc, data.diff_mean[k][par]))
+
+    def parent_rows(a):
+        # a step-constant block has a length-1 node axis: every node reads it
+        return np.broadcast_to(a, (m0,) + a.shape[1:])[par]
+
+    local = (np.eye(n)[None] + parent_rows(data.drift_x[k])
+             + np.einsum("cj,cjab->cab", inc, parent_rows(data.diff_x[k])))
+    mean_part = (parent_rows(data.drift_mean[k])
+                 + np.einsum("cj,cjab->cab", inc, parent_rows(data.diff_mean[k])))
     mat = np.zeros((m1, n, m0, n))
     mat[np.arange(m1), :, par, :] = local
     mat += mean_part[:, :, None, :] * tree.abs_prob[k][None, None, :, None]
@@ -53,6 +58,16 @@ def _operator_case(name):
     """Linear data on a small tree: random blocks without expectation
     coupling for the noise laws, a linearized mean-field LQ for the last."""
     rng = np.random.default_rng(len(name))
+    if name == "mixed blocks":
+        # per-node arrays at step 0 beside the step-constant blocks of step 1,
+        # and beside the block of another Jacobian at step 0
+        tree, data = _operator_case("mean-field")
+        data.drift_x[0] = rng.uniform(-0.5, 0.5, (tree.size(0), data.n, data.n))
+        data.diff_mean[0] = rng.uniform(-0.5, 0.5, (tree.size(0), data.d, data.n, data.n))
+        data.drift_x[1] = rng.uniform(-0.5, 0.5, (tree.size(1), data.n, data.n))
+        assert [a.shape[0] for a in data.diff_x] == [1, 1]
+        assert [a.shape[0] for a in data.diff_mean] == [tree.size(0), 1]
+        return tree, data
     if name == "mean-field":
         spec = random_lq(11, n_max=2, steps_max=3, mean_field=True)
         tree = spec.build_tree()
@@ -71,7 +86,7 @@ def _operator_case(name):
     return tree, data
 
 
-OPERATOR_CASES = ["binary d=1", "binary d=2", "trinomial", "mean-field"]
+OPERATOR_CASES = ["binary d=1", "binary d=2", "trinomial", "mean-field", "mixed blocks"]
 
 
 def test_linearize_e1_values(e1):
@@ -88,6 +103,23 @@ def test_linearize_mean_field_terminal_is_level_constant():
                    B=[[1.0]], G_mean=[[2.0]], lo=-5.0, hi=5.0)
     tree, u, traj, data = _solved(spec, 0.7)
     np.testing.assert_allclose(data.terminal, 1.4, atol=1e-15)
+
+
+def test_lq_linearization_bytes_do_not_grow_with_the_tree():
+    # step-constant Jacobians are stored as one block per step, whatever the
+    # level size: every step holds the same bytes at N = 8 and at N = 12
+    per_step = set()
+    for n_steps in (8, 12):
+        spec = builtin("lq_meanfield", n=2, r=1, d=1, h=0.25, N=n_steps, x0=[0.5, -0.3],
+                       A=[[0.1, 0.2], [0.0, -0.3]], A_mean=[[0.05, 0.0], [0.0, 0.1]],
+                       B=[[1.0], [0.5]], sigma=[{"C": [[0.2, 0.0], [0.0, 0.1]],
+                                                 "C_mean": [[0.0, 0.1], [0.1, 0.0]]}],
+                       R=[[1.0]], G=[[1.0, 0.0], [0.0, 1.0]])
+        tree, u, traj, data = _solved(spec, 0.1)
+        per_step |= {sum(arrays[k].nbytes for arrays in (data.drift_x, data.drift_mean,
+                                                         data.diff_x, data.diff_mean))
+                     for k in range(n_steps + 1)}
+    assert per_step == {4 * 8 * (2 * 2)}
 
 
 def test_linearize_zero_problem_zero_data():

@@ -162,16 +162,6 @@ def test_selftest_suite_and_fault_injection(tmp_path):
     assert main(["selftest", "--inject-fault", "bogus", "--out", str(out)]) == 2
 
 
-def test_selftest_thread_cap_env(tmp_path, monkeypatch):
-    out = tmp_path / "st"
-    monkeypatch.setenv("MFSMP_THREADS", "2")
-    assert main(["selftest", "--suite", "duality", "--trials", "4",
-                 "--out", str(out)]) == 0
-    monkeypatch.setenv("MFSMP_THREADS", "abc")
-    assert main(["selftest", "--suite", "duality", "--trials", "4",
-                 "--out", str(out)]) == 2
-
-
 def test_selftest_single_suite_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["selftest", "--suite", "prodcons", "--out", str(out1)]) == 0
@@ -292,6 +282,18 @@ def test_solve_csvs_match_per_node_reference(case, chunk_rows, tmp_path, monkeyp
         assert (out / name).read_bytes() == text.encode(), name
     if case == "trinomial":
         assert len(set(tree.abs_prob[-1].tolist())) > 1
+
+
+@pytest.mark.parametrize("case", ["trinomial", "prodcons"])
+def test_solve_checks_equal_check_of_written_control(case, tmp_path):
+    # solve reuses its adjoint solve for the checks; check of the control it
+    # wrote recomputes everything and must give the same bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(serialize_problem(CSV_CASES[case]()))
+    out, chk = tmp_path / "out", tmp_path / "chk"
+    assert main(["solve", str(cfg), "--out", str(out)]) == 0
+    assert main(["check", str(cfg), str(out / "control.csv"), "--out", str(chk)]) in (0, 1)
+    assert (chk / "checks.json").read_bytes() == (out / "checks.json").read_bytes()
 
 
 @pytest.mark.parametrize("chunk_rows", [None, 7])

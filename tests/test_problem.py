@@ -238,6 +238,51 @@ def test_validate_spec_flags_wrong_partial():
     assert res.value >= 1e-2
 
 
+def test_validate_spec_names_a_wrong_block_shape():
+    # a Jacobian may come per node or as one (1, ...) block for the step;
+    # any other node-axis length, or wrong trailing axes, fails by name
+    spec = random_lq(5)
+    n, r, d = spec.n, spec.r, spec.d
+    assert spec.coeffs.sigma_y(0, np.zeros((4, n)), np.zeros((4, n)),
+                               np.zeros((4, r))).shape == (1, d, n, n)
+    assert validate_spec(spec).passed
+    for name, shape in (("sigma_y", (2, d, n, n)), ("f_u", (1, r, n))):
+        broken = dataclasses.replace(
+            spec.coeffs, **{name: lambda k, x, y, u, shape=shape: np.zeros(shape)})
+        report = validate_spec(dataclasses.replace(spec, coeffs=broken))
+        failed = [res.label for res in report.residuals if not res.ok]
+        assert failed[0] == f"shape[{name}]"
+        assert set(failed) <= {f"shape[{name}]", f"fd[{name}]"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "random_lq(9)"])
+def test_lq_costs_of_a_row_do_not_depend_on_the_batch(n):
+    # l and phi give each row the same bits alone and inside a 5- or 64-row
+    # call, as the oracle's and the certificate's batch rows need
+    rng = np.random.default_rng(17)
+    if n == "random_lq(9)":
+        spec = random_lq(9)
+    else:
+        def mat():
+            return rng.uniform(-1.0, 1.0, (n, n)).tolist()
+
+        def vec():
+            return rng.uniform(-1.0, 1.0, n).tolist()
+
+        spec = builtin("lq_meanfield", n=n, r=n, d=1, h=0.5, N=0, x0=[0.0] * n,
+                       Q=mat(), Q_mean=mat(), R=mat(), q=vec(), q_mean=vec(), r_lin=vec(),
+                       l0=0.3, G=mat(), G_mean=mat(), g=vec(), g_mean=vec(), phi0=-0.2)
+    c = spec.coeffs
+    for size in (5, 64):
+        x, y = rng.normal(size=(2, size, spec.n))
+        u = rng.normal(size=(size, spec.r))
+        running, terminal = c.l(0, x, y, u), c.phi(x, y)
+        for m in range(size):
+            one = slice(m, m + 1)
+            assert c.l(0, x[one], y[one], u[one])[0] == running[m]
+            assert c.phi(x[one], y[one])[0] == terminal[m]
+
+
 def test_project_examples():
     spec = builtin("lq_meanfield", n=1, r=2, d=1, h=1.0, N=0, x0=[0.0],
                    lo=[0.0, 0.0], hi=[1.0, 1.0])

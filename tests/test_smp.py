@@ -324,6 +324,44 @@ FD_CASES = {
 }
 
 
+JACOBIANS = ("f_x", "f_y", "f_u", "sigma_x", "sigma_y", "sigma_u")
+
+
+def _per_node(spec):
+    """`spec` with every Jacobian block copied onto each node of the step."""
+    def spread(fn):
+        def evaluator(k, x, y, u):
+            block = fn(k, x, y, u)
+            return np.broadcast_to(block, (x.shape[0],) + block.shape[1:]).copy()
+        return evaluator
+
+    return dataclasses.replace(spec, coeffs=dataclasses.replace(
+        spec.coeffs, **{name: spread(getattr(spec.coeffs, name)) for name in JACOBIANS}))
+
+
+@pytest.mark.parametrize("case", FD_CASES)
+def test_step_blocks_match_per_node_jacobians_bitwise(case):
+    # a step-constant Jacobian comes as one block with a length-1 node axis;
+    # every consumer broadcasts it, with the bits of the per-node arrays
+    spec = FD_CASES[case]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 8)
+    x, uk = np.zeros((3, spec.n)), u.at(0)[:1].repeat(3, axis=0)
+    assert all(getattr(spec.coeffs, name)(0, x, x, uk).shape[0] == 1 for name in JACOBIANS)
+    spike = random_spike(spec, tree, u, 9, 0.05)
+    runs = []
+    for s in (spec, _per_node(spec)):
+        g, traj, adj = adjoint_gradient(s, tree, u, return_all=True)
+        runs.append((g, adj, duality_residual(s, tree, traj, adj, u, spike)))
+    (g, adj, dual), (g_wide, adj_wide, dual_wide) = runs
+    for k in g.levels():
+        np.testing.assert_array_equal(g.at(k), g_wide.at(k))
+        np.testing.assert_array_equal(adj.q.at(k), adj_wide.q.at(k))
+    for k in range(tree.grid.n_levels):
+        np.testing.assert_array_equal(adj.p.at(k), adj_wide.p.at(k))
+    assert dual == dual_wide and dual <= 1e-10
+
+
 def _rows_per_chunk(monkeypatch, spec, tree, rows):
     """Patch the chunk budget so a finite-difference chunk holds `rows` rows."""
     widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
