@@ -23,6 +23,7 @@ from .forward import check_feasible, cost, simulate
 from .optimize import OptimizerOptions, optimize
 from .problem import parse_problem
 from .prodcons import comparison_csv, comparison_rows, plot_data_csv
+from .report import CheckReport
 from .selftest import report_json, run_selftest
 from .smp import (adjoint_gradient, certify_gradient, duality_residual, necessary_check,
                   sufficiency_check)
@@ -200,16 +201,14 @@ def _check_reports(spec, tree, u, tol, g, traj, adj):
     sufficient = sufficiency_check(spec, tree, traj, adj, u, tol_hamiltonian=max(tol, 1e-6))
     spike = random_spike(spec, tree, u, seed=0, scale=1e-3)
     dual = duality_residual(spec, tree, traj, adj, u, spike)
-    duality_rep = {"name": "duality-identity", "pass": bool(dual <= 1e-10),
-                   "residuals": [{"label": "duality residual", "value": dual,
-                                  "tol": 1e-10, "level": None, "node": None}],
-                   "notes": []}
+    duality = CheckReport("duality-identity")
+    duality.add("duality residual", dual, 1e-10)
     grad_rep = certify_gradient(spec, tree, u, g, traj=traj).to_dict()
     integr = integrability_report(adj, tree)
     return {
         "necessary": necessary.to_dict(),
         "sufficiency": sufficient.to_dict(),
-        "duality": duality_rep,
+        "duality": duality.to_dict(),
         "gradient": grad_rep,
         "integrability": integr.to_dict(),
     }

@@ -137,10 +137,8 @@ class ProblemSpec:
         if self.admissible.n_steps != self.grid.n_steps or self.admissible.r != self.r:
             raise MfsmpError("admissible set shape does not match grid/control dimensions")
 
-    def build_tree(self, node_cap=None):
-        if node_cap is None:
-            return build_tree(self.grid, self.noise)
-        return build_tree(self.grid, self.noise, node_cap)
+    def build_tree(self):
+        return build_tree(self.grid, self.noise)
 
     def objective_value(self, internal_cost):
         """Map the internal minimization value back to the declared direction."""
@@ -204,38 +202,31 @@ def _as_steps(value, n_steps, shape, key):
 
 
 def _lq_tables(n, r, d, n_steps, params, time_varying):
-    """Collect the affine/quadratic coefficient tables, zero-filled by default."""
-    params = dict(params or {})
-    sigma_params = params.pop("sigma", None)
-    shapes = {k: tuple({"n": n, "r": r}[c] for c in spec_shape)
-              for k, spec_shape in _LQ_MATRIX_KEYS.items()}
-    unknown = set(params) - set(shapes)
-    if unknown:
-        raise ConfigError(f"unknown coefficient keys {sorted(unknown)}")
-    tables = {}
-    for key, shape in shapes.items():
-        raw = params.get(key, np.zeros(shape))
-        if not time_varying and isinstance(raw, dict):
-            raise ConfigError(f"{key}: per-step tables are only allowed under 'tables'")
-        tables[key] = _as_steps(raw, n_steps, shape, key)
-    sig_shapes = {k: tuple({"n": n, "r": r}[c] for c in s) for k, s in _LQ_SIGMA_KEYS.items()}
-    sigma_tabs = []
-    sigma_params = sigma_params if sigma_params is not None else [{} for _ in range(d)]
-    if len(sigma_params) != d:
-        raise ConfigError(f"sigma: expected {d} diffusion entries, got {len(sigma_params)}")
-    for j, entry in enumerate(sigma_params):
+    """Stacked affine/quadratic coefficient tables, zero by default: the
+    top-level ones and one dict per diffusion."""
+    size = {"n": n, "r": r}
+
+    def stacked(entry, keys, where):
         entry = dict(entry or {})
-        unknown = set(entry) - set(sig_shapes)
+        unknown = set(entry) - set(keys)
         if unknown:
-            raise ConfigError(f"sigma[{j}]: unknown keys {sorted(unknown)}")
-        tab = {}
-        for key, shape in sig_shapes.items():
+            raise ConfigError(f"unknown coefficient keys {sorted(where + k for k in unknown)}")
+        out = {}
+        for key, dims in keys.items():
+            shape = tuple(size[c] for c in dims)
             raw = entry.get(key, np.zeros(shape))
             if not time_varying and isinstance(raw, dict):
-                raise ConfigError(f"sigma[{j}].{key}: per-step tables only under 'tables'")
-            tab[key] = _as_steps(raw, n_steps, shape, f"sigma[{j}].{key}")
-        sigma_tabs.append(tab)
-    return tables, sigma_tabs
+                raise ConfigError(f"{where}{key}: per-step tables are only allowed under 'tables'")
+            out[key] = _as_steps(raw, n_steps, shape, where + key)
+        return out
+
+    params = dict(params or {})
+    sigma = params.pop("sigma", None)
+    tables = stacked(params, _LQ_MATRIX_KEYS, "")
+    sigma = [{}] * d if sigma is None else sigma
+    if len(sigma) != d:
+        raise ConfigError(f"sigma: expected {d} diffusion entries, got {len(sigma)}")
+    return tables, [stacked(entry, _LQ_SIGMA_KEYS, f"sigma[{j}].") for j, entry in enumerate(sigma)]
 
 
 def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
@@ -245,9 +236,7 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
     `sign` is +1 for minimize, -1 for maximize (flips the cost family only).
     """
     tb = {key: v.copy() for key, v in tables.items()}
-    for key in ("Q", "Q_mean", "G", "G_mean"):
-        tb[key] = sign * np.stack([_sym(m) for m in tb[key]])
-    for key in ("R",):
+    for key in ("Q", "Q_mean", "R", "G", "G_mean"):
         tb[key] = sign * np.stack([_sym(m) for m in tb[key]])
     for key in ("q", "q_mean", "r_lin", "l0", "g", "g_mean", "phi0"):
         tb[key] = sign * tb[key]
@@ -430,14 +419,15 @@ def _number(value, key, kind=float):
     return out
 
 
-def _bound(value):
+def _bound(value, key):
+    """A box bound: a number or "inf"/"+inf"/"-inf"; NaN is refused."""
     if isinstance(value, str):
-        if value in ("inf", "+inf"):
-            return np.inf
-        if value == "-inf":
-            return -np.inf
-        raise ConfigError(f"bound must be a number or 'inf'/'-inf', got {value!r}")
-    return _number(value, "admissible bound")
+        out = {"inf": np.inf, "+inf": np.inf, "-inf": -np.inf}.get(value, np.nan)
+    else:
+        out = _number(value, "admissible bound")
+    if np.isnan(out):
+        raise ConfigError(f"{key}: bound must be a number or 'inf'/'-inf', got {value!r}")
+    return out
 
 
 def _admissible_from_config(entries, n_steps, r):
@@ -452,14 +442,13 @@ def _admissible_from_config(entries, n_steps, r):
         missing = {"t", "lo", "hi"} - set(entry)
         if missing:
             raise ConfigError(f"admissible entry: missing keys {sorted(missing)}")
+        rows = []
         for key in ("lo", "hi"):
-            if not isinstance(entry[key], list):
-                raise ConfigError(f"admissible[{index}].{key}: expected a list of r={r} "
-                                  f"bounds, got {entry[key]!r}")
-        lo_row = np.array([_bound(v) for v in entry["lo"]])
-        hi_row = np.array([_bound(v) for v in entry["hi"]])
-        if lo_row.shape != (r,) or hi_row.shape != (r,):
-            raise ConfigError(f"admissible bounds must have length r={r}")
+            where = f"admissible[{index}].{key}"
+            if not isinstance(entry[key], list) or len(entry[key]) != r:
+                raise ConfigError(f"{where}: expected a list of r={r} bounds, got {entry[key]!r}")
+            rows.append(np.array([_bound(v, where) for v in entry[key]]))
+        lo_row, hi_row = rows
         t = entry["t"]
         if t != "all" and (isinstance(t, bool) or not isinstance(t, int)):
             raise ConfigError(f"admissible.t: expected 'all' or an integer step, got {t!r}")
@@ -495,68 +484,48 @@ def _canonical(obj):
     return obj
 
 
-def builtin(name, params=None, **kw) -> ProblemSpec:
-    """Construct a built-in problem family with analytically exact partials."""
-    params = dict(params or {})
-    params.update(kw)
+def builtin(name, **kw) -> ProblemSpec:
+    """Construct a built-in family from keywords, mapped onto a config document
+    that goes through the parser `parse_problem` runs, with all its checks:
+    n/r/d -> dims; h/N/t0 -> grid; noise/trinomial_p -> noise; x0 (a number
+    for prodcons); lo/hi (LQ) or v_floor/v_cap (prodcons) -> admissible, each
+    a number, one value per coordinate or an (N+1, r) per-step table;
+    direction (LQ only: prodcons maximizes); every other keyword ->
+    family.params."""
     if name == "lq_meanfield":
-        return _builtin_lq(params)
-    if name == "prodcons":
-        return _builtin_prodcons(params)
-    raise ConfigError(f"unknown builtin family {name!r}")
+        dims = {key: kw.pop(key, None) for key in ("n", "r", "d")}
+        x0 = kw.pop("x0", None)
+        lo, hi = kw.pop("lo", -np.inf), kw.pop("hi", np.inf)
+        direction = kw.pop("direction", "minimize")
+    elif name == "prodcons":
+        dims = {"n": 1, "r": 1, "d": 1}
+        x0 = [kw.pop("x0", None)]
+        lo, hi = kw.pop("v_floor", 1e-6), kw.pop("v_cap", np.inf)
+        direction = "maximize"
+    else:
+        raise ConfigError(f"unknown builtin family {name!r}")
+    noise = {"kind": kw.pop("noise", "binary")}
+    if "trinomial_p" in kw:
+        noise["params"] = {"p": kw.pop("trinomial_p")}
+    grid = {"t0": kw.pop("t0", 0.0), "h": kw.pop("h", None), "N": kw.pop("N", None)}
+    return _problem_from_config({
+        "dims": dims, "grid": grid, "noise": noise, "x0": x0,
+        "admissible": _box_entries(lo, hi, grid["N"], dims["r"]), "direction": direction,
+        "family": {"name": name, "params": kw}})
 
 
-def _builtin_lq(params):
-    meta = {k: params.pop(k, None) for k in
-            ("n", "r", "d", "h", "N", "t0", "x0", "lo", "hi", "noise", "trinomial_p", "direction")}
-    for key in ("n", "r", "d", "h", "N", "x0"):
-        if meta[key] is None:
-            raise ConfigError(f"lq_meanfield requires parameter {key!r}")
-    n, r, d = int(meta["n"]), int(meta["r"]), int(meta["d"])
-    grid = TimeGrid(float(meta["t0"] or 0.0), float(meta["h"]), int(meta["N"]))
-    direction = meta["direction"] or "minimize"
-    noise_kind = meta["noise"] or "binary"
-    noise = _noise_from_config(noise_kind,
-                               {"p": meta["trinomial_p"]} if meta["trinomial_p"] else {},
-                               d, grid.h)
-    lo = meta["lo"] if meta["lo"] is not None else -np.inf
-    hi = meta["hi"] if meta["hi"] is not None else np.inf
-    admissible = AdmissibleSet.box(grid.n_steps, r, lo, hi)
-    tables, sigma_tabs = _lq_tables(n, r, d, grid.n_steps, params, time_varying=False)
-    sign = -1.0 if direction == "maximize" else 1.0
-    coeffs = _lq_coeffs(n, r, d, tables, sigma_tabs, sign)
-    raw = _canonical({k: v for k, v in params.items()})
-    return ProblemSpec(n, r, d, grid, noise, meta["x0"], coeffs, admissible,
-                       direction=direction, family="lq_meanfield", family_params=raw)
-
-
-def _builtin_prodcons(params):
-    known = {"delta_util", "depreciation", "h", "N", "x0", "t0", "v_floor", "v_cap",
-             "noise", "trinomial_p"}
-    unknown = set(params) - known
-    if unknown:
-        raise ConfigError(f"prodcons: unknown parameters {sorted(unknown)}")
-    for key in ("delta_util", "h", "N", "x0"):
-        if key not in params:
-            raise ConfigError(f"prodcons requires parameter {key!r}")
-    du = float(params["delta_util"])
-    if not 0.0 < du < 1.0:
-        raise ConfigError(f"prodcons utility exponent must lie in (0, 1), got {du}")
-    dep = float(params.get("depreciation", du))
-    grid = TimeGrid(float(params.get("t0", 0.0)), float(params["h"]), int(params["N"]))
-    noise = _noise_from_config(params.get("noise", "binary"),
-                               {"p": params["trinomial_p"]} if params.get("trinomial_p") else {},
-                               1, grid.h)
-    v_floor = float(params.get("v_floor", 1e-6))
-    v_cap = params.get("v_cap")
-    admissible = AdmissibleSet.box(grid.n_steps, 1, v_floor,
-                                   np.inf if v_cap is None else float(v_cap))
-    coeffs = _prodcons_coeffs(grid, du, dep)
-    # The consumption floor/cap live in the admissible section of the config
-    # schema, so family params carry only the model constants.
-    raw = {"delta_util": du, "depreciation": dep}
-    return ProblemSpec(1, 1, 1, grid, noise, [float(params["x0"])], coeffs, admissible,
-                       direction="maximize", family="prodcons", family_params=raw)
+def _box_entries(lo, hi, n_steps, r):
+    """One `admissible` entry per step for bounds given as a number, one value
+    per coordinate or an (N+1, r) per-step table.  A bound of another shape
+    goes to the parser as it is, which names it."""
+    tables = []
+    for bound in (lo, hi):
+        try:
+            tables.append(np.broadcast_to(np.asarray(bound, dtype=object),
+                                          (n_steps + 1, r)).tolist())
+        except (TypeError, ValueError):
+            tables.append([bound])
+    return [{"t": k, "lo": a, "hi": b} for k, (a, b) in enumerate(zip(*tables))]
 
 
 def parse_problem(config_text: str) -> ProblemSpec:
@@ -565,6 +534,11 @@ def parse_problem(config_text: str) -> ProblemSpec:
         cfg = json.loads(config_text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    return _problem_from_config(cfg)
+
+
+def _problem_from_config(cfg) -> ProblemSpec:
+    """Check a config document key by key and build its ProblemSpec."""
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(cfg) - _TOP_KEYS
@@ -613,49 +587,42 @@ def parse_problem(config_text: str) -> ProblemSpec:
     if direction not in ("minimize", "maximize"):
         raise ConfigError(f"direction: must be 'minimize' or 'maximize', got {direction!r}")
 
-    if "family" in cfg:
-        fam = cfg["family"]
-        extra = set(fam) - {"name", "params"}
+    time_varying = "tables" in cfg
+    if time_varying:
+        name, params = "tables", cfg["tables"]
+    else:
+        extra = set(cfg["family"]) - {"name", "params"}
         if extra:
             raise ConfigError(f"family: unknown keys {sorted(extra)}")
-        name = fam.get("name")
-        fparams = dict(fam.get("params") or {})
-        if name == "lq_meanfield":
-            tables, sigma_tabs = _lq_tables(n, r, d, grid.n_steps, fparams, time_varying=False)
-            sign = -1.0 if direction == "maximize" else 1.0
-            coeffs = _lq_coeffs(n, r, d, tables, sigma_tabs, sign)
-            spec = ProblemSpec(n, r, d, grid, noise, x0, coeffs, admissible,
-                               direction=direction, family="lq_meanfield",
-                               family_params=_canonical(fparams))
-        elif name == "prodcons":
-            if (n, r, d) != (1, 1, 1):
-                raise ConfigError("prodcons requires dims n = r = d = 1")
-            extra = set(fparams) - {"delta_util", "depreciation"}
-            if extra:
-                raise ConfigError(f"prodcons family: unknown params {sorted(extra)}")
-            if "delta_util" not in fparams:
-                raise ConfigError("family.params.delta_util: missing; prodcons needs its "
-                                  "utility exponent in (0, 1)")
-            du = _number(fparams["delta_util"], "family.params.delta_util")
-            if not 0.0 < du < 1.0:
-                raise ConfigError(f"prodcons utility exponent must lie in (0, 1), got {du}")
-            dep = _number(fparams.get("depreciation", du), "family.params.depreciation")
-            if direction != "maximize":
-                raise ConfigError("prodcons is a maximization family; set direction = maximize")
-            coeffs = _prodcons_coeffs(grid, du, dep)
-            spec = ProblemSpec(n, r, d, grid, noise, x0, coeffs, admissible,
-                               direction=direction, family="prodcons",
-                               family_params={"delta_util": du, "depreciation": dep})
-        else:
-            raise ConfigError(f"unknown family name {name!r}")
+        name, params = cfg["family"].get("name"), cfg["family"].get("params")
+    params = dict(params or {})
+    if name == "prodcons":
+        if (n, r, d) != (1, 1, 1):
+            raise ConfigError("prodcons requires dims n = r = d = 1")
+        extra = set(params) - {"delta_util", "depreciation"}
+        if extra:
+            raise ConfigError(f"prodcons family: unknown params {sorted(extra)}")
+        if "delta_util" not in params:
+            raise ConfigError("family.params.delta_util: missing; prodcons needs its "
+                              "utility exponent in (0, 1)")
+        du = _number(params["delta_util"], "family.params.delta_util")
+        if not 0.0 < du < 1.0:
+            raise ConfigError(f"prodcons utility exponent must lie in (0, 1), got {du}")
+        dep = _number(params.get("depreciation", du), "family.params.depreciation")
+        if not np.isfinite(dep):
+            raise ConfigError(f"family.params.depreciation: must be finite, got {dep}")
+        if direction != "maximize":
+            raise ConfigError("prodcons is a maximization family; set direction = maximize")
+        coeffs = _prodcons_coeffs(grid, du, dep)
+        params = {"delta_util": du, "depreciation": dep}
+    elif name == "lq_meanfield" or time_varying:
+        tables, sigma_tabs = _lq_tables(n, r, d, grid.n_steps, params, time_varying)
+        coeffs = _lq_coeffs(n, r, d, tables, sigma_tabs, -1.0 if direction == "maximize" else 1.0)
+        params = _canonical(params)
     else:
-        tables, sigma_tabs = _lq_tables(n, r, d, grid.n_steps, cfg["tables"], time_varying=True)
-        sign = -1.0 if direction == "maximize" else 1.0
-        coeffs = _lq_coeffs(n, r, d, tables, sigma_tabs, sign)
-        spec = ProblemSpec(n, r, d, grid, noise, x0, coeffs, admissible,
-                           direction=direction, family="tables",
-                           family_params=_canonical(cfg["tables"]))
-    return spec
+        raise ConfigError(f"unknown family name {name!r}")
+    return ProblemSpec(n, r, d, grid, noise, x0, coeffs, admissible, direction=direction,
+                       family=name, family_params=params)
 
 
 def to_config(spec: ProblemSpec) -> dict:
@@ -745,8 +712,8 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
         got = np.shape(getattr(c, name)(x, y))
         report.add(f"shape[{name}]", 0.0 if got == shape else 1.0, 0.0)
 
-    def fd_check(label, value_fn, grad_fn, wrt, dim):
-        analytic = np.asarray(grad_fn())
+    def fd_check(label, value_fn, analytic, wrt, dim):
+        analytic = np.asarray(analytic)
         worst = 0.0
         for i in range(dim):
             shift = np.zeros(dim)
@@ -766,17 +733,13 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
             worst = max(worst, float(err))
         report.add(f"fd[{label}]", worst, tol)
 
-    fd_check("f_x", lambda a, b, v: c.f(k, a, b, v), lambda: c.f_x(k, x, y, u), "x", n)
-    fd_check("f_y", lambda a, b, v: c.f(k, a, b, v), lambda: c.f_y(k, x, y, u), "y", n)
-    fd_check("f_u", lambda a, b, v: c.f(k, a, b, v), lambda: c.f_u(k, x, y, u), "u", r)
-    fd_check("sigma_x", lambda a, b, v: c.sigma(k, a, b, v), lambda: c.sigma_x(k, x, y, u), "x", n)
-    fd_check("sigma_y", lambda a, b, v: c.sigma(k, a, b, v), lambda: c.sigma_y(k, x, y, u), "y", n)
-    fd_check("sigma_u", lambda a, b, v: c.sigma(k, a, b, v), lambda: c.sigma_u(k, x, y, u), "u", r)
-    fd_check("l_x", lambda a, b, v: c.l(k, a, b, v), lambda: c.l_x(k, x, y, u), "x", n)
-    fd_check("l_y", lambda a, b, v: c.l(k, a, b, v), lambda: c.l_y(k, x, y, u), "y", n)
-    fd_check("l_u", lambda a, b, v: c.l(k, a, b, v), lambda: c.l_u(k, x, y, u), "u", r)
-    fd_check("phi_x", lambda a, b, v: c.phi(a, b), lambda: c.phi_x(x, y), "x", n)
-    fd_check("phi_y", lambda a, b, v: c.phi(a, b), lambda: c.phi_y(x, y), "y", n)
+    for name in ("f", "sigma", "l"):
+        fn = getattr(c, name)
+        for wrt, dim in (("x", n), ("y", n), ("u", r)):
+            fd_check(f"{name}_{wrt}", lambda a, b, v, fn=fn: fn(k, a, b, v),
+                     getattr(c, f"{name}_{wrt}")(k, x, y, u), wrt, dim)
+    for wrt in ("x", "y"):
+        fd_check(f"phi_{wrt}", lambda a, b, v: c.phi(a, b), getattr(c, f"phi_{wrt}")(x, y), wrt, n)
 
     report.add("boxes nonempty",
                0.0 if np.all(spec.admissible.lo <= spec.admissible.hi) else 1.0, 0.0)

@@ -331,12 +331,10 @@ def cond_expect_noise(tree, proc, level):
                        level)
 
 
-def expect(tree, proc, level, node=None):
+def expect(tree, proc, level):
     """Unconditional expectation at a level: absolute-probability weighted sum."""
     tree._check_level(level)
     values = _level_values(tree, proc, level)
-    if node is not None:
-        raise MfsmpError("expect is a total expectation; it takes no node argument")
     return np.einsum("m...,m->...", values, tree.abs_prob[level])
 
 

@@ -407,9 +407,22 @@ def _admissible_steps(cfg, entries):
     (lambda c: c.update(family={"name": "prodcons", "params": {"depreciation": 0.5}},
                         direction="maximize"),
      "family.params.delta_util: missing; prodcons needs its utility exponent in (0, 1)"),
+    (lambda c: c.update(admissible=[{"t": "all", "lo": [-1.0], "hi": [float("nan")]}]),
+     "admissible[0].hi: bound must be a number or 'inf'/'-inf', got nan"),
+    (lambda c: c.update(admissible=[{"t": "all", "lo": [float("nan")], "hi": [1.0]}]),
+     "admissible[0].lo: bound must be a number or 'inf'/'-inf', got nan"),
+    (lambda c: c.update(family={"name": "prodcons",
+                                "params": {"delta_util": 0.5, "depreciation": float("nan")}},
+                        direction="maximize"),
+     "family.params.depreciation: must be finite, got nan"),
+    (lambda c: c.update(family={"name": "prodcons",
+                                "params": {"delta_util": 0.5, "depreciation": float("-inf")}},
+                        direction="maximize"),
+     "family.params.depreciation: must be finite, got -inf"),
 ], ids=["trinomial-p", "empty-box", "support-sum", "support-second-moment", "support-mean",
         "direction", "step-string", "step-float", "missing-hi", "scalar-lo", "scalar-hi",
-        "prodcons-no-delta-util"])
+        "prodcons-no-delta-util", "nan-hi", "nan-lo", "prodcons-nan-depreciation",
+        "prodcons-infinite-depreciation"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, mutate, message):
     cfg = json.loads(json.dumps(ZERO_CONFIG))
     mutate(cfg)

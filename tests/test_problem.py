@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mfsmp.errors import ConfigError, MfsmpError
 from mfsmp.forward import constant_control, cost
-from mfsmp.instances import e1_problem, random_lq, random_prodcons
+from mfsmp.instances import e1_problem, random_control, random_lq, random_prodcons
 from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, project,
                            serialize_problem, to_config, validate_spec)
 
@@ -192,6 +192,22 @@ def test_prodcons_requires_unit_interval_exponent():
         builtin("mystery")
 
 
+@pytest.mark.parametrize("change, key", [
+    ({"N": 2.5}, "grid.N"),
+    ({"n": 0}, "dims.n"),
+    ({"r": 1.7}, "dims.r"),
+    ({"t0": float("inf")}, "grid"),
+    ({"noise": "trinomial", "trinomial_p": 0.0}, "noise.params.p"),
+    ({"x0": [0.0, 0.0]}, "x0"),
+], ids=["fractional-N", "zero-n", "fractional-r", "infinite-t0", "trinomial-p-zero",
+        "long-x0"])
+def test_builtin_refuses_what_the_parser_refuses(change, key):
+    # builtin keywords go through the config parser, so they meet its checks
+    keywords = dict(n=1, r=1, d=1, h=1.0, N=1, x0=[0.0], R=[[1.0]], lo=-1.0, hi=1.0)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[:. ]"):
+        builtin("lq_meanfield", **{**keywords, **change})
+
+
 STEP_EVALUATORS = ("f", "f_x", "f_y", "f_u", "sigma", "sigma_x", "sigma_y", "sigma_u",
                    "l", "l_x", "l_y", "l_u")
 
@@ -306,12 +322,37 @@ def test_project_idempotent_and_nonexpansive(values):
     assert np.linalg.norm(once - box.project(0, w)) <= np.linalg.norm(v - w) + 1e-12
 
 
-def test_roundtrip_serialization():
-    for spec in (e1_problem(), random_prodcons(1), random_lq(2)):
-        text = serialize_problem(spec)
-        again = parse_problem(text)
-        assert to_config(again) == to_config(spec)
-        assert serialize_problem(again) == text
+def _per_step_box(seed):
+    """Boxed LQ whose bounds change from step to step, some of them infinite."""
+    rng = np.random.default_rng(seed)
+    lo = -rng.uniform(0.1, 2.0, (3, 2))
+    hi = rng.uniform(0.1, 2.0, (3, 2))
+    lo[1, 0], hi[2, 1] = -np.inf, np.inf
+    spec = builtin("lq_meanfield", n=2, r=2, d=1, h=0.5, N=2, x0=rng.uniform(-1, 1, 2),
+                   B=rng.uniform(-1, 1, (2, 2)), R=np.eye(2), Q=np.eye(2), G=np.eye(2),
+                   lo=lo, hi=hi)
+    np.testing.assert_array_equal(spec.admissible.lo, lo)
+    np.testing.assert_array_equal(spec.admissible.hi, hi)
+    return spec
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["lq", "prodcons", "per-step box"]),
+       seed=st.integers(0, 2 ** 32 - 1), bounded=st.booleans(), mean_field=st.booleans())
+def test_roundtrip_serialization(kind, seed, bounded, mean_field):
+    """A spec's config document parses back to the same config and the same
+    cost, bit for bit, at a random admissible control."""
+    if kind == "lq":
+        spec = random_lq(seed, bounded=bounded, mean_field=mean_field)
+    else:
+        spec = random_prodcons(seed) if kind == "prodcons" else _per_step_box(seed)
+    text = serialize_problem(spec)
+    again = parse_problem(text)
+    assert to_config(again) == to_config(spec)
+    assert serialize_problem(again) == text
+    tree = spec.build_tree()
+    u = random_control(spec, tree, seed=seed)
+    assert cost(again, again.build_tree(), u) == cost(spec, tree, u)
 
 
 def test_roundtrip_time_varying_tables():
