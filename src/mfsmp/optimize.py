@@ -5,6 +5,14 @@ The iteration is u <- project(u - alpha * g) with g the adjoint-based gradient
 Boxes make the projection exact and cheap, and the predicted-decrease inner
 product carries the node probabilities (the Euclidean gradient of the stacked
 cost), so accepted steps decrease J monotonically.
+
+Each backtracking search starts from the spectral step of Barzilai & Borwein
+(IMA J. Numer. Anal. 8(1), 1988), alpha = <s, s>_P / <s, y>_P, where s is the
+last accepted step u_k - u_{k-1}, y = g_k - g_{k-1} and <., .>_P the same
+probability-weighted pairing; this is the trial step of SPG (Birgin, Martinez
+& Raydan, SIAM J. Optim. 10(4), 2000) with a monotone Armijo test.  It is
+clamped to [STEP_MIN, STEP_MAX]; the first iteration, and any iteration where
+<s, y>_P <= 0 or the ratio is not finite, starts from `step_init` instead.
 """
 
 from dataclasses import dataclass, field
@@ -16,11 +24,14 @@ from .forward import batch_cost, cost, simulate
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
 
+STEP_MIN = 1e-10  # clamp of the spectral trial step
+STEP_MAX = 1e10
+
 
 @dataclass
 class OptimizerOptions:
     max_iters: int = 500
-    step_init: float = 1.0
+    step_init: float = 1.0  # first and fallback trial step
     armijo_c: float = 1e-4
     shrink: float = 0.5
     grad_tol: float = 1e-8
@@ -39,7 +50,8 @@ class OptimizeResult:
     u: AdaptedProcess
     cost: float
     iterations: int
-    history: list = field(default_factory=list)  # rows [J, projected-gradient norm]
+    # rows [J, projected-gradient norm, accepted step, backtracks]; row 0 has step 0.0
+    history: list = field(default_factory=list)
     reason: str = ""
 
 
@@ -63,20 +75,28 @@ def _initial_control(spec, tree, options) -> AdaptedProcess:
     return _project_control(spec, u)
 
 
-def _predicted_decrease(tree, u, trial, g) -> float:
-    """<grad J, u - trial> in stacked coordinates (probability-weighted)."""
-    total = 0.0
-    for k in u.levels():
-        per_node = np.einsum("ma,ma->m", g.at(k), u.at(k) - trial.at(k))
-        total += float(expect(tree, per_node, k))
-    return total
+def _inner(tree, a, b) -> float:
+    """<a, b>_P = sum_k E[a_k . b_k] over per-level arrays a[k], b[k]: the
+    probability-weighted pairing in which g is the gradient of J."""
+    return sum(float(expect(tree, np.einsum("ma,ma->m", a[k], b[k]), k))
+               for k in range(len(a)))
+
+
+def _spectral_step(tree, s, y, fallback) -> float:
+    """BB1 step <s, s>_P / <s, y>_P, clamped to [STEP_MIN, STEP_MAX]; `fallback`
+    where the curvature <s, y>_P is not positive or the ratio not finite."""
+    sy = _inner(tree, s, y)
+    alpha = _inner(tree, s, s) / sy if sy > 0.0 else np.inf
+    if not np.isfinite(alpha):
+        return fallback
+    return min(max(alpha, STEP_MIN), STEP_MAX)
 
 
 def _pg_norm(spec, u, g) -> float:
     """Sup norm of the unit-step projected gradient displacement."""
     worst = 0.0
     for k in u.levels():
-        moved = spec.admissible.project(k, u.at(k) - g.at(k))
+        moved = spec.admissible.project(k, u.at(k) - g[k])
         worst = max(worst, float(np.max(np.abs(moved - u.at(k)), initial=0.0)))
     return worst
 
@@ -99,39 +119,42 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
     if not np.isfinite(j_val):
         raise CostDomainError("cost undefined at the (projected) initial control")
     history = []
-    reason = "max-iters"
-    iterations = 0
-    for _ in range(options.max_iters):
+    iterations, alpha, backtracks = 0, 0.0, 0
+    stalled = False
+    step = g_prev = None
+    while True:
         g = adjoint_gradient(spec, tree, u, traj=traj)
+        g = [g.at(k) for k in u.levels()]
         pg = _pg_norm(spec, u, g)
-        history.append([j_val, pg])
+        history.append([j_val, pg, alpha, backtracks])
         if pg <= options.grad_tol:
             reason = "gradient-tolerance"
             break
-        alpha = options.step_init
-        accepted = False
+        if stalled:
+            reason = "cost-stall"
+            break
+        if iterations >= options.max_iters:
+            reason = "max-iters"
+            break
+        alpha = options.step_init if step is None else _spectral_step(
+            tree, step, [a - b for a, b in zip(g, g_prev)], options.step_init)
+        backtracks = 0
         while alpha > 1e-16:
-            trial = u.copy()
-            for k in u.levels():
-                trial.set_level(k, spec.admissible.project(k, u.at(k) - alpha * g.at(k)))
-            predicted = _predicted_decrease(tree, u, trial, g)
+            trial = AdaptedProcess(tree, 0, [spec.admissible.project(k, u.at(k) - alpha * g[k])
+                                             for k in u.levels()])
+            step = [trial.at(k) - u.at(k) for k in u.levels()]
+            predicted = -_inner(tree, g, step)
             j_trial, traj_trial = _safe_cost(spec, tree, trial)
             if np.isfinite(j_trial) and j_trial <= j_val - options.armijo_c * predicted:
-                accepted = True
                 break
             alpha *= options.shrink
-        if not accepted:
+            backtracks += 1
+        else:
             reason = "line-search-failure"
             break
         iterations += 1
-        decrease = j_val - j_trial
-        u, j_val, traj = trial, j_trial, traj_trial
-        if decrease <= options.stall_tol:
-            history.append([j_val, _pg_norm(spec, u, adjoint_gradient(spec, tree, u, traj=traj))])
-            reason = "cost-stall"
-            break
-    else:
-        history.append([j_val, _pg_norm(spec, u, adjoint_gradient(spec, tree, u, traj=traj))])
+        stalled = j_val - j_trial <= options.stall_tol
+        u, j_val, traj, g_prev = trial, j_trial, traj_trial, g
     return OptimizeResult(u=u, cost=j_val, iterations=iterations,
                           history=history, reason=reason)
 

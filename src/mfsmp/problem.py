@@ -207,7 +207,6 @@ def _lq_tables(n, r, d, n_steps, params, time_varying):
     size = {"n": n, "r": r}
 
     def stacked(entry, keys, where):
-        entry = dict(entry or {})
         unknown = set(entry) - set(keys)
         if unknown:
             raise ConfigError(f"unknown coefficient keys {sorted(where + k for k in unknown)}")
@@ -220,13 +219,14 @@ def _lq_tables(n, r, d, n_steps, params, time_varying):
             out[key] = _as_steps(raw, n_steps, shape, where + key)
         return out
 
-    params = dict(params or {})
+    params = dict(params)
     sigma = params.pop("sigma", None)
     tables = stacked(params, _LQ_MATRIX_KEYS, "")
     sigma = [{}] * d if sigma is None else sigma
-    if len(sigma) != d:
-        raise ConfigError(f"sigma: expected {d} diffusion entries, got {len(sigma)}")
-    return tables, [stacked(entry, _LQ_SIGMA_KEYS, f"sigma[{j}].") for j, entry in enumerate(sigma)]
+    if not isinstance(sigma, list) or len(sigma) != d:
+        raise ConfigError(f"sigma: expected a list of {d} diffusion entries, got {sigma!r}")
+    return tables, [stacked(_object(entry, f"sigma[{j}]"), _LQ_SIGMA_KEYS, f"sigma[{j}].")
+                    for j, entry in enumerate(sigma)]
 
 
 def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
@@ -419,6 +419,16 @@ def _number(value, key, kind=float):
     return out
 
 
+def _object(value, key) -> dict:
+    """`value` when it is a JSON object (null reads as an empty one), else a
+    ConfigError naming `key`."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: expected a JSON object, got {value!r}")
+    return value
+
+
 def _bound(value, key):
     """A box bound: a number or "inf"/"+inf"/"-inf"; NaN is refused."""
     if isinstance(value, str):
@@ -436,6 +446,7 @@ def _admissible_from_config(entries, n_steps, r):
     lo = np.full((n_steps + 1, r), np.nan)
     hi = np.full((n_steps + 1, r), np.nan)
     for index, entry in enumerate(entries):
+        entry = _object(entry, f"admissible[{index}]")
         extra = set(entry) - {"t", "lo", "hi"}
         if extra:
             raise ConfigError(f"admissible entry: unknown keys {sorted(extra)}")
@@ -550,14 +561,14 @@ def _problem_from_config(cfg) -> ProblemSpec:
     if ("family" in cfg) == ("tables" in cfg):
         raise ConfigError("config needs exactly one of 'family' or 'tables'")
 
-    dims = cfg["dims"]
+    dims = _object(cfg["dims"], "dims")
     if set(dims) != {"n", "r", "d"}:
         raise ConfigError("dims must have exactly keys n, r, d")
     n, r, d = (_number(dims[key], f"dims.{key}", int) for key in ("n", "r", "d"))
     for key, value in (("n", n), ("r", r), ("d", d)):
         if value < 1:
             raise ConfigError(f"dims.{key}: must be >= 1, got {value}")
-    gr = cfg["grid"]
+    gr = _object(cfg["grid"], "grid")
     if set(gr) != {"t0", "h", "N"}:
         raise ConfigError("grid must have exactly keys t0, h, N")
     t0, h = _number(gr["t0"], "grid.t0"), _number(gr["h"], "grid.h")
@@ -569,11 +580,12 @@ def _problem_from_config(cfg) -> ProblemSpec:
     if n_steps < 0:
         raise ConfigError(f"grid.N: number of control steps must be >= 0, got {n_steps}")
     grid = TimeGrid(t0, h, n_steps)
-    noise_cfg = cfg["noise"]
+    noise_cfg = _object(cfg["noise"], "noise")
     extra = set(noise_cfg) - {"kind", "params"}
     if extra:
         raise ConfigError(f"noise: unknown keys {sorted(extra)}")
-    noise = _noise_from_config(noise_cfg.get("kind"), noise_cfg.get("params"), d, grid.h)
+    noise = _noise_from_config(noise_cfg.get("kind"),
+                               _object(noise_cfg.get("params"), "noise.params"), d, grid.h)
     try:
         x0 = np.asarray(cfg["x0"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -589,13 +601,14 @@ def _problem_from_config(cfg) -> ProblemSpec:
 
     time_varying = "tables" in cfg
     if time_varying:
-        name, params = "tables", cfg["tables"]
+        name, params = "tables", _object(cfg["tables"], "tables")
     else:
-        extra = set(cfg["family"]) - {"name", "params"}
+        family = _object(cfg["family"], "family")
+        extra = set(family) - {"name", "params"}
         if extra:
             raise ConfigError(f"family: unknown keys {sorted(extra)}")
-        name, params = cfg["family"].get("name"), cfg["family"].get("params")
-    params = dict(params or {})
+        name, params = family.get("name"), _object(family.get("params"), "family.params")
+    params = dict(params)
     if name == "prodcons":
         if (n, r, d) != (1, 1, 1):
             raise ConfigError("prodcons requires dims n = r = d = 1")

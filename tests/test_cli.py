@@ -419,10 +419,15 @@ def _admissible_steps(cfg, entries):
                                 "params": {"delta_util": 0.5, "depreciation": float("-inf")}},
                         direction="maximize"),
      "family.params.depreciation: must be finite, got -inf"),
+    (lambda c: c.update(dims=5), "dims: expected a JSON object, got 5"),
+    (lambda c: c.update(admissible=[5]), "admissible[0]: expected a JSON object, got 5"),
+    (lambda c: c.update(family={"name": "lq_meanfield", "params": [["A", [[1.0]]]]}),
+     "family.params: expected a JSON object, got [['A', [[1.0]]]]"),
 ], ids=["trinomial-p", "empty-box", "support-sum", "support-second-moment", "support-mean",
         "direction", "step-string", "step-float", "missing-hi", "scalar-lo", "scalar-hi",
         "prodcons-no-delta-util", "nan-hi", "nan-lo", "prodcons-nan-depreciation",
-        "prodcons-infinite-depreciation"])
+        "prodcons-infinite-depreciation", "dims-not-object", "admissible-entry-not-object",
+        "family-params-list"])
 def test_solve_config_errors_exit_2(tmp_path, capsys, mutate, message):
     cfg = json.loads(json.dumps(ZERO_CONFIG))
     mutate(cfg)

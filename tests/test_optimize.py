@@ -7,7 +7,7 @@ from mfsmp.adjoint import linearize, solve_adjoint
 from mfsmp.errors import CostDomainError, MfsmpError
 from mfsmp.forward import (check_feasible, constant_control, cost, forward_levels, level_cost,
                            simulate)
-from mfsmp.instances import random_lq
+from mfsmp.instances import random_lq, random_prodcons
 from mfsmp.optimize import OptimizerOptions, brute_force, optimize
 from mfsmp.problem import builtin, parse_problem
 from mfsmp.smp import necessary_check
@@ -51,6 +51,23 @@ def test_max_iters_termination(e1):
     result = optimize(spec, tree, constant_control(spec, tree, 1.0),
                       OptimizerOptions(max_iters=1, step_init=1e-3))
     assert result.reason == "max-iters" and result.iterations == 1
+    assert len(result.history) == 2  # the start and the one iterate, each with its gradient
+
+
+def test_stall_below_grad_tol_is_gradient_tolerance(e1):
+    # an infinite stall tolerance stops after the first step; the label then
+    # depends only on that iterate's projected gradient
+    spec, tree = e1
+    u0 = constant_control(spec, tree, 1.0)
+    stalled = optimize(spec, tree, u0, OptimizerOptions(step_init=0.2, grad_tol=1e-300,
+                                                        stall_tol=np.inf))
+    assert stalled.reason == "cost-stall" and stalled.iterations == 1
+    pg = stalled.history[-1][1]
+    assert pg > 0.0
+    certified = optimize(spec, tree, u0, OptimizerOptions(step_init=0.2, grad_tol=pg,
+                                                          stall_tol=np.inf))
+    assert certified.reason == "gradient-tolerance" and certified.iterations == 1
+    assert certified.history == stalled.history
 
 
 def test_infeasible_cost_at_start_raises():
@@ -235,28 +252,112 @@ def test_optimizer_matches_oracle_on_convex_instances():
         assert necessary_check(spec, tree, traj, adj, result.u, tol=1e-6).passed
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _optimize_module():
+    import importlib
+    return importlib.import_module("mfsmp.optimize")  # the package exports the function
+
+
 def test_optimize_simulates_each_trial_once(monkeypatch):
     # the accepted trial's trajectory goes on to the next adjoint gradient,
     # so the gradient never simulates a control the line search just ran
-    import importlib
     from mfsmp import smp
-    opt_module = importlib.import_module("mfsmp.optimize")  # the package exports the function
+    opt_module = _optimize_module()
     spec = random_lq(3, steps_max=3, convex=True)
     tree = spec.build_tree()
-    calls = {"optimize": 0, "smp": 0, "cost": 0}
-
-    def counted(module, name, key):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(opt_module, "simulate", "optimize")
-    counted(smp, "simulate", "smp")
-    counted(opt_module, "cost", "cost")
+    calls, smp_calls = {}, {}
+    _count_calls(monkeypatch, opt_module, "simulate", calls)
+    _count_calls(monkeypatch, opt_module, "cost", calls)
+    _count_calls(monkeypatch, smp, "simulate", smp_calls)
     result = optimize(spec, tree, options=OptimizerOptions(max_iters=20, seed=1))
-    assert calls["smp"] == 0
+    assert smp_calls == {}
     # one trajectory per cost evaluation: the start and every line-search trial
-    assert calls["optimize"] == calls["cost"] > result.iterations
+    assert calls["simulate"] == calls["cost"] > result.iterations
+
+
+def test_history_rows_count_steps_and_backtracks(monkeypatch, e1):
+    # every line-search trial is one cost call, and the start is one more
+    opt_module = _optimize_module()
+    prodcons = builtin("prodcons", delta_util=0.5, h=0.5, N=3, x0=1.0, v_floor=0.05, v_cap=2.0)
+    for spec, tree in (e1, (prodcons, prodcons.build_tree())):
+        calls = {}
+        _count_calls(monkeypatch, opt_module, "cost", calls)
+        result = optimize(spec, tree, constant_control(spec, tree, 1.0),
+                          OptimizerOptions(stall_tol=1e-16))
+        monkeypatch.undo()
+        assert result.history[0][2:] == [0.0, 0]
+        assert all(len(row) == 4 and row[2] > 0.0 for row in result.history[1:])
+        backtracks = sum(row[3] for row in result.history)
+        assert result.iterations + backtracks == calls["cost"] - 1
+        assert len(result.history) == result.iterations + 1
+
+
+def test_spectral_step_cuts_gradients_on_convex_instances(monkeypatch):
+    opt_module = _optimize_module()
+    calls = {}
+    _count_calls(monkeypatch, opt_module, "adjoint_gradient", calls)
+    for seed in range(10):
+        spec = random_lq(seed, convex=True)
+        result = optimize(spec, spec.build_tree(), options=OptimizerOptions(stall_tol=1e-16))
+        assert result.reason == "gradient-tolerance"
+    assert calls["adjoint_gradient"] <= 200
+
+
+def test_nonpositive_curvature_falls_back_to_step_init(monkeypatch):
+    # J is concave in u, so <s, y>_P < 0 along every free step: each search
+    # after the first starts from step_init, and J still falls monotonically
+    opt_module = _optimize_module()
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=2, x0=[0.2],
+                   B=[[1.0]], sigma=[{"s0": [0.5]}], Q=[[0.5]], R=[[-1.0]], r_lin=[0.05],
+                   lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    seen = []
+    spectral = opt_module._spectral_step
+
+    def spy(tree, s, y, fallback):
+        alpha = spectral(tree, s, y, fallback)
+        seen.append((opt_module._inner(tree, s, y), alpha, fallback))
+        return alpha
+    monkeypatch.setattr(opt_module, "_spectral_step", spy)
+    options = OptimizerOptions(step_init=0.3, stall_tol=1e-16)
+    result = optimize(spec, tree, constant_control(spec, tree, 0.01), options)
+    fallbacks = [alpha for sy, alpha, fallback in seen if sy <= 0.0]
+    assert fallbacks and all(alpha == options.step_init for alpha in fallbacks)
+    js = [row[0] for row in result.history]
+    assert all(b < a for a, b in zip(js, js[1:]))
+    assert result.reason == "gradient-tolerance"
+    assert np.all(np.abs(np.concatenate([result.u.at(k) for k in result.u.levels()])) == 1.0)
+
+
+def test_iterates_stay_feasible_under_an_active_box(monkeypatch):
+    # the linear cost pushes the unconstrained minimizer outside [-0.2, 0.2];
+    # every trial the line search evaluates lies in the box, and so does the result
+    opt_module = _optimize_module()
+    spec = builtin("lq_meanfield", n=2, r=2, d=1, h=0.5, N=3, x0=[0.3, -0.2],
+                   A=[[0.1, 0.2], [0.0, -0.3]], B=[[1.0, 0.5], [0.2, 1.0]],
+                   sigma=[{"s0": [0.2, 0.1], "C": [[0.2, 0.0], [0.0, 0.1]]}],
+                   Q=[[1.0, 0.0], [0.0, 1.0]], R=[[1.0, 0.0], [0.0, 2.0]],
+                   r_lin=[0.9, -0.7], lo=-0.2, hi=0.2)
+    tree = spec.build_tree()
+    trials = []
+    safe_cost = opt_module._safe_cost
+
+    def spy(spec, tree, u):
+        trials.append(u)
+        return safe_cost(spec, tree, u)
+    monkeypatch.setattr(opt_module, "_safe_cost", spy)
+    result = optimize(spec, tree, options=OptimizerOptions(seed=4, stall_tol=1e-16))
+    assert len(trials) > 2
+    for u in trials:
+        check_feasible(spec, tree, u, tol=0.0)
+    on_bound = np.concatenate([np.abs(result.u.at(k)) == 0.2 for k in result.u.levels()])
+    assert on_bound.any() and not on_bound.all()
+    assert result.reason == "gradient-tolerance"

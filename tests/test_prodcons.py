@@ -63,3 +63,10 @@ def test_comparison_differs_at_half_step_and_agrees_at_unit_step():
     assert not any(row["p_agree"] for row in rows[:-1])
     _, _, rows_unit = comparison_rows(0.5, 1.0, 3)
     assert all(row["p_agree"] for row in rows_unit)
+
+
+def test_general_run_meets_first_order_tolerance():
+    # the cost stalls only at its floating-point floor, so the general solver
+    # ends below the 1e-6 first-order tolerance at unit step
+    _, _, result, _, _ = general_run(0.5, 1.0, 5)
+    assert result.history[-1][1] <= 1e-6
