@@ -137,10 +137,13 @@ def apply_transition(data: LinearSystemData, tree, k: int, z) -> np.ndarray:
 
 def _transpose_local(data, tree, k, ep, qk):
     """Level-k part of the transposed step-k transition, given E{v | F_k} and
-    E{v w^j | F_k} of the level-k+1 values v."""
+    E{v w^j | F_k} of the level-k+1 values v.  The mean-field terms are the
+    node-wise contractions of the local terms followed by one
+    probability-weighted sum over the level, so a step-constant block and its
+    per-node copy go through the same arithmetic."""
     w = tree.abs_prob[k]
-    mean_drift = np.einsum("m,mij,mi->j", w, data.drift_mean[k], ep)
-    mean_diff = np.einsum("m,mjab,mja->b", w, data.diff_mean[k], qk)
+    mean_drift = w @ np.einsum("mij,mi->mj", data.drift_mean[k], ep)
+    mean_diff = w @ np.einsum("mjab,mja->mb", data.diff_mean[k], qk)
     return (ep
             + np.einsum("mij,mi->mj", data.drift_x[k], ep)
             + np.einsum("mjab,mja->mb", data.diff_x[k], qk)

@@ -194,9 +194,14 @@ class ScenarioTree:
         leading axes a batch, to the children: child c of node i gets
         base[i] + sum_j w^j_c diff[i, j], w_c the increment on its edge.  Its
         transpose is (cond_expect, cond_expect_noise) of the child values."""
-        inc = self._edge_increments[:self.level_sizes[level + 1]]
-        return (np.repeat(base, self.branch, axis=-2)
-                + np.einsum("cj,...cjn->...cn", inc, np.repeat(diff, self.branch, axis=-3)))
+        inc = self.increments(level + 1)  # MfsmpError unless 0 <= level <= N
+        # one repeat and one multiply-add per noise component; the noise
+        # terms are summed in component order and the base is added last,
+        # the order that fixes every forward state to the bit
+        noise = inc[:, 0, None] * np.repeat(diff[..., 0, :], self.branch, axis=-2)
+        for j in range(1, inc.shape[1]):
+            noise += inc[:, j, None] * np.repeat(diff[..., j, :], self.branch, axis=-2)
+        return np.repeat(base, self.branch, axis=-2) + noise
 
     def _check_level(self, level, lo=0):
         if not lo <= level < self.n_levels:

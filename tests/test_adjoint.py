@@ -1,15 +1,23 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mfsmp.adjoint import (LinearSystemData, apply_transition, apply_transition_adjoint,
-                           closed_form_costate, integrability_report, linearize,
-                           propagate, q_definition_residual, solve_adjoint,
+from mfsmp.adjoint import (LinearSystemData, _transpose_local, apply_transition,
+                           apply_transition_adjoint, closed_form_costate, integrability_report,
+                           linearize, propagate, q_definition_residual, solve_adjoint,
                            solve_linear_forward, variation_of_constants)
 from mfsmp.errors import MfsmpError
 from mfsmp.forward import constant_control, simulate
-from mfsmp.instances import random_control, random_lq, random_prodcons
-from mfsmp.problem import builtin
-from mfsmp.tree import NoiseModel, TimeGrid, build_tree
+from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
+                             smooth_nonlinear)
+from mfsmp.problem import builtin, parse_problem, to_config
+from mfsmp.smp import duality_residual
+from mfsmp.tree import (NoiseModel, TimeGrid, build_tree, cond_expect, cond_expect_noise,
+                        expect)
 
 
 def _solved(spec, u_value):
@@ -375,3 +383,154 @@ def test_prodcons_duality_residual_smoke():
     traj = simulate(spec, tree, u)
     adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
     assert q_definition_residual(adj, tree) <= 1e-14
+
+
+def _noise_doc(kind, h):
+    """Config entry of a noise law: the binary and trinomial families or an
+    asymmetric three-point custom support, all with E w = 0 and E w^2 = h."""
+    if kind == "custom":
+        a = float(np.sqrt(h / 1.2))
+        return {"kind": "custom", "params": {"support": [[-2.0 * a, 0.2], [0.0, 0.4], [a, 0.4]]}}
+    return {"kind": "trinomial", "params": {"p": 0.2}} if kind == "trinomial" else {"kind": kind}
+
+
+def _noise_model(kind, d, h):
+    doc = _noise_doc(kind, h)
+    if kind == "custom":
+        return NoiseModel.from_support(d, h, doc["params"]["support"])
+    return NoiseModel.trinomial(d, h, 0.2) if kind == "trinomial" else NoiseModel.binary(d, h)
+
+
+def _smooth_nonlinear(seed, kind, d):
+    """`smooth_nonlinear(seed)` on the noise law `kind` with d components.
+    At d = 2 the second one carries the diffusion 0.3 tanh(E x), whose
+    Jacobian in the mean is a per-node array."""
+    spec = smooth_nonlinear(seed)
+    c, n, r = spec.coeffs, spec.n, spec.r
+
+    def second(fn, extra):
+        if d == 1:
+            return fn
+        return lambda k, x, y, u: np.concatenate([fn(k, x, y, u), extra(x, y)], axis=1)
+
+    def dtanh(x, y):
+        return np.einsum("mi,ij->mij", 0.3 * (1.0 - np.tanh(y) ** 2), np.eye(n))[:, None]
+
+    coeffs = dataclasses.replace(
+        c, sigma=second(c.sigma, lambda x, y: 0.3 * np.tanh(y)[:, None]),
+        sigma_x=second(c.sigma_x, lambda x, y: np.zeros((x.shape[0], 1, n, n))),
+        sigma_y=second(c.sigma_y, dtanh),
+        sigma_u=lambda k, x, y, u: np.zeros((x.shape[0], d, n, r)))
+    return dataclasses.replace(spec, d=d, noise=_noise_model(kind, d, spec.grid.h), coeffs=coeffs)
+
+
+LQ_D2 = dict(
+    n=2, r=1, d=2, h=0.5, N=2, x0=[0.3, -1.0], A=[[0.1, 0.2], [0.0, -0.3]],
+    A_mean=[[0.05, 0.1], [-0.2, 0.1]], B=[[1.0], [0.2]],
+    sigma=[{"s0": [0.1, 0.2], "C": [[0.1, 0.0], [0.0, 0.2]], "C_mean": [[0.3, -0.1], [0.0, 0.2]]},
+           {"s0": [0.3, 0.0], "C_mean": [[0.0, 0.1], [0.1, 0.0]]}],
+    R=[[2.0]], G=[[1.0, 0.0], [0.0, 1.0]], G_mean=[[0.2, 0.0], [0.0, 0.2]], lo=-1.0, hi=1.0)
+
+
+def _einsum_transpose_local(data, tree, k, ep, qk):
+    """`_transpose_local` with each mean-field term as one three-operand
+    einsum over the level, the reference for the level-reduced form."""
+    w = tree.abs_prob[k]
+    return (ep
+            + np.einsum("mij,mi->mj", data.drift_x[k], ep)
+            + np.einsum("mjab,mja->mb", data.diff_x[k], qk)
+            + np.einsum("m,mij,mi->j", w, data.drift_mean[k], ep)
+            + np.einsum("m,mjab,mja->b", w, data.diff_mean[k], qk))
+
+
+@pytest.mark.parametrize("case", ["lq step blocks", "smooth-nonlinear per node"])
+def test_transpose_local_means_match_three_operand_einsum(case):
+    if case == "lq step blocks":
+        spec = builtin("lq_meanfield", **LQ_D2)
+    else:
+        spec = _smooth_nonlinear(3, "binary", 2)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 5)
+    data = linearize(spec, tree, simulate(spec, tree, u), u)
+    per_node = case != "lq step blocks"
+    assert all((a.shape[0] > 1) == per_node for a in data.drift_mean[1:] + data.diff_mean[1:])
+    assert spec.d == 2 and all(np.any(a != 0.0) for a in data.drift_mean + data.diff_mean)
+    magnitudes = dataclasses.replace(data, **{
+        name: [np.abs(a) for a in getattr(data, name)]
+        for name in ("drift_x", "drift_mean", "diff_x", "diff_mean")})
+    rng = np.random.default_rng(6)
+    for k in range(tree.grid.n_steps + 1):
+        v = rng.uniform(-1.0, 1.0, (tree.size(k + 1), spec.n))
+        ep, qk = cond_expect(tree, v, k + 1), cond_expect_noise(tree, v, k + 1)
+        # relative to the sum of the terms' magnitudes, which no
+        # cancellation in the level sums can shrink
+        scale = _einsum_transpose_local(magnitudes, tree, k, np.abs(ep), np.abs(qk))
+        gap = np.abs(_transpose_local(data, tree, k, ep, qk)
+                     - _einsum_transpose_local(data, tree, k, ep, qk))
+        assert np.all(gap <= 1e-15 * scale)
+
+
+def _lq_document(rng, d, per_step):
+    """A random mean-field LQ config with every expectation coupling on, as
+    a `lq_meanfield` family or, with `per_step`, as per-step `tables`."""
+    n, r, n_steps = int(rng.integers(1, 3)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+
+    def entry(*shape, scale=0.4, varying=False):
+        if varying and per_step:
+            return {"per_step": rng.uniform(-scale, scale, (n_steps + 1,) + shape).tolist()}
+        return rng.uniform(-scale, scale, shape).tolist()
+
+    params = {"A": entry(n, n, varying=True), "A_mean": entry(n, n, scale=0.2),
+              "B": entry(n, r, varying=True), "f0": entry(n),
+              "sigma": [{"C": entry(n, n, scale=0.3, varying=True), "C_mean": entry(n, n, scale=0.2),
+                         "D": entry(n, r, scale=0.3), "s0": entry(n)} for _ in range(d)],
+              "Q": entry(n, n), "Q_mean": entry(n, n, scale=0.2), "R": np.eye(r).tolist(),
+              "q": entry(n), "q_mean": entry(n), "G": entry(n, n), "G_mean": entry(n, n, scale=0.2),
+              "g": entry(n), "g_mean": entry(n)}
+    doc = {"dims": {"n": n, "r": r, "d": d}, "grid": {"t0": 0.0, "h": 0.5, "N": n_steps},
+           "x0": entry(n, scale=0.8), "direction": "minimize",
+           "admissible": [{"t": "all", "lo": [-1.0] * r, "hi": [1.0] * r}]}
+    if per_step:
+        doc["tables"] = params
+    else:
+        doc["family"] = {"name": "lq_meanfield", "params": params}
+    return doc
+
+
+def _property_spec(family, kind, d, seed):
+    if family == "smooth_nonlinear":
+        return _smooth_nonlinear(seed, kind, d)
+    if family == "prodcons":
+        doc = to_config(random_prodcons(seed, steps_max=2))
+    else:
+        doc = _lq_document(np.random.default_rng(seed), d, per_step=family == "tables")
+    doc["noise"] = _noise_doc(kind, doc["grid"]["h"])
+    return parse_problem(json.dumps(doc))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["lq_meanfield", "tables", "prodcons", "smooth_nonlinear"]),
+       st.sampled_from(["binary", "trinomial", "custom"]), st.sampled_from([1, 2]),
+       st.integers(0, 2 ** 20))
+def test_duality_and_transition_transpose_properties(family, kind, d, seed):
+    # prodcons is scalar: its d = 2 draws run at d = 1
+    spec = _property_spec(family, kind, d, seed)
+    assert spec.d == (1 if family == "prodcons" else d) and spec.noise.kind == kind
+    tree = spec.build_tree()
+    u = random_control(spec, tree, seed + 1)
+    traj = simulate(spec, tree, u)
+    data = linearize(spec, tree, traj, u)
+    adj = solve_adjoint(data, tree)
+    spike = random_spike(spec, tree, u, seed + 2, 0.05)
+    assert duality_residual(spec, tree, traj, adj, u, spike) <= 1e-10
+    rng = np.random.default_rng(seed + 3)
+    for k in range(tree.grid.n_steps + 1):
+        z = rng.uniform(-1.0, 1.0, (tree.size(k), spec.n))
+        v = rng.uniform(-1.0, 1.0, (tree.size(k + 1), spec.n))
+        phi_z = apply_transition(data, tree, k, z)
+        lhs = float(expect(tree, np.sum(phi_z * v, axis=1), k + 1))
+        rhs = float(expect(tree, np.sum(z * apply_transition_adjoint(data, tree, k, v), axis=1), k))
+        # relative to the Cauchy-Schwarz bound of the pairing
+        bound = np.sqrt(float(expect(tree, np.sum(phi_z ** 2, axis=1), k + 1))
+                        * float(expect(tree, np.sum(v ** 2, axis=1), k + 1)))
+        assert abs(lhs - rhs) <= 1e-12 * bound

@@ -139,12 +139,12 @@ def test_martingale_increments_and_probability_sums():
     assert tree_invariants_report(tree).passed
 
 
+CUSTOM_SUPPORT = [(-1.5, 0.1), (-0.2, 0.4), (0.3, 0.3), (0.9, 0.2)]
 LATTICES = {
     "binary-d1": lambda h: NoiseModel.binary(1, h),
     "binary-d2": lambda h: NoiseModel.binary(2, h),
     "trinomial": lambda h: NoiseModel.trinomial(1, h, 0.2),
-    "custom": lambda h: NoiseModel.from_support(1, h, [(-1.5, 0.1), (-0.2, 0.4), (0.3, 0.3),
-                                                        (0.9, 0.2)]),
+    "custom": lambda h: NoiseModel.from_support(1, h, CUSTOM_SUPPORT),
 }
 
 
@@ -196,3 +196,50 @@ def test_tree_stores_support_not_tiled_levels():
     d = tree.noise.dim
     assert held <= 8 * (tree.n_nodes + tree.size(tree.n_levels - 1) * d) + 4096
     assert not tree.increments(3).flags.writeable
+
+
+def test_children_rejects_levels_outside_the_steps():
+    # children(k, ...) lifts level k onto k + 1, so k runs over 0..N
+    tree = build_tree(TimeGrid(0.0, 0.5, 1), NoiseModel.binary(1, 0.5))
+    n_steps = tree.grid.n_steps
+    tree.children(n_steps, np.zeros((tree.size(n_steps), 1)), np.zeros((tree.size(n_steps), 1, 1)))
+    for level in (-1, n_steps + 1):
+        with pytest.raises(MfsmpError, match="outside tree range"):
+            tree.children(level, np.zeros((2, 1)), np.zeros((2, 1, 1)))
+
+
+LIFT_NOISES = {
+    "binary": lambda d, h: NoiseModel.binary(d, h),
+    "trinomial": lambda d, h: NoiseModel.trinomial(d, h, 0.2),
+    "custom": lambda d, h: NoiseModel.from_support(d, h, CUSTOM_SUPPORT),
+}
+
+
+def _einsum_lift(tree, level, base, diff):
+    """The lift as one broadcast einsum over repeated `diff`: the reference
+    whose bits `children` keeps."""
+    inc = tree.increments(level + 1)
+    return (np.repeat(base, tree.branch, axis=-2)
+            + np.einsum("cj,...cjn->...cn", inc, np.repeat(diff, tree.branch, axis=-3)))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["rows", "batch"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", sorted(LIFT_NOISES))
+def test_children_matches_einsum_lift_bitwise(kind, d, batch, dtype):
+    tree = build_tree(TimeGrid(0.0, 0.5, 2), LIFT_NOISES[kind](d, 0.5))
+    n = 3
+    rng = np.random.default_rng(11)
+
+    def draw(shape):
+        out = rng.normal(size=shape)
+        return out + 1j * rng.normal(size=shape) if dtype is complex else out
+
+    for k in range(tree.grid.n_steps + 1):
+        base = draw(batch + (tree.size(k), n))
+        diff = draw(batch + (tree.size(k), d, n))
+        lifted = tree.children(k, base, diff)
+        reference = _einsum_lift(tree, k, base, diff)
+        assert lifted.dtype == reference.dtype and lifted.shape == reference.shape
+        assert lifted.tobytes() == reference.tobytes()
