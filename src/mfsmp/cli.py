@@ -1,6 +1,8 @@
 """Command-line interface: solve, check, simulate, example, selftest.
 
-Exit codes: 0 success, 1 check/test failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 check/test failure (for `solve`: its solution fails
+the first-order check, with every output written), 2 usage or configuration
+error.
 All outputs are deterministic for identical inputs (stable float repr, sorted
 JSON keys, no timestamps), so re-running a manifest reproduces files byte for
 byte.
@@ -196,22 +198,25 @@ def _load_spec(path: str):
 
 
 def _check_reports(spec, tree, u, tol, g, traj, adj):
-    """Every check of control u, given its `adjoint_gradient(..., return_all=True)`."""
+    """Every check report of control u, given its `adjoint_gradient(..., return_all=True)`."""
     necessary = necessary_check(spec, tree, traj, adj, u, tol=tol)
     sufficient = sufficiency_check(spec, tree, traj, adj, u, tol_hamiltonian=max(tol, 1e-6))
     spike = random_spike(spec, tree, u, seed=0, scale=1e-3)
     dual = duality_residual(spec, tree, traj, adj, u, spike)
     duality = CheckReport("duality-identity")
     duality.add("duality residual", dual, 1e-10)
-    grad_rep = certify_gradient(spec, tree, u, g, traj=traj).to_dict()
-    integr = integrability_report(adj, tree)
     return {
-        "necessary": necessary.to_dict(),
-        "sufficiency": sufficient.to_dict(),
-        "duality": duality.to_dict(),
-        "gradient": grad_rep,
-        "integrability": integr.to_dict(),
+        "necessary": necessary,
+        "sufficiency": sufficient,
+        "duality": duality,
+        "gradient": certify_gradient(spec, tree, u, g, traj=traj),
+        "integrability": integrability_report(adj, tree),
     }
+
+
+def _checks_json(checks) -> str:
+    return json.dumps({name: rep.to_dict() for name, rep in checks.items()},
+                      sort_keys=True, indent=2) + "\n"
 
 
 def cmd_solve(args) -> int:
@@ -246,11 +251,18 @@ def cmd_solve(args) -> int:
     _write(out, "adjoint.csv", partial(write_adjoint_csv, spec, tree, adj), outputs)
     _write(out, "control.csv", partial(write_control_csv, spec, tree, result.u), outputs)
     checks = _check_reports(spec, tree, result.u, args.tol, g, traj, adj)
-    _write(out, "checks.json", json.dumps(checks, sort_keys=True, indent=2) + "\n", outputs)
+    _write(out, "checks.json", _checks_json(checks), outputs)
     opts = {"tol": args.tol, "max_iters": args.max_iters, "grad_tol": args.grad_tol,
             "stall_tol": args.stall_tol}
     _write(out, "manifest.json", _manifest("solve", args.config, opts, outputs), [])
     print(f"solve: J = {result.cost!r} ({result.reason}); outputs in {out}")
+    necessary = checks["necessary"]
+    if not necessary.passed:
+        worst = necessary.worst
+        print(f"solve: necessary check failed: {worst.label} = {worst.value:.3e} "
+              f"(tol {worst.tol:.1e}) at step {worst.level}, node {worst.node}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -261,7 +273,7 @@ def cmd_check(args) -> int:
     check_feasible(spec, tree, u)
     checks = _check_reports(spec, tree, u, args.tol,
                             *adjoint_gradient(spec, tree, u, return_all=True))
-    text = json.dumps(checks, sort_keys=True, indent=2) + "\n"
+    text = _checks_json(checks)
     if args.out:
         outputs = []
         _write(Path(args.out), "checks.json", text, outputs)
@@ -269,8 +281,7 @@ def cmd_check(args) -> int:
                _manifest("check", args.config, {"tol": args.tol}, outputs), [])
     else:
         sys.stdout.write(text)
-    all_ok = all(rep["pass"] for rep in checks.values())
-    return 0 if all_ok else 1
+    return 0 if all(rep.passed for rep in checks.values()) else 1
 
 
 def cmd_simulate(args) -> int:

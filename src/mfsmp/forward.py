@@ -4,6 +4,11 @@ Levels are processed breadth-first: the level mean enters every node's step,
 so it must be available before any child state is computed.  On a finite tree
 the simulated level means coincide (to roundoff) with the deterministic mean
 recursion, because the diffusion terms have exactly zero conditional mean.
+
+`batch_cost` is the one batched cost: the grid oracle's candidates, the
+finite differences and the gradient certificate's rows all run through it as
+batch rows of one forward recursion, in chunks whose widest level array holds
+at most `CHUNK_BYTES` bytes.
 """
 
 from dataclasses import dataclass
@@ -12,6 +17,10 @@ import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
 from .tree import AdaptedProcess, ScenarioTree, expect
+
+# bytes in the widest level array of a batch chunk (256 KB): bounds the memory
+# a batch adds, whatever the tree, the row count and the dtype
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(eq=False)
@@ -87,11 +96,25 @@ def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
     return vals.reshape(x.shape[:-1])
 
 
-def batch_cost(spec, tree, controls) -> np.ndarray:
-    """Cost J of each batch row of per-step controls (B, m_k, r), k = 0..N,
-    summed level by level with the einsum `cost` uses (pairwise for complex
-    controls).  A row whose state or cost is not finite, where `cost` raises
-    or returns a non-finite J, is +inf."""
+def batch_cost(spec, tree, n_rows, controls_of, dtype=float) -> np.ndarray:
+    """Cost J of `n_rows` batch rows, whose per-step controls (B, m_k, r),
+    k = 0..N, `controls_of` builds for an array of B row indices.  The rows
+    run in chunks whose widest level array holds at most about `CHUNK_BYTES`
+    bytes of `dtype`.  Each row is summed level by level with the einsum
+    `cost` uses (pairwise for complex controls); a row whose state or cost
+    is not finite, where `cost` raises or returns a non-finite J, is +inf."""
+    widest = (tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
+              * np.dtype(dtype).itemsize)
+    chunk = max(1, CHUNK_BYTES // widest)
+    costs = np.empty(n_rows, dtype)
+    for start in range(0, n_rows, chunk):
+        stop = min(start + chunk, n_rows)
+        costs[start:stop] = _chunk_cost(spec, tree, controls_of(np.arange(start, stop)))
+    return costs
+
+
+def _chunk_cost(spec, tree, controls) -> np.ndarray:
+    """`batch_cost` of one chunk, given its per-step controls (B, m_k, r)."""
     costs = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (x, mean) in enumerate(forward_levels(spec, tree, controls)):

@@ -151,8 +151,7 @@ def smooth_nonlinear(seed):
     grid = TimeGrid(0.0, h, n_steps)
     noise = NoiseModel.binary(d, h)
     admissible = AdmissibleSet.box(n_steps, r, -1.0, 1.0)
-    return ProblemSpec(n, r, d, grid, noise, rng.uniform(-0.5, 0.5, n), coeffs, admissible,
-                       label=f"smooth-nonlinear(seed={seed})")
+    return ProblemSpec(n, r, d, grid, noise, rng.uniform(-0.5, 0.5, n), coeffs, admissible)
 
 
 def random_control(spec, tree, seed, margin=0.15):

@@ -159,11 +159,10 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
                           history=history, reason=reason)
 
 
-def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7,
-                chunk: int = 65536):
+def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7):
     """Exhaustively grid every nodal control coordinate over its box and return
-    the best candidate with its exact cost.  Refuses unbounded boxes and
-    combinatorial sizes beyond `comb_cap`."""
+    the best candidate with its exact cost; a tie goes to the lowest candidate
+    index.  Refuses unbounded boxes and combinatorial sizes beyond `comb_cap`."""
     if grid_per_axis < 1:
         raise MfsmpError("grid_per_axis must be >= 1")
     n_steps = tree.grid.n_steps
@@ -187,22 +186,16 @@ def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7,
     for j in range(len(axes) - 2, -1, -1):
         strides[j] = strides[j + 1] * sizes[j + 1]
 
-    best_j = np.inf
-    best_combo = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    def controls_of(idx):
         digits = (idx[:, None] // strides[None, :]) % sizes[None, :]
         controls = [np.zeros((idx.size, tree.size(k), spec.r)) for k in range(n_steps + 1)]
         for j, (k, node, i) in enumerate(layout):
             controls[k][:, node, i] = axes[j][digits[:, j]]
-        costs = batch_cost(spec, tree, controls)
-        pos = int(np.argmin(costs))
-        if costs[pos] < best_j:
-            best_j = float(costs[pos])
-            best_combo = digits[pos].copy()
-    if best_combo is None or not np.isfinite(best_j):
+        return controls
+
+    costs = batch_cost(spec, tree, total, controls_of)
+    best = int(np.argmin(costs))  # the first minimum
+    if not np.isfinite(costs[best]):
         raise MfsmpError("brute force found no admissible candidate with finite cost")
-    u = AdaptedProcess.zeros(tree, 0, n_steps, (spec.r,))
-    for j, (k, node, i) in enumerate(layout):
-        u.at(k)[node, i] = axes[j][best_combo[j]]
-    return u, best_j
+    u = AdaptedProcess(tree, 0, [c[0] for c in controls_of(np.array([best]))])
+    return u, float(costs[best])

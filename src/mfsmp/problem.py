@@ -107,9 +107,6 @@ class AdmissibleSet:
         v = np.asarray(v, dtype=float)
         return float(np.max(np.maximum(self.lo[step] - v, v - self.hi[step]), initial=0.0))
 
-    def bounded(self):
-        return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-
 
 @dataclass(eq=False)
 class ProblemSpec:
@@ -126,7 +123,6 @@ class ProblemSpec:
     direction: str = "minimize"
     family: str | None = None
     family_params: dict | None = None
-    label: str = ""
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float).reshape(self.n)

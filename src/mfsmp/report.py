@@ -1,7 +1,6 @@
 """Structured pass/fail records for numerical identity and condition checks."""
 
 from dataclasses import dataclass, field
-import json
 import math
 
 
@@ -70,9 +69,6 @@ class CheckReport:
             "residuals": [r.to_dict() for r in self.residuals],
             "notes": list(self.notes),
         }
-
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     def summary_line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -29,10 +29,6 @@ from .tree import AdaptedProcess, cond_expect, expect
 # numpy >= 1.25 keeps its warnings in `numpy.exceptions`
 ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
-# bytes in the widest level array of a batch chunk (256 KB): bounds the memory
-# a batch of perturbed controls adds, whatever the tree and the dtype
-CHUNK_BYTES = 1 << 18
-
 # the gradient certificate: complex step, coordinate sample, full-support
 # directions and the Taylor ladder (largest per-node move of each rung)
 CS_STEP = 1e-30
@@ -392,56 +388,36 @@ def adjoint_gradient(spec, tree, u, return_all: bool = False, traj=None):
     return g
 
 
-def _chunked_costs(spec, tree, n_rows, controls_of, dtype=float) -> np.ndarray:
-    """`batch_cost` of `n_rows` rows, whose per-step controls `controls_of`
-    builds for an array of row indices, in chunks whose widest level array
-    holds at most about `CHUNK_BYTES` bytes of `dtype`."""
-    widest = (tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
-              * np.dtype(dtype).itemsize)
-    chunk = max(1, CHUNK_BYTES // widest)
-    costs = np.empty(n_rows, dtype)
-    for start in range(0, n_rows, chunk):
-        rows = np.arange(start, min(start + chunk, n_rows))
-        costs[rows] = batch_cost(spec, tree, controls_of(rows))
-    return costs
-
-
-def _fd_rows(u, k, rows, step):
-    """Per-step batch controls for the finite-difference rows `rows` of level k:
-    rows 2c and 2c+1 move coordinate c = node * r + i of u.at(k) by +step and
-    -step; every other entry is u's (a broadcast view off level k)."""
-    controls = [np.broadcast_to(u.at(j), (rows.size,) + u.at(j).shape) for j in u.levels()]
-    node, i = np.divmod(rows // 2, u.value_shape[0])
-    base = u.at(k)[node, i]
-    uk = controls[k].copy()
-    uk[np.arange(rows.size), node, i] = np.where(rows % 2 == 0, base + step, base - step)
-    controls[k] = uk
-    return controls
-
-
 def fd_cost_gradient(spec, tree, u, step: float = FD_STEP) -> AdaptedProcess:
     """Central finite differences of the cost per nodal control coordinate,
     mapped into the probability-weighted metric (divided by node probability).
     Perturbed evaluations skip feasibility validation, so the base control
     should sit strictly inside its boxes.
 
-    The +-step perturbations of a level run as batch rows of one forward
-    recursion, in chunks of about `CHUNK_BYTES` per level array.  A row
-    whose state or cost is not finite is evaluated again by `cost`, so the
-    first one in the order level, node, coordinate, +step before -step
-    raises what the unbatched evaluation raises.  This costs 2 r (control
-    nodes) forward passes; `certify_gradient` is the check that scales."""
+    Each level's +-step rows are `_central_derivatives` over its coordinates,
+    batch rows of one forward recursion.  Levels run one call each: a chunk
+    of a single row may round its matrix products differently from a longer
+    one, so a level's values do not depend on where other levels' rows end.
+    A coordinate whose difference is not finite is evaluated again by `cost`,
+    +step before -step, so the first undefined row in the order level, node,
+    coordinate raises what the unbatched evaluation raises.  This costs
+    2 r (control nodes) forward passes; `certify_gradient` is the check that
+    scales."""
     g = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
-    for k in range(tree.grid.n_steps + 1):
-        costs = _chunked_costs(spec, tree, 2 * tree.size(k) * spec.r,
-                               lambda rows: _fd_rows(u, k, rows, step))
-        for row in np.flatnonzero(np.isinf(costs)):
-            node, i = divmod(int(row) // 2, spec.r)
-            moved = u.copy()
-            moved.at(k)[node, i] += step if row % 2 == 0 else -step
-            costs[row] = cost(spec, tree, moved, validate=False)
-        vals = (costs[0::2] - costs[1::2]).reshape(-1, spec.r) / (2.0 * step)
-        g.set_level(k, vals / tree.abs_prob[k][:, None])
+    for k in u.levels():
+        m = tree.size(k)
+        coords = np.stack([np.full(m * spec.r, k), np.repeat(np.arange(m), spec.r),
+                           np.tile(np.arange(spec.r), m)], axis=1)
+        partials, _ = _central_derivatives(spec, tree, u, coords, [], step)
+        for c in np.flatnonzero(~np.isfinite(partials)):
+            node, i = divmod(int(c), spec.r)
+            costs = []
+            for move in (step, -step):
+                moved = u.copy()
+                moved.at(k)[node, i] += move
+                costs.append(cost(spec, tree, moved, validate=False))
+            partials[c] = (costs[0] - costs[1]) / (2.0 * step)
+        g.set_level(k, partials.reshape(m, spec.r) / tree.abs_prob[k][:, None])
     return g
 
 
@@ -499,19 +475,23 @@ def _moved_costs(spec, tree, u, rows, coords, moves, dtype=float) -> np.ndarray:
     """Cost of u + a e for each (a, c, d) in `rows`: e is the unit vector of
     coordinate coords[c] when c >= 0, else the direction moves[d] (per-level
     arrays).  The rows run as batch rows of one forward recursion."""
+    amount, coord, direction = (np.array(col) for col in zip(*rows))
+    stacked = [np.stack([m[k] for m in moves]) for k in u.levels()] if moves else None
+
     def controls_of(idx):
+        a, c, d = amount[idx], coord[idx], direction[idx]
+        on_coord, along = np.flatnonzero(c >= 0), np.flatnonzero(c < 0)
+        level, node, i = coords[c[on_coord]].T
         controls = []
         for k in u.levels():
             uk = np.repeat(u.at(k)[None].astype(dtype), idx.size, axis=0)
-            for b, i in enumerate(idx):
-                a, c, d = rows[i]
-                if c < 0:
-                    uk[b] += a * moves[d][k]
-                elif coords[c, 0] == k:
-                    uk[b, coords[c, 1], coords[c, 2]] += a
+            at_k = level == k
+            uk[on_coord[at_k], node[at_k], i[at_k]] += a[on_coord[at_k]]
+            if along.size:
+                uk[along] += a[along, None, None] * stacked[k][d[along]]
             controls.append(uk)
         return controls
-    return _chunked_costs(spec, tree, len(rows), controls_of, dtype)
+    return batch_cost(spec, tree, len(rows), controls_of, dtype)
 
 
 def complex_step_derivatives(spec, tree, u, coords, moves):

@@ -40,10 +40,6 @@ class TimeGrid:
     def time(self, k: int) -> float:
         return self.t0 + k * self.h
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.n_levels)
-
 
 class NoiseModel:
     """Finite-support law of one noise increment, satisfying the moment conditions.

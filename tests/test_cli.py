@@ -9,7 +9,7 @@ from mfsmp.adjoint import linearize, solve_adjoint
 from mfsmp.cli import (main, read_control_csv, write_adjoint_csv, write_control_csv,
                        write_trajectory_csv)
 from mfsmp.forward import simulate
-from mfsmp.instances import e1_problem, random_control
+from mfsmp.instances import e1_problem, random_control, random_lq
 from mfsmp.problem import builtin, serialize_problem
 
 ZERO_CONFIG = {
@@ -72,6 +72,24 @@ def test_solve_prodcons_self_certifies(tmp_path):
     assert all(rep["pass"] for rep in checks.values()), {
         k: v["pass"] for k, v in checks.items()}
     assert main(["check", str(cfg), str(out / "control.csv")]) == 0
+
+
+def test_solve_exits_1_when_its_first_order_check_fails(tmp_path, capsys):
+    # one iteration stops short of the optimum: every output is still
+    # written, and stderr names the worst residual, its step and its node
+    cfg = tmp_path / "lq.json"
+    cfg.write_text(serialize_problem(random_lq(3, convex=True)))
+    out = tmp_path / "out"
+    assert main(["solve", str(cfg), "--max-iters", "1", "--out", str(out)]) == 1
+    for name in ("optimize_report.json", "trajectory.csv", "adjoint.csv", "control.csv",
+                 "checks.json", "manifest.json"):
+        assert (out / name).exists()
+    necessary = json.loads((out / "checks.json").read_text())["necessary"]
+    worst = max(necessary["residuals"], key=lambda r: r["value"])
+    assert not necessary["pass"] and (worst["level"], worst["node"]) == (1, 0)
+    err = capsys.readouterr().err
+    assert err == (f"solve: necessary check failed: max <H_u, v-u> @step 1 = "
+                   f"{worst['value']:.3e} (tol 1.0e-06) at step 1, node 0\n")
 
 
 def test_check_zero_problem_trivially_passes(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from mfsmp import forward
 from mfsmp.adjoint import linearize, solve_adjoint
 from mfsmp.errors import CostDomainError, MfsmpError
 from mfsmp.forward import (check_feasible, constant_control, cost, forward_levels, level_cost,
@@ -113,6 +115,60 @@ def test_brute_force_guards():
     unbounded = builtin("lq_meanfield", n=1, r=1, d=1, h=1.0, N=0, x0=[0.0])
     with pytest.raises(MfsmpError, match="bounded"):
         brute_force(unbounded, unbounded.build_tree(), 11)
+
+
+def _oracle_lq():
+    """A boxed LQ with n = 2 and 3 control nodes (N = 1, binary noise)."""
+    return builtin("lq_meanfield", n=2, r=1, d=1, h=0.5, N=1, x0=[0.3, -0.2],
+                   A=[[0.1, 0.2], [0.0, -0.3]], B=[[1.0], [0.5]], sigma=[{"s0": [0.2, 0.1]}],
+                   Q=[[1.0, 0.0], [0.0, 1.0]], R=[[2.0]], G=[[1.0, 0.0], [0.0, 1.0]],
+                   q=[0.1, -0.2], lo=-1.0, hi=1.0)
+
+
+def test_brute_force_memory_is_its_cost_array_plus_a_chunk():
+    spec = _oracle_lq()
+    tree = spec.build_tree()
+    candidates = 101 ** 3
+    tracemalloc.start()
+    try:
+        brute_force(spec, tree, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * candidates + 4 * 2 ** 20
+
+
+def _rows_per_chunk(monkeypatch, spec, tree, rows):
+    widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
+    monkeypatch.setattr(forward, "CHUNK_BYTES", rows * widest * np.dtype(float).itemsize)
+
+
+@pytest.mark.parametrize("rows", [2, 7, 100])
+def test_brute_force_is_the_same_in_chunks(rows, monkeypatch):
+    spec = _oracle_lq()
+    tree = spec.build_tree()
+    u_one, j_one = brute_force(spec, tree, 21)
+    _rows_per_chunk(monkeypatch, spec, tree, rows)
+    u, j_val = brute_force(spec, tree, 21)
+    assert j_val == j_one
+    for k in u.levels():
+        np.testing.assert_array_equal(u.at(k), u_one.at(k))
+
+
+@pytest.mark.parametrize("rows", [None, 2, 5])
+def test_brute_force_tie_goes_to_the_lowest_candidate(rows, monkeypatch):
+    # J = E sum u^2 on the grid -3, -1, 1, 3: -1 and 1 tie on every axis, the
+    # first of the 8 minima is -1 everywhere, and the minima fall into
+    # different chunks
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=1, x0=[0.0], R=[[2.0]],
+                   lo=-3.0, hi=3.0)
+    tree = spec.build_tree()
+    if rows is not None:
+        _rows_per_chunk(monkeypatch, spec, tree, rows)
+    u, j_val = brute_force(spec, tree, 4)
+    for k in u.levels():
+        assert np.all(u.at(k) == -1.0)
+    assert j_val == cost(spec, tree, u) == 2.0
 
 
 TABLES_CFG = {

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mfsmp import smp
+from mfsmp import forward, smp
 from mfsmp.adjoint import linearize, solve_adjoint, solve_linear_forward
 from mfsmp.cli import main, write_control_csv
 from mfsmp.errors import CostDomainError, SimulationError
@@ -365,7 +365,7 @@ def test_step_blocks_match_per_node_jacobians_bitwise(case):
 def _rows_per_chunk(monkeypatch, spec, tree, rows):
     """Patch the chunk budget so a finite-difference chunk holds `rows` rows."""
     widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
-    monkeypatch.setattr(smp, "CHUNK_BYTES", rows * widest * np.dtype(float).itemsize)
+    monkeypatch.setattr(forward, "CHUNK_BYTES", rows * widest * np.dtype(float).itemsize)
 
 
 @pytest.mark.parametrize("rows", [None, 3])  # 3: +-step pairs straddle chunk edges
@@ -649,10 +649,10 @@ def test_certificate_catches_one_corrupted_deepest_node_outside_sample():
 def test_certificate_row_counts_do_not_grow_with_depth(monkeypatch):
     counts = {}
 
-    def counting(spec, tree, controls):
-        key = (tree.grid.n_steps, controls[0].dtype.kind)
-        counts[key] = counts.get(key, 0) + controls[0].shape[0]
-        return batch_cost(spec, tree, controls)
+    def counting(spec, tree, n_rows, controls_of, dtype=float):
+        key = (tree.grid.n_steps, np.dtype(dtype).kind)
+        counts[key] = counts.get(key, 0) + n_rows
+        return batch_cost(spec, tree, n_rows, controls_of, dtype)
 
     batch_cost = smp.batch_cost
     monkeypatch.setattr(smp, "batch_cost", counting)
@@ -664,6 +664,34 @@ def test_certificate_row_counts_do_not_grow_with_depth(monkeypatch):
     assert counts[(6, "c")] == counts[(12, "c")] == 49 + smp.CERT_DIRECTIONS
     assert counts[(6, "f")] == counts[(12, "f")] == 1 + smp.CERT_DIRECTIONS * len(
         smp.TAYLOR_MOVES)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_moved_costs_match_a_loop_per_row(dtype, monkeypatch):
+    # the coordinate and direction moves, applied by fancy indexing, against
+    # the same moves made one row at a time, in chunks of 3 real or 1 complex row
+    spec = random_lq(4, steps_max=3)
+    tree = spec.build_tree()
+    _rows_per_chunk(monkeypatch, spec, tree, 3)
+    u = random_control(spec, tree, 3)
+    coords = smp.certificate_sample(tree, spec.r)
+    moves = [[wk / tree.abs_prob[k][:, None] for k, wk in enumerate(w)]
+             for w in smp.certificate_directions(spec, tree, u)]
+    step = 1j * smp.CS_STEP if dtype is complex else 1e-3
+    rows = ([(step, c, -1) for c in range(len(coords))]
+            + [(s * step, -1, d) for d in range(len(moves)) for s in (1.0, -2.0)])
+    ref = []
+    for k in u.levels():
+        uk = np.repeat(u.at(k)[None].astype(dtype), len(rows), axis=0)
+        for b, (a, c, d) in enumerate(rows):
+            if c < 0:
+                uk[b] += a * moves[d][k]
+            elif coords[c, 0] == k:
+                uk[b, coords[c, 1], coords[c, 2]] += a
+        ref.append(uk)
+    expected = forward.batch_cost(spec, tree, len(rows), lambda idx: [c[idx] for c in ref], dtype)
+    got = smp._moved_costs(spec, tree, u, rows, coords, moves, dtype)
+    np.testing.assert_array_equal(got, expected)
 
 
 def _real_only(spec, wrap):
