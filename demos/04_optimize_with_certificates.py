@@ -19,7 +19,7 @@ tree = spec.build_tree()
 print("instance: n =", spec.n, " steps =", spec.grid.n_steps,
       " control nodes =", sum(tree.size(k) for k in range(spec.grid.n_steps + 1)))
 
-result = optimize(spec, tree, options=OptimizerOptions(grad_tol=1e-9, stall_tol=1e-16))
+result = optimize(spec, tree, options=OptimizerOptions(grad_tol=1e-9))
 print(f"optimizer: J = {result.cost:.10f} after {result.iterations} iterations "
       f"({result.reason})")
 

@@ -222,10 +222,7 @@ def _checks_json(checks) -> str:
 def cmd_solve(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
-    # stall tolerance below the cost's floating-point floor so solutions are
-    # gradient-certified and pass their own first-order check
-    options = OptimizerOptions(max_iters=args.max_iters, grad_tol=args.grad_tol,
-                               stall_tol=args.stall_tol)
+    options = OptimizerOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     result = optimize(spec, tree, options=options)
     g, traj, adj = adjoint_gradient(spec, tree, result.u, return_all=True)
     out = Path(args.out)
@@ -238,11 +235,8 @@ def cmd_solve(args) -> int:
         "termination": result.reason,
         "final_projected_gradient_norm": result.history[-1][1],
         "history": result.history,
-        "options": {
-            "max_iters": options.max_iters, "step_init": options.step_init,
-            "armijo_c": options.armijo_c, "shrink": options.shrink,
-            "grad_tol": options.grad_tol, "stall_tol": options.stall_tol,
-        },
+        "options": {"max_iters": options.max_iters, "step_init": options.step_init,
+                    "grad_tol": options.grad_tol},
     }
     _write(out, "optimize_report.json",
            json.dumps(opt_report, sort_keys=True, indent=2) + "\n", outputs)
@@ -252,8 +246,7 @@ def cmd_solve(args) -> int:
     _write(out, "control.csv", partial(write_control_csv, spec, tree, result.u), outputs)
     checks = _check_reports(spec, tree, result.u, args.tol, g, traj, adj)
     _write(out, "checks.json", _checks_json(checks), outputs)
-    opts = {"tol": args.tol, "max_iters": args.max_iters, "grad_tol": args.grad_tol,
-            "stall_tol": args.stall_tol}
+    opts = {"tol": args.tol, "max_iters": args.max_iters, "grad_tol": args.grad_tol}
     _write(out, "manifest.json", _manifest("solve", args.config, opts, outputs), [])
     print(f"solve: J = {result.cost!r} ({result.reason}); outputs in {out}")
     necessary = checks["necessary"]
@@ -306,8 +299,6 @@ def cmd_simulate(args) -> int:
 def cmd_example_prodcons(args) -> int:
     if not 0.0 < args.delta < 1.0:
         raise ConfigError(f"--delta must lie in (0, 1), got {args.delta}")
-    if args.N < 1:
-        raise ConfigError(f"--N must be >= 1, got {args.N}")
     rep, result, rows = comparison_rows(args.delta, args.h, args.N, x0=args.x0)
     out = Path(args.out)
     outputs = []
@@ -360,6 +351,16 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+def _at_least(lo, kind):
+    """argparse type: a finite `kind` >= lo, else an error that names the flag."""
+    def parse(text):
+        if not (np.isfinite(value := kind(text)) and value >= lo):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {lo}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # for argparse's "invalid int value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mfsmp",
@@ -370,17 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="optimize a problem configuration")
     p_solve.add_argument("config")
     p_solve.add_argument("--out", default="mfsmp_out")
-    p_solve.add_argument("--tol", type=float, default=1e-6)
-    p_solve.add_argument("--max-iters", type=int, default=500)
-    p_solve.add_argument("--grad-tol", type=float, default=1e-8)
-    p_solve.add_argument("--stall-tol", type=float, default=1e-16)
+    p_solve.add_argument("--tol", type=_at_least(0.0, float), default=1e-6)
+    p_solve.add_argument("--max-iters", type=_at_least(0, int), default=500)
+    p_solve.add_argument("--grad-tol", type=_at_least(0.0, float), default=1e-8)
     p_solve.set_defaults(fn=cmd_solve)
 
     p_check = sub.add_parser("check", help="verify optimality conditions of a control")
     p_check.add_argument("config")
     p_check.add_argument("control")
     p_check.add_argument("--out", default=None)
-    p_check.add_argument("--tol", type=float, default=1e-6)
+    p_check.add_argument("--tol", type=_at_least(0.0, float), default=1e-6)
     p_check.set_defaults(fn=cmd_check)
 
     p_sim = sub.add_parser("simulate", help="simulate a control and export the trajectory")
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pc = ex_sub.add_parser("prodcons", help="production/consumption model")
     p_pc.add_argument("--delta", type=float, default=0.5)
     p_pc.add_argument("--h", type=float, default=0.5)
-    p_pc.add_argument("--N", type=int, default=5)
+    p_pc.add_argument("--N", type=_at_least(1, int), default=5)
     p_pc.add_argument("--x0", type=float, default=1.0)
     p_pc.add_argument("--plot-data", default=None)
     p_pc.add_argument("--out", default="mfsmp_prodcons")
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_self = sub.add_parser("selftest", help="run the verification suites")
     p_self.add_argument("--suite", default=None)
-    p_self.add_argument("--trials", type=int, default=None)
+    p_self.add_argument("--trials", type=_at_least(1, int), default=None)
     p_self.add_argument("--inject-fault", default=None)
     p_self.add_argument("--out", default="mfsmp_selftest")
     p_self.set_defaults(fn=cmd_selftest)

@@ -4,7 +4,7 @@ The iteration is u <- project(u - alpha * g) with g the adjoint-based gradient
 (-H_u node by node) and alpha found by Armijo backtracking on the exact cost.
 Boxes make the projection exact and cheap, and the predicted-decrease inner
 product carries the node probabilities (the Euclidean gradient of the stacked
-cost), so accepted steps decrease J monotonically.
+cost), so steps that pass the Armijo test decrease J monotonically.
 
 Each backtracking search starts from the spectral step of Barzilai & Borwein
 (IMA J. Numer. Anal. 8(1), 1988), alpha = <s, s>_P / <s, y>_P, where s is the
@@ -13,6 +13,12 @@ probability-weighted pairing; this is the trial step of SPG (Birgin, Martinez
 & Raydan, SIAM J. Optim. 10(4), 2000) with a monotone Armijo test.  It is
 clamped to [STEP_MIN, STEP_MAX]; the first iteration, and any iteration where
 <s, y>_P <= 0 or the ratio is not finite, starts from `step_init` instead.
+
+No test reads J's last digits.  A trial within UNRESOLVED_ULPS ulps of J is judged
+by the slope half of Hager & Zhang's approximate Wolfe test (SIAM J. Optim. 16(1),
+2005): <g(trial), s>_P <= (1 - 2 WOLFE_DELTA) pred with pred = -<g, s>_P, and
+g(trial) is the next gradient.  `gradient-stall` ends STALL_ITERS iterations with
+neither a new least projected gradient nor an Armijo step.
 """
 
 from dataclasses import dataclass, field
@@ -26,23 +32,19 @@ from .tree import AdaptedProcess, expect
 
 STEP_MIN = 1e-10  # clamp of the spectral trial step
 STEP_MAX = 1e10
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the Armijo test
+SHRINK = 0.5  # backtracking factor
+UNRESOLVED_ULPS = 64  # |J_trial - J| within this many ulps of J: judged by slope
+WOLFE_DELTA = 0.1  # delta of the approximate Wolfe (slope) test
+STALL_ITERS = 10  # iterations without progress before `gradient-stall`
 
 
 @dataclass
 class OptimizerOptions:
     max_iters: int = 500
     step_init: float = 1.0  # first and fallback trial step
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
     grad_tol: float = 1e-8
-    stall_tol: float = 1e-12
     seed: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise MfsmpError("shrink factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise MfsmpError("Armijo constant must lie in (0, 1)")
 
 
 @dataclass(eq=False)
@@ -56,22 +58,17 @@ class OptimizeResult:
 
 
 def _project_control(spec, u: AdaptedProcess) -> AdaptedProcess:
-    out = u.copy()
-    for k in out.levels():
-        out.set_level(k, spec.admissible.project(k, out.at(k)))
-    return out
+    return AdaptedProcess(u.tree, 0, [spec.admissible.project(k, u.at(k)) for k in u.levels()])
 
 
 def _initial_control(spec, tree, options) -> AdaptedProcess:
-    n_steps = tree.grid.n_steps
-    if options.seed is None:
-        return _project_control(spec, AdaptedProcess.zeros(tree, 0, n_steps, (spec.r,)))
-    rng = np.random.default_rng(options.seed)
-    u = AdaptedProcess.zeros(tree, 0, n_steps, (spec.r,))
-    for k in range(n_steps + 1):
-        lo = np.where(np.isfinite(spec.admissible.lo[k]), spec.admissible.lo[k], -1.0)
-        hi = np.where(np.isfinite(spec.admissible.hi[k]), spec.admissible.hi[k], 1.0)
-        u.set_level(k, rng.uniform(lo, hi, (tree.size(k), spec.r)))
+    u = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
+    if options.seed is not None:
+        rng = np.random.default_rng(options.seed)
+        for k in u.levels():
+            lo = np.where(np.isfinite(spec.admissible.lo[k]), spec.admissible.lo[k], -1.0)
+            hi = np.where(np.isfinite(spec.admissible.hi[k]), spec.admissible.hi[k], 1.0)
+            u.set_level(k, rng.uniform(lo, hi, (tree.size(k), spec.r)))
     return _project_control(spec, u)
 
 
@@ -87,18 +84,14 @@ def _spectral_step(tree, s, y, fallback) -> float:
     where the curvature <s, y>_P is not positive or the ratio not finite."""
     sy = _inner(tree, s, y)
     alpha = _inner(tree, s, s) / sy if sy > 0.0 else np.inf
-    if not np.isfinite(alpha):
-        return fallback
-    return min(max(alpha, STEP_MIN), STEP_MAX)
+    return min(max(alpha, STEP_MIN), STEP_MAX) if np.isfinite(alpha) else fallback
 
 
 def _pg_norm(spec, u, g) -> float:
     """Sup norm of the unit-step projected gradient displacement."""
-    worst = 0.0
-    for k in u.levels():
-        moved = spec.admissible.project(k, u.at(k) - g[k])
-        worst = max(worst, float(np.max(np.abs(moved - u.at(k)), initial=0.0)))
-    return worst
+    return max(float(np.max(np.abs(spec.admissible.project(k, u.at(k) - g[k]) - u.at(k)),
+                            initial=0.0))
+               for k in u.levels())
 
 
 def _safe_cost(spec, tree, u):
@@ -120,18 +113,21 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
         raise CostDomainError("cost undefined at the (projected) initial control")
     history = []
     iterations, alpha, backtracks = 0, 0.0, 0
-    stalled = False
-    step = g_prev = None
+    best_pg, quiet = np.inf, 0  # quiet: iterations without progress
+    step = g_prev = g = None
     while True:
-        g = adjoint_gradient(spec, tree, u, traj=traj)
-        g = [g.at(k) for k in u.levels()]
+        if g is None:
+            g = adjoint_gradient(spec, tree, u, traj=traj)
+            g = [g.at(k) for k in u.levels()]
         pg = _pg_norm(spec, u, g)
         history.append([j_val, pg, alpha, backtracks])
+        if pg < best_pg:
+            best_pg, quiet = pg, 0
         if pg <= options.grad_tol:
             reason = "gradient-tolerance"
             break
-        if stalled:
-            reason = "cost-stall"
+        if quiet >= STALL_ITERS:
+            reason = "gradient-stall"
             break
         if iterations >= options.max_iters:
             reason = "max-iters"
@@ -145,16 +141,22 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
             step = [trial.at(k) - u.at(k) for k in u.levels()]
             predicted = -_inner(tree, g, step)
             j_trial, traj_trial = _safe_cost(spec, tree, trial)
-            if np.isfinite(j_trial) and j_trial <= j_val - options.armijo_c * predicted:
+            g_trial = None
+            if abs(j_trial - j_val) <= UNRESOLVED_ULPS * np.spacing(abs(j_val)):
+                g_trial = adjoint_gradient(spec, tree, trial, traj=traj_trial)
+                g_trial = [g_trial.at(k) for k in u.levels()]
+                if _inner(tree, g_trial, step) <= (1.0 - 2.0 * WOLFE_DELTA) * predicted:
+                    break
+            elif j_trial <= j_val - ARMIJO_C * predicted:
                 break
-            alpha *= options.shrink
+            alpha *= SHRINK
             backtracks += 1
         else:
             reason = "line-search-failure"
             break
         iterations += 1
-        stalled = j_val - j_trial <= options.stall_tol
-        u, j_val, traj, g_prev = trial, j_trial, traj_trial, g
+        u, j_val, traj, g_prev, g = trial, j_trial, traj_trial, g, g_trial
+        quiet = 0 if g is None else quiet + 1  # g is None after an Armijo step
     return OptimizeResult(u=u, cost=j_val, iterations=iterations,
                           history=history, reason=reason)
 

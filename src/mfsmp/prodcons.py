@@ -56,7 +56,7 @@ def general_run(delta_util: float, h: float, n_steps: int, x0: float = 1.0,
                    h=h, N=n_steps, x0=x0, v_floor=v_floor)
     tree = spec.build_tree()
     result = optimize(spec, tree, constant_control(spec, tree, max(1.0, v_floor)),
-                      OptimizerOptions(max_iters=400, grad_tol=1e-10, stall_tol=1e-16))
+                      OptimizerOptions(max_iters=400, grad_tol=1e-10))
     traj = simulate(spec, tree, result.u)
     adj = solve_adjoint(linearize(spec, tree, traj, result.u), tree)
     p_seq = np.empty(n_steps + 2)

@@ -20,9 +20,9 @@ from .optimize import OptimizerOptions, brute_force, optimize
 from .problem import validate_spec
 from .prodcons import comparison_rows, plot_data_csv, replica
 from .report import CheckReport
-from .smp import (adjoint_gradient, certify_gradient, duality_residual, fd_cost_gradient,
+from .smp import (adjoint_gradient, certify_gradient, duality_residual, gradient_consistency,
                   necessary_check, rate_ratios)
-from .tree import NoiseModel, validate_noise
+from .tree import AdaptedProcess, NoiseModel, validate_noise
 
 KNOWN_FAULTS = ("grad-sign", "noise-mean")
 
@@ -77,15 +77,15 @@ def gradient_instance(seed):
     return spec, tree, random_control(spec, tree, 30_000 + seed)
 
 
+def _gradient(spec, tree, u, fault):
+    """The adjoint gradient, negated under the `grad-sign` fault."""
+    g = adjoint_gradient(spec, tree, u)
+    return AdaptedProcess(tree, 0, [-g.at(k) for k in g.levels()]) if fault == "grad-sign" else g
+
+
 def _gradient_instance(seed, fault):
     spec, tree, u = gradient_instance(seed)
-    g = adjoint_gradient(spec, tree, u)
-    g_fd = fd_cost_gradient(spec, tree, u)
-    sign = -1.0 if fault == "grad-sign" else 1.0
-    worst = 0.0
-    for k in range(tree.grid.n_steps + 1):
-        err = np.abs(sign * g.at(k) - g_fd.at(k)) / np.maximum(1.0, np.abs(g_fd.at(k)))
-        worst = max(worst, float(np.max(err)))
+    worst, _, _ = gradient_consistency(spec, tree, u, g=_gradient(spec, tree, u, fault))
     return spec.family or "custom", worst
 
 
@@ -99,11 +99,7 @@ def suite_gradient(trials=20, fault=None) -> CheckReport:
 
 def _certificate_instance(seed, fault):
     spec, tree, u = gradient_instance(seed)
-    g = adjoint_gradient(spec, tree, u)
-    if fault == "grad-sign":
-        for k in g.levels():
-            g.set_level(k, -g.at(k))
-    return spec.family or "custom", certify_gradient(spec, tree, u, g)
+    return spec.family or "custom", certify_gradient(spec, tree, u, _gradient(spec, tree, u, fault))
 
 
 def suite_certificate(trials=20, fault=None) -> CheckReport:
@@ -191,9 +187,7 @@ def suite_rates(trials=None, fault=None) -> CheckReport:
 def _optimizer_instance(seed):
     spec = random_lq(seed, n_max=2, r_max=1, d_max=1, steps_max=1, convex=True)
     tree = spec.build_tree()
-    # stall_tol below the cost's floating-point floor so the gradient criterion binds
-    result = optimize(spec, tree,
-                      options=OptimizerOptions(seed=seed, grad_tol=1e-9, stall_tol=1e-16))
+    result = optimize(spec, tree, options=OptimizerOptions(seed=seed, grad_tol=1e-9))
     u_star, j_star = brute_force(spec, tree, 101)
     traj = simulate(spec, tree, result.u)
     adj = solve_adjoint(linearize(spec, tree, traj, result.u), tree)
@@ -272,6 +266,8 @@ def run_selftest(suite=None, trials=None, inject_fault=None):
     """Run the verification suites and assemble a deterministic report dict."""
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ConfigError(f"unknown fault {inject_fault!r}; known: {', '.join(KNOWN_FAULTS)}")
+    if trials is not None and trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if suite is not None and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
     names = [suite] if suite else list(SUITES)

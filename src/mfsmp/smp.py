@@ -166,8 +166,8 @@ def duality_residual(spec, tree, traj, adj, u, spike: SpikeVariation) -> float:
     roundoff-sized whenever (p, q) solve the adjoint system of the same
     linearization convention.
     """
-    xi = variational_state(spec, tree, traj, u, spike)
-    data = linearize(spec, tree, traj, u)
+    data = variational_data(spec, tree, traj, u, spike)
+    xi = solve_linear_forward(data, tree, np.zeros(spec.n))
     kT = tree.grid.n_steps + 1
     lhs = float(expect(tree, np.einsum("mi,mi->m", adj.p.at(kT), xi.at(kT)), kT))
     run_term = sum(
@@ -613,9 +613,9 @@ def certify_gradient(spec, tree, u, g, traj=None) -> CheckReport:
     return report
 
 
-def gradient_consistency(spec, tree, u, step: float = 1e-5):
-    """Max relative error between the adjoint gradient and finite differences."""
-    g = adjoint_gradient(spec, tree, u)
+def gradient_consistency(spec, tree, u, step: float = FD_STEP, g=None):
+    """Max relative error between g (default: the adjoint gradient) and finite differences."""
+    g = adjoint_gradient(spec, tree, u) if g is None else g
     g_fd = fd_cost_gradient(spec, tree, u, step=step)
     worst = 0.0
     for k in range(tree.grid.n_steps + 1):

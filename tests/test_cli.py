@@ -180,6 +180,24 @@ def test_selftest_suite_and_fault_injection(tmp_path):
     assert main(["selftest", "--inject-fault", "bogus", "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["selftest", "--trials", "-1", "--inject-fault", "grad-sign"], "--trials"),
+    (["selftest", "--trials", "0"], "--trials"),
+    (["solve", "CONFIG", "--grad-tol", "nan"], "--grad-tol"),
+    (["solve", "CONFIG", "--grad-tol", "-1"], "--grad-tol"),
+    (["solve", "CONFIG", "--tol", "nan"], "--tol"),
+    (["solve", "CONFIG", "--max-iters", "-3"], "--max-iters"),
+    (["check", "CONFIG", "CONTROL", "--tol", "-1"], "--tol"),
+])
+def test_bad_numeric_flags_exit_2_at_parse_time(argv, flag, e1_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(e1_config) if a == "CONFIG" else str(tmp_path / "u.csv") if a == "CONTROL"
+            else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_selftest_single_suite_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["selftest", "--suite", "prodcons", "--out", str(out1)]) == 0

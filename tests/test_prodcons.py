@@ -66,7 +66,16 @@ def test_comparison_differs_at_half_step_and_agrees_at_unit_step():
 
 
 def test_general_run_meets_first_order_tolerance():
-    # the cost stalls only at its floating-point floor, so the general solver
-    # ends below the 1e-6 first-order tolerance at unit step
+    # the general solver exits on its 1e-10 gradient tolerance, far below the
+    # 1e-6 first-order tolerance at unit step
     _, _, result, _, _ = general_run(0.5, 1.0, 5)
     assert result.history[-1][1] <= 1e-6
+
+
+def test_unit_step_comparison_agrees_everywhere():
+    # at h = 1 the replica and the general solver's sequences coincide, and
+    # the solver ends certified, so every costate and consumption row agrees
+    _, result, rows = comparison_rows(0.5, 1.0, 5)
+    assert result.reason == "gradient-tolerance"
+    assert all(row["p_agree"] for row in rows)
+    assert all(row["v_agree"] for row in rows if "v_agree" in row)
