@@ -240,21 +240,21 @@ def rate_check(spec, tree, u, spike: SpikeVariation,
     return report
 
 
-def _sample_box(rng, lo, hi, base):
-    """Jittered admissible point near `base`, kept strictly inside the box."""
-    out = np.empty_like(base)
-    for i in range(base.size):
-        a, b = lo[i], hi[i]
-        if np.isfinite(a) and np.isfinite(b):
-            w = b - a
-            out[i] = base[i] if w == 0.0 else rng.uniform(a + 0.05 * w, b - 0.05 * w)
-        elif np.isfinite(a):
-            out[i] = a + (1.0 + abs(a)) * rng.uniform(0.05, 1.0)
-        elif np.isfinite(b):
-            out[i] = b - (1.0 + abs(b)) * rng.uniform(0.05, 1.0)
-        else:
-            out[i] = base[i] + rng.uniform(-1.0, 1.0)
-    return out
+def _sample_box_rows(rng, lo, hi, base):
+    """Jittered admissible points near `base` (..., r), one uniform draw per
+    entry, kept strictly inside the box [lo, hi] broadcast against it: the
+    inner 90% of a finite box (`base` where it is a point), (0.05, 1)
+    (1 + |bound|) beyond a one-sided bound, and base +- 1 when free."""
+    unit = rng.random(base.shape)
+    lo_in, hi_in = np.isfinite(lo), np.isfinite(hi)
+    with np.errstate(invalid="ignore"):
+        w = hi - lo
+        low, high = lo + 0.05 * w, hi - 0.05 * w
+        return np.select(
+            [lo_in & hi_in & (w == 0.0), lo_in & hi_in, lo_in, hi_in],
+            [base, low + (high - low) * unit, lo + (1.0 + np.abs(lo)) * (0.05 + 0.95 * unit),
+             hi - (1.0 + np.abs(hi)) * (0.05 + 0.95 * unit)],
+            base + (2.0 * unit - 1.0))
 
 
 def _max_skipping_nan(values) -> float:
@@ -268,7 +268,9 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     """Sampled sufficiency evidence (not a proof): terminal-cost midpoint
     convexity, Hamiltonian midpoint concavity in (x, mean, v) with the frozen
     costates, nonnegative mean-gradients along the trajectory, and Hamiltonian
-    optimality over box vertices (unbounded sides probed at a few spans)."""
+    optimality over box vertices (unbounded sides probed at a few spans).
+    Parts (i) and (ii) draw their `samples` points as arrays, one rng call per
+    quantity, from the distributions a per-sample draw would use."""
     rng = np.random.default_rng(seed)
     report = CheckReport("sufficient-conditions")
     report.note("orientation: maximize-H convention; concavity of H here equals "
@@ -280,35 +282,29 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     # (i) terminal cost midpoint convexity in (x, y)
     xT = traj.at(kT)
     scale = 1.0 + np.abs(xT).max()
-    pts = np.empty((4, samples, spec.n))
-    for s in range(samples):
-        node = rng.integers(xT.shape[0])
-        pts[:, s] = xT[node] + rng.uniform(-0.5, 0.5, (4, spec.n)) * scale
-    x1, x2, y1, y2 = pts
+    nodes = rng.integers(xT.shape[0], size=samples)
+    x1, x2, y1, y2 = xT[nodes] + rng.uniform(-0.5, 0.5, (4, samples, spec.n)) * scale
     vals = c.phi(np.concatenate([x1, x2, 0.5 * (x1 + x2)]),
                  np.concatenate([y1, y2, 0.5 * (y1 + y2)])).reshape(3, samples)
     report.add("terminal midpoint convexity violation",
                _max_skipping_nan(vals[2] - 0.5 * (vals[0] + vals[1])), tol_convexity)
 
     # (ii) Hamiltonian midpoint concavity in (x, y, v) with frozen (p, q); the
-    # samples are drawn first, then each step's rows go through one evaluator call
+    # samples are drawn as arrays, then each step's rows go through one evaluator call
     eps = [conditional_costate(tree, adj, k) for k in range(grid.n_steps + 1)]
-    steps, nodes = np.empty(samples, dtype=int), np.empty(samples, dtype=int)
-    xs, ys = np.empty((samples, 3, spec.n)), np.empty((samples, 3, spec.n))
-    vs = np.empty((samples, 3, spec.r))
-    for s in range(samples):
-        k = int(rng.integers(grid.n_steps + 1))
-        xk = traj.at(k)
-        node = int(rng.integers(xk.shape[0]))
-        span = 1.0 + float(np.abs(xk[node]).max())
-        x1, x2 = (xk[node] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span)
-        y1, y2 = (traj.means[k] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span)
-        v1 = _sample_box(rng, spec.admissible.lo[k], spec.admissible.hi[k], u.at(k)[node])
-        v2 = _sample_box(rng, spec.admissible.lo[k], spec.admissible.hi[k], u.at(k)[node])
-        steps[s], nodes[s] = k, node
-        xs[s] = x1, x2, 0.5 * (x1 + x2)
-        ys[s] = y1, y2, 0.5 * (y1 + y2)
-        vs[s] = v1, v2, 0.5 * (v1 + v2)
+    steps = rng.integers(grid.n_steps + 1, size=samples)
+    nodes = rng.integers(np.array(tree.level_sizes)[steps])
+    xn, un = np.empty((samples, spec.n)), np.empty((samples, spec.r))
+    for k in np.unique(steps).tolist():
+        at = steps == k
+        xn[at], un[at] = traj.at(k)[nodes[at]], u.at(k)[nodes[at]]
+    span = 1.0 + np.abs(xn).max(axis=1, keepdims=True)
+    x1, x2 = xn + rng.uniform(-0.5, 0.5, (2, samples, spec.n)) * span
+    y1, y2 = traj.means[steps] + rng.uniform(-0.5, 0.5, (2, samples, spec.n)) * span
+    v1, v2 = _sample_box_rows(rng, spec.admissible.lo[steps], spec.admissible.hi[steps],
+                              np.stack([un, un]))
+    xs, ys, vs = (np.stack([a, b, 0.5 * (a + b)], axis=1)
+                  for a, b in ((x1, x2), (y1, y2), (v1, v2)))
     gaps = np.full(samples, np.nan)
     for k in np.unique(steps).tolist():
         sel = np.flatnonzero(steps == k)

@@ -15,7 +15,7 @@ from mfsmp.forward import constant_control, simulate
 from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
                              smooth_nonlinear)
 from mfsmp.problem import builtin, parse_problem, to_config
-from mfsmp.smp import duality_residual
+from mfsmp.smp import CERT_DIRECTIONS, adjoint_gradient, certify_gradient, duality_residual
 from mfsmp.tree import (NoiseModel, TimeGrid, build_tree, cond_expect, cond_expect_noise,
                         expect)
 
@@ -508,10 +508,14 @@ def _property_spec(family, kind, d, seed):
     return parse_problem(json.dumps(doc))
 
 
+# family, noise kind, d, seed
+PROPERTY_INPUTS = (st.sampled_from(["lq_meanfield", "tables", "prodcons", "smooth_nonlinear"]),
+                   st.sampled_from(["binary", "trinomial", "custom"]), st.sampled_from([1, 2]),
+                   st.integers(0, 2 ** 20))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(["lq_meanfield", "tables", "prodcons", "smooth_nonlinear"]),
-       st.sampled_from(["binary", "trinomial", "custom"]), st.sampled_from([1, 2]),
-       st.integers(0, 2 ** 20))
+@given(*PROPERTY_INPUTS)
 def test_duality_and_transition_transpose_properties(family, kind, d, seed):
     # prodcons is scalar: its d = 2 draws run at d = 1
     spec = _property_spec(family, kind, d, seed)
@@ -534,3 +538,17 @@ def test_duality_and_transition_transpose_properties(family, kind, d, seed):
         bound = np.sqrt(float(expect(tree, np.sum(phi_z ** 2, axis=1), k + 1))
                         * float(expect(tree, np.sum(v ** 2, axis=1), k + 1)))
         assert abs(lhs - rhs) <= 1e-12 * bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(*PROPERTY_INPUTS)
+def test_taylor_remainder_is_second_order_properties(family, kind, d, seed):
+    # along each certificate direction the adjoint gradient leaves a Taylor
+    # remainder of order 2
+    spec = _property_spec(family, kind, d, seed)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, seed + 1)
+    report = certify_gradient(spec, tree, u, adjoint_gradient(spec, tree, u))
+    taylor = [r for r in report.residuals if r.label.startswith("Taylor remainder")]
+    assert len(taylor) == CERT_DIRECTIONS
+    assert all(r.value <= r.tol for r in taylor), [(r.label, r.value) for r in taylor]

@@ -4,13 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mfsmp import forward
+from mfsmp import forward, selftest
 from mfsmp.adjoint import linearize, solve_adjoint
 from mfsmp.errors import CostDomainError, MfsmpError
 from mfsmp.forward import (check_feasible, constant_control, cost, forward_levels, level_cost,
                            simulate)
 from mfsmp.instances import random_lq, random_prodcons, smooth_nonlinear
-from mfsmp.optimize import OptimizerOptions, brute_force, optimize
+from mfsmp.optimize import UNRESOLVED_ULPS, OptimizerOptions, brute_force, optimize
 from mfsmp.problem import builtin, parse_problem
 from mfsmp.smp import necessary_check
 from mfsmp.tree import AdaptedProcess
@@ -44,8 +44,26 @@ def test_history_monotone_and_iterates_feasible(e1):
     spec, tree = e1
     result = optimize(spec, tree, constant_control(spec, tree, 1.0))
     js = [row[0] for row in result.history]
-    assert all(b <= a + 1e-15 for a, b in zip(js, js[1:]))
+    # the optimizer's own rule: a rise within UNRESOLVED_ULPS ulps is judged by slope
+    assert all(b - a <= UNRESOLVED_ULPS * np.spacing(abs(a)) for a, b in zip(js, js[1:]))
     check_feasible(spec, tree, result.u, tol=0.0)
+
+
+@pytest.mark.parametrize("ulps, monotone", [(UNRESOLVED_ULPS, True),
+                                            (UNRESOLVED_ULPS + 1, False)])
+def test_selftest_monotone_row_allows_the_slope_judged_rise(ulps, monotone, monkeypatch):
+    # the selftest's first optimizer instance, its last J raised by `ulps`
+    # ulps of the J before it: within the optimizer's rule the row passes
+    def raised(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        j = result.history[-2][0]
+        result.history[-1] = [j + ulps * np.spacing(abs(j))] + list(result.history[-1][1:])
+        return result
+
+    monkeypatch.setattr(selftest, "optimize", raised)
+    report = selftest.suite_optimizer(trials=1)
+    row = next(r for r in report.residuals if r.label.startswith("descent history monotone"))
+    assert (row.value <= row.tol) is monotone
 
 
 def test_max_iters_termination(e1):

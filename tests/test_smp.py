@@ -730,25 +730,45 @@ def test_adjoint_gradient_reuses_given_trajectory():
         np.testing.assert_array_equal(g1.at(k), g2.at(k))
 
 
+def _box_point(unit, lo, hi, base):
+    """One coordinate at a time, the point `_sample_box_rows` makes of the
+    uniform draws `unit`, in the arithmetic of `Generator.uniform`."""
+    out = np.empty_like(base)
+    for i in range(base.size):
+        a, b = lo[i], hi[i]
+        if np.isfinite(a) and np.isfinite(b):
+            w = b - a
+            low, high = a + 0.05 * w, b - 0.05 * w
+            out[i] = base[i] if w == 0.0 else low + (high - low) * unit[i]
+        elif np.isfinite(a):
+            out[i] = a + (1.0 + abs(a)) * (0.05 + 0.95 * unit[i])
+        elif np.isfinite(b):
+            out[i] = b - (1.0 + abs(b)) * (0.05 + 0.95 * unit[i])
+        else:
+            out[i] = base[i] + (2.0 * unit[i] - 1.0)
+    return out
+
+
 def _sufficiency_loop(spec, tree, traj, adj, u, samples=200, seed=0):
-    """Reference for parts (ii) and (iv) of `sufficiency_check`: one evaluator
-    call per sample and per probe combination, drawing the rng in the same order."""
+    """Reference for parts (ii) and (iv) of `sufficiency_check`: the same
+    array draws, then one evaluator call per sample and per probe combination."""
     rng = np.random.default_rng(seed)
     c, grid, kT = spec.coeffs, tree.grid, tree.grid.n_steps + 1
-    for _ in range(samples):  # part (i)'s draws
-        rng.integers(traj.at(kT).shape[0])
-        rng.uniform(-0.5, 0.5, (4, spec.n))
+    rng.integers(traj.at(kT).shape[0], size=samples)  # part (i)'s draws
+    rng.uniform(-0.5, 0.5, (4, samples, spec.n))
+    steps = rng.integers(grid.n_steps + 1, size=samples)
+    nodes = rng.integers(np.array(tree.level_sizes)[steps])
+    dx, dy = (rng.uniform(-0.5, 0.5, (2, samples, spec.n)) for _ in range(2))
+    unit = rng.random((2, samples, spec.r))
     concavity = -np.inf
-    for _ in range(samples):
-        k = int(rng.integers(grid.n_steps + 1))
+    for s, (k, node) in enumerate(zip(steps.tolist(), nodes.tolist())):
         xk = traj.at(k)
-        node = int(rng.integers(xk.shape[0]))
         ep, qn = smp.conditional_costate(tree, adj, k)[node], adj.q.at(k)[node]
         span = 1.0 + float(np.abs(xk[node]).max())
-        x1, x2 = xk[node] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span
-        y1, y2 = traj.means[k] + rng.uniform(-0.5, 0.5, (2, spec.n)) * span
-        v1, v2 = (smp._sample_box(rng, spec.admissible.lo[k], spec.admissible.hi[k],
-                                  u.at(k)[node]) for _ in range(2))
+        x1, x2 = xk[node] + dx[:, s] * span
+        y1, y2 = traj.means[k] + dy[:, s] * span
+        v1, v2 = (_box_point(unit[j, s], spec.admissible.lo[k], spec.admissible.hi[k],
+                             u.at(k)[node]) for j in range(2))
         xs, ys, vs = (np.stack([a, b, 0.5 * (a + b)]) for a, b in ((x1, x2), (y1, y2), (v1, v2)))
         hvals = (grid.h * c.f(k, xs, ys, vs) @ ep
                  + np.einsum("mji,ji->m", c.sigma(k, xs, ys, vs), qn) - c.l(k, xs, ys, vs))
@@ -792,6 +812,28 @@ def test_sufficiency_batches_match_per_sample_loop(make, rtol):
     assert values["Hamiltonian midpoint concavity violation"] == pytest.approx(
         concavity, rel=rtol, abs=0.0)
     assert values["H(vertex) - H(candidate) max"] == pytest.approx(vertex, rel=rtol, abs=0.0)
+
+
+def test_sample_box_rows_keeps_each_bound_case_in_its_range():
+    # one column per case: a finite box, a point box, lower bound only,
+    # upper bound only, free; bounds given per row, as the check passes them
+    rng = np.random.default_rng(3)
+    rows = 2000
+    lo = np.tile([-2.0, 0.5, 3.0, -np.inf, -np.inf], (rows, 1))
+    hi = np.tile([1.0, 0.5, np.inf, -4.0, np.inf], (rows, 1))
+    base = rng.uniform(-1.0, 1.0, (rows, 5))
+    base[:, 1] = 0.5
+    v = smp._sample_box_rows(rng, lo, hi, base)
+    ranges = [(-2.0 + 0.15, 1.0 - 0.15), (3.0 + 0.05 * 4.0, 3.0 + 4.0),
+              (-4.0 - 5.0, -4.0 - 0.05 * 5.0)]
+    for col, (low, high) in zip((0, 2, 3), ranges):
+        assert np.all((low <= v[:, col]) & (v[:, col] <= high))
+        # the draws fill the range, not a corner of it
+        assert v[:, col].min() < low + 0.01 * (high - low)
+        assert v[:, col].max() > high - 0.01 * (high - low)
+    np.testing.assert_array_equal(v[:, 1], base[:, 1])
+    free = v[:, 4] - base[:, 4]
+    assert np.all(np.abs(free) <= 1.0) and free.min() < -0.99 and free.max() > 0.99
 
 
 def _capped_cost(spec, limit):
