@@ -5,10 +5,13 @@ so it must be available before any child state is computed.  On a finite tree
 the simulated level means coincide (to roundoff) with the deterministic mean
 recursion, because the diffusion terms have exactly zero conditional mean.
 
-`batch_cost` is the one batched cost: the grid oracle's candidates, the
-finite differences and the gradient certificate's rows all run through it as
-batch rows of one forward recursion, in chunks whose widest level array holds
-at most `CHUNK_BYTES` bytes.
+`batch_cost` is the one batched cost: the finite differences and the
+gradient certificate's rows run through it as batch rows of one forward
+recursion, in chunks of `chunk_rows` rows, whose widest level array holds at
+most `CHUNK_BYTES` bytes.  The grid oracle runs the same recursion once per
+pair (prefix, level-N grid point) and finishes each candidate from those rows
+with the same level sums (`add_level`, `add_terminal`), so its costs are
+`batch_cost`'s to the bit.
 """
 
 from dataclasses import dataclass
@@ -73,7 +76,7 @@ def forward_levels(spec, tree: ScenarioTree, controls):
     n, d, h, c = spec.n, spec.d, tree.grid.h, spec.coeffs
     x = np.broadcast_to(spec.x0, controls[0].shape[:-2] + (1, n))
     for k, uk in enumerate(controls):
-        mean = np.einsum("...mn,m->...n", x, tree.abs_prob[k])
+        mean = level_mean(tree, k, x)
         yield x, mean
         xf, yf = _rows(x, mean)
         uf = uk.reshape(-1, spec.r)
@@ -81,31 +84,42 @@ def forward_levels(spec, tree: ScenarioTree, controls):
             drift = c.f(k, xf, yf, uf).reshape(x.shape)
             diff = c.sigma(k, xf, yf, uf).reshape(x.shape[:-1] + (d, n))
             x = tree.children(k, x + h * drift, diff)
-    yield x, np.einsum("...mn,m->...n", x, tree.abs_prob[len(controls)])
+    yield x, level_mean(tree, len(controls), x)
+
+
+def level_mean(tree, k, x) -> np.ndarray:
+    """The level-k mean (..., n) of states x (..., m_k, n)."""
+    return np.einsum("...mn,m->...n", x, tree.abs_prob[k])
 
 
 def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
     """Level-k cost values (..., m_k) of a state and mean from `forward_levels`:
-    l(k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1."""
+    l(k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1, which
+    reads no controls."""
     xf, yf = _rows(x, mean)
     with np.errstate(over="ignore", invalid="ignore"):  # callers flag non-finite values
-        if k < len(controls):
+        if k <= tree.grid.n_steps:
             vals = spec.coeffs.l(k, xf, yf, controls[k].reshape(-1, spec.r))
         else:
             vals = spec.coeffs.phi(xf, yf)
     return vals.reshape(x.shape[:-1])
 
 
+def chunk_rows(spec, tree, dtype=float) -> int:
+    """Batch rows per chunk: the widest level array of a chunk, the leaf
+    level's diffusions or controls, holds at most about `CHUNK_BYTES` bytes."""
+    widest = (tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
+              * np.dtype(dtype).itemsize)
+    return max(1, CHUNK_BYTES // widest)
+
+
 def batch_cost(spec, tree, n_rows, controls_of, dtype=float) -> np.ndarray:
     """Cost J of `n_rows` batch rows, whose per-step controls (B, m_k, r),
     k = 0..N, `controls_of` builds for an array of B row indices.  The rows
-    run in chunks whose widest level array holds at most about `CHUNK_BYTES`
-    bytes of `dtype`.  Each row is summed level by level with the einsum
-    `cost` uses (pairwise for complex controls); a row whose state or cost
-    is not finite, where `cost` raises or returns a non-finite J, is +inf."""
-    widest = (tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
-              * np.dtype(dtype).itemsize)
-    chunk = max(1, CHUNK_BYTES // widest)
+    run in chunks of `chunk_rows` rows.  Each row is summed level by level
+    with `add_level`; a row whose state or cost is not finite, where `cost`
+    raises or returns a non-finite J, is +inf."""
+    chunk = chunk_rows(spec, tree, dtype)
     costs = np.empty(n_rows, dtype)
     for start in range(0, n_rows, chunk):
         stop = min(start + chunk, n_rows)
@@ -117,15 +131,31 @@ def _chunk_cost(spec, tree, controls) -> np.ndarray:
     """`batch_cost` of one chunk, given its per-step controls (B, m_k, r)."""
     costs = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (x, mean) in enumerate(forward_levels(spec, tree, controls)):
-            vals = level_cost(spec, tree, controls, k, x, mean)
-            if np.iscomplexobj(vals):
-                # a complex step puts a few large imaginary terms among many
-                # equal tiny ones; a running sum rounds each tiny one the same
-                # way, drifting by up to nodes * eps, a pairwise sum does not
-                costs = costs + np.sum(vals * tree.abs_prob[k], axis=-1)
-            else:
-                costs = costs + np.einsum("...m,m->...", vals, tree.abs_prob[k])
+        levels = forward_levels(spec, tree, controls)
+        for k, (x, mean) in zip(range(len(controls)), levels):
+            costs = add_level(costs, level_cost(spec, tree, controls, k, x, mean),
+                              tree.abs_prob[k])
+        return add_terminal(spec, tree, costs, *next(levels))
+
+
+def add_level(costs, vals, prob):
+    """Running batch costs (...) plus the expectation of level values
+    (..., m) under the node probabilities `prob` (m,): the einsum `cost`
+    uses, pairwise for complex values.  Callers suppress the overflow
+    warnings of non-finite values."""
+    if np.iscomplexobj(vals):
+        # a complex step puts a few large imaginary terms among many equal
+        # tiny ones; a running sum rounds each tiny one the same way,
+        # drifting by up to nodes * eps, a pairwise sum does not
+        return costs + np.sum(vals * prob, axis=-1)
+    return costs + np.einsum("...m,m->...", vals, prob)
+
+
+def add_terminal(spec, tree, costs, x, mean) -> np.ndarray:
+    """Batch costs (...) of levels 0..N plus E phi of the leaf states x
+    (..., m_{N+1}, n) and their mean (..., n); +inf where not finite."""
+    k = tree.grid.n_steps + 1
+    costs = add_level(costs, level_cost(spec, tree, None, k, x, mean), tree.abs_prob[k])
     finite = np.isfinite(costs)
     # a non-finite state passes on to every descendant and, as path
     # probabilities are positive, into the mean of the leaves; the per-row
@@ -162,7 +192,7 @@ def cost(spec, tree, u: AdaptedProcess, traj: StateTrajectory | None = None,
             node = int(np.flatnonzero(~np.isfinite(vals))[0])
             kind, at = ("terminal", "") if k == kT else ("running", f"level {k}, ")
             raise CostDomainError(f"{kind} cost undefined at {at}node {node}", level=k, node=node)
-        # `batch_cost` sums its batch rows with this same einsum
+        # `add_level` sums batch rows with this same einsum
         total += float(np.einsum("...m,m->...", vals, tree.abs_prob[k]))
     return total
 

@@ -21,12 +21,14 @@ g(trial) is the next gradient.  `gradient-stall` ends STALL_ITERS iterations wit
 neither a new least projected gradient nor an Armijo step.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
-from .forward import batch_cost, cost, simulate
+from .forward import (add_level, add_terminal, chunk_rows, cost, forward_levels, level_cost,
+                      level_mean, simulate)
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
 
@@ -164,40 +166,128 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
 def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7):
     """Exhaustively grid every nodal control coordinate over its box and return
     the best candidate with its exact cost; a tie goes to the lowest candidate
-    index.  Refuses unbounded boxes and combinatorial sizes beyond `comb_cap`."""
+    index.  Refuses unbounded boxes and combinatorial sizes beyond `comb_cap`.
+
+    The candidates' costs are `forward.batch_cost`'s, bit for bit (as there,
+    a forward run of one row may round its matrix products differently), but
+    the forward recursion does not run once per candidate.  A candidate's states
+    up to level N depend only on its prefix, its controls before level N, and
+    a level-N node's running cost and children only on the prefix and that
+    node's own control.  So the recursion runs once per table row, a pair
+    (prefix, level-N grid point) with that point at every level-N node, and
+    each candidate gathers its level-N nodes' rows and pays only the leaf
+    mean, phi and the level sums.  Candidates run in index order, in chunks
+    of `forward.chunk_rows` rows, and the table holds only the rows that the
+    current and later chunks read, about a chunk's worth (at N = 0 every
+    candidate is its own row).  So the memory is the cost array plus about
+    one chunk, whatever the shape."""
     if grid_per_axis < 1:
         raise MfsmpError("grid_per_axis must be >= 1")
-    n_steps = tree.grid.n_steps
-    axes = []       # (step, node, coord) -> grid values
-    layout = []
-    for k in range(n_steps + 1):
-        lo, hi = spec.admissible.lo[k], spec.admissible.hi[k]
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise MfsmpError("brute force needs bounded admissible boxes")
-        for node in range(tree.size(k)):
-            for i in range(spec.r):
-                vals = np.unique(np.linspace(lo[i], hi[i], grid_per_axis))
-                axes.append(vals)
-                layout.append((k, node, i))
-    sizes = np.array([a.size for a in axes], dtype=np.int64)
-    total = int(np.prod(sizes, dtype=np.int64))
-    if total > comb_cap:
-        raise MfsmpError(
-            f"brute-force grid of {total} candidates exceeds the cap {comb_cap}")
-    strides = np.ones(len(axes), dtype=np.int64)
-    for j in range(len(axes) - 2, -1, -1):
-        strides[j] = strides[j + 1] * sizes[j + 1]
-
-    def controls_of(idx):
-        digits = (idx[:, None] // strides[None, :]) % sizes[None, :]
-        controls = [np.zeros((idx.size, tree.size(k), spec.r)) for k in range(n_steps + 1)]
-        for j, (k, node, i) in enumerate(layout):
-            controls[k][:, node, i] = axes[j][digits[:, j]]
-        return controls
-
-    costs = batch_cost(spec, tree, total, controls_of)
+    costs, controls_of = _grid_costs(spec, tree, grid_per_axis, comb_cap)
     best = int(np.argmin(costs))  # the first minimum
     if not np.isfinite(costs[best]):
         raise MfsmpError("brute force found no admissible candidate with finite cost")
     u = AdaptedProcess(tree, 0, [c[0] for c in controls_of(np.array([best]))])
     return u, float(costs[best])
+
+
+def _grid_costs(spec, tree, grid_per_axis, comb_cap):
+    """The cost of every `brute_force` candidate, in index order, and a
+    function giving the per-step controls (B, m_k, r) of candidate indices.
+    A candidate index is a mixed-radix number over the nodes, level by level,
+    whose digit at a node is the index of its grid point, last coordinate
+    fastest."""
+    n_steps = tree.grid.n_steps
+    axes = []  # axes[k][i]: grid of coordinate i at step k
+    for k in range(n_steps + 1):
+        lo, hi = spec.admissible.lo[k], spec.admissible.hi[k]
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise MfsmpError("brute force needs bounded admissible boxes")
+        axes.append([np.unique(np.linspace(lo[i], hi[i], grid_per_axis))
+                     for i in range(spec.r)])
+    # counts in Python ints, which do not wrap
+    points = [math.prod(a.size for a in ax) for ax in axes]  # grid points of one node
+    level = [p ** tree.size(k) for k, p in enumerate(points)]  # of all level-k nodes
+    total = math.prod(level)
+    if total > comb_cap:
+        shown = total if total < 10 ** 18 else f"about 10^{math.log10(total):.0f}"
+        raise MfsmpError(f"brute-force grid of {shown} candidates exceeds the cap {comb_cap}")
+    strides, after = [], total
+    for k, ax in enumerate(axes):
+        after //= level[k]
+        nodes = after * points[k] ** np.arange(tree.size(k) - 1, -1, -1, dtype=np.int64)
+        strides.append([nodes * math.prod(a.size for a in ax[i + 1:]) for i in range(spec.r)])
+
+    # table row = prefix * P + p, P = points[-1], for the level-N grid point p
+    tail, big_p, m_last = level[-1], points[-1], tree.size(n_steps)
+    n_rows = total // tail * big_p
+    prefix_strides = [[s // tail for s in st] for st in strides[:-1]]
+    point_strides = [[s[-1:] for s in strides[-1]]]  # coordinate digits of one point
+
+    def table_controls(rows):
+        prefix, point = np.divmod(rows, big_p)
+        last = _grid_controls(point, axes[-1:], point_strides)[0]
+        return (_grid_controls(prefix, axes[:-1], prefix_strides)
+                + [np.repeat(last, m_last, axis=1)])
+
+    chunk = chunk_rows(spec, tree)
+    # index arrays are (m_N, B), so that each numpy loop runs along the chunk
+    node_strides = big_p ** np.arange(m_last - 1, -1, -1, dtype=np.int64)[:, None]
+    costs = np.empty(total)
+    held = held_stop = 0  # table rows [held, held_stop) in `table`
+    table = [np.empty((0,) + shape) for shape in ((), (m_last,), (m_last, tree.branch, spec.n))]
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        prefix, rest = np.divmod(np.arange(start, stop), tail)
+        rows = prefix * big_p + rest // node_strides % big_p  # each level-N node's row
+        # the first row a candidate from `start` on reads: its prefix's first
+        # row, or its own row when a single node makes up level N
+        first = int(prefix[0] * big_p + (rest[0] if m_last == 1 else 0))
+        need = int(rows.max()) + 1
+        if need > held_stop:
+            # looking a quarter chunk ahead saves forward runs where a prefix
+            # has few rows, and keeps a run's temporaries a quarter of a chunk's
+            new = np.arange(max(held_stop, first), min(n_rows, max(need, held_stop + chunk // 4)))
+            # free the rows that no chunk reads again before the new ones are made
+            table = [a[first - held:].copy() for a in table]
+            table = [np.concatenate(pair)
+                     for pair in zip(table, _table_rows(spec, tree, table_controls(new)))]
+            held, held_stop = first, int(new[-1]) + 1
+        costs[start:stop] = _candidate_costs(spec, tree, table, rows - held)
+    return costs, lambda idx: _grid_controls(idx, axes, strides)
+
+
+def _candidate_costs(spec, tree, table, rows):
+    """`batch_cost` of the candidates whose level-N nodes read the (row, node)
+    pairs (rows[j, b], j) of the `_table_rows` arrays `table`, rows (m_N, B)."""
+    pre, run, kids = table
+    n_steps, m_last = tree.grid.n_steps, len(rows)
+    at = (rows * m_last + np.arange(m_last)[:, None]).T  # (B, m_N) into the pairs
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = add_level(pre.take(rows[0]), run.reshape(-1).take(at), tree.abs_prob[n_steps])
+        leaves = kids.reshape(-1, tree.branch, spec.n).take(at, axis=0)
+        leaves = leaves.reshape(len(at), -1, spec.n)
+        return add_terminal(spec, tree, sums, leaves, level_mean(tree, n_steps + 1, leaves))
+
+
+def _grid_controls(idx, axes, strides):
+    """Per-step controls (B, m_k, r) of the grid indices `idx` (B,):
+    coordinate i at the level-k nodes is the grid point of digit
+    (idx // strides[k][i]) % axes[k][i].size."""
+    return [np.stack([a[idx[:, None] // s % a.size] for a, s in zip(ax, st)], axis=-1)
+            for ax, st in zip(axes, strides)]
+
+
+def _table_rows(spec, tree, controls):
+    """Per batch row: the summed cost of levels 0..N-1 (B,), each level-N
+    node's running cost (B, m_N) and the states of its children
+    (B, m_N, branch, n)."""
+    n_steps = len(controls) - 1
+    pre = np.zeros(len(controls[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = forward_levels(spec, tree, controls)
+        for k, (x, mean) in zip(range(n_steps), levels):
+            pre = add_level(pre, level_cost(spec, tree, controls, k, x, mean), tree.abs_prob[k])
+        run = level_cost(spec, tree, controls, n_steps, *next(levels))
+        kids, _ = next(levels)
+    return pre, run, kids.reshape(run.shape + (tree.branch, spec.n))

@@ -135,6 +135,16 @@ def test_brute_force_guards():
         brute_force(unbounded, unbounded.build_tree(), 11)
 
 
+@pytest.mark.parametrize("n_steps, points", [(5, 2), (6, 2), (7, 3)])
+def test_brute_force_refuses_grids_whose_count_overflows_int64(n_steps, points):
+    # 2^63, 2^127 and 3^255 candidates: an int64 count wraps to a negative
+    # number or to 0, which slipped past the cap
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=n_steps, x0=[0.0],
+                   lo=-1.0, hi=1.0)
+    with pytest.raises(MfsmpError, match="exceeds the cap"):
+        brute_force(spec, spec.build_tree(), points)
+
+
 def _oracle_lq():
     """A boxed LQ with n = 2 and 3 control nodes (N = 1, binary noise)."""
     return builtin("lq_meanfield", n=2, r=1, d=1, h=0.5, N=1, x0=[0.3, -0.2],
@@ -143,17 +153,107 @@ def _oracle_lq():
                    q=[0.1, -0.2], lo=-1.0, hi=1.0)
 
 
-def test_brute_force_memory_is_its_cost_array_plus_a_chunk():
-    spec = _oracle_lq()
+def _brute_force_peak(spec, points):
+    """The tracemalloc peak of one `brute_force` call, in bytes."""
     tree = spec.build_tree()
-    candidates = 101 ** 3
     tracemalloc.start()
     try:
-        brute_force(spec, tree, 101)
-        peak = tracemalloc.get_traced_memory()[1]
+        brute_force(spec, tree, points)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * candidates + 4 * 2 ** 20
+
+
+def test_brute_force_memory_is_its_cost_array_plus_a_chunk():
+    candidates = 101 ** 3
+    assert _brute_force_peak(_oracle_lq(), 101) < 8 * candidates + 4 * 2 ** 20
+
+
+def _root_r3():
+    """A root-only LQ (N = 0) with three control coordinates."""
+    return builtin("lq_meanfield", n=2, r=3, d=1, h=0.5, N=0, x0=[0.3, -0.2],
+                   A=[[0.1, 0.2], [0.0, -0.3]], B=[[1.0, 0.2, -0.3], [0.5, 0.1, 0.4]],
+                   sigma=[{"s0": [0.2, 0.1], "D": [[0.1, 0.0, 0.2], [0.0, 0.3, 0.1]]}],
+                   Q=[[1.0, 0.0], [0.0, 1.0]], R=[[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.5]],
+                   G=[[1.0, 0.0], [0.0, 1.0]], q=[0.1, -0.2], lo=-1.0, hi=1.0)
+
+
+def test_brute_force_memory_when_the_table_is_the_candidate_set():
+    # at N = 0 every candidate is its own table row: the table must be held
+    # about a chunk at a time, not whole
+    candidates = 61 ** 3
+    assert _brute_force_peak(_root_r3(), 61) < 8 * candidates + 4 * 2 ** 20
+
+
+def test_brute_force_runs_the_drift_once_per_table_row(monkeypatch):
+    # every candidate used to run the whole recursion: 101^3 candidates times
+    # 3 control nodes = 3,090,903 drift rows; a table row per (level-0 point,
+    # level-1 point) runs 3 of them, 30,603 in all
+    spec = _oracle_lq()
+    tree = spec.build_tree()
+    f, rows = spec.coeffs.f, []
+
+    def counting(k, x, y, u):
+        rows.append(len(x))
+        return f(k, x, y, u)
+
+    monkeypatch.setattr(spec.coeffs, "f", counting)
+    brute_force(spec, tree, 101)
+    assert sum(rows) <= 101 ** 3 * 3 // 10
+
+
+def _reference_grid_costs(spec, tree, points):
+    """Every grid candidate's `forward.batch_cost`, one forward recursion per
+    candidate, decoded digit by digit over (step, node, coordinate) axes."""
+    axes, layout = [], []
+    for k in range(tree.grid.n_steps + 1):
+        for node in range(tree.size(k)):
+            for i in range(spec.r):
+                axes.append(np.unique(np.linspace(spec.admissible.lo[k][i],
+                                                  spec.admissible.hi[k][i], points)))
+                layout.append((k, node, i))
+    sizes = [a.size for a in axes]
+    strides = [int(np.prod(sizes[j + 1:])) for j in range(len(sizes))]
+
+    def controls_of(idx):
+        controls = [np.zeros((idx.size, tree.size(k), spec.r)) for k in range(tree.grid.n_steps + 1)]
+        for j, (k, node, i) in enumerate(layout):
+            controls[k][:, node, i] = axes[j][idx // strides[j] % sizes[j]]
+        return controls
+
+    return forward.batch_cost(spec, tree, int(np.prod(sizes)), controls_of)
+
+
+ORACLE_CASES = {
+    "oracle-lq": (_oracle_lq, 7),
+    "root-r3": (_root_r3, 5),
+    "random-lq-6": (lambda: random_lq(6, bounded=True), 3),  # N = 1, r = 2, d = 2
+    "tables": (lambda: parse_problem(json.dumps(TABLES_CFG)), 3),
+    "prodcons": (lambda: builtin("prodcons", delta_util=0.5, h=0.5, N=3, x0=1.0,
+                                 v_floor=-0.5, v_cap=1.0), 2),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_brute_force_costs_are_batch_cost_bit_for_bit(case, monkeypatch):
+    make, points = ORACLE_CASES[case]
+    spec = make()
+    tree = spec.build_tree()
+    opt_module, seen = _optimize_module(), []
+    grid_costs = opt_module._grid_costs
+
+    def spy(*args):
+        costs, controls_of = grid_costs(*args)
+        seen.append(costs)
+        return costs, controls_of
+
+    monkeypatch.setattr(opt_module, "_grid_costs", spy)
+    _, j_val = brute_force(spec, tree, points)
+    expected = _reference_grid_costs(spec, tree, points)
+    np.testing.assert_array_equal(seen[0], expected)
+    assert j_val == expected.min()
+    if case == "prodcons":  # undefined candidates are +inf, not the minimum
+        assert np.isinf(expected).any()
 
 
 def _rows_per_chunk(monkeypatch, spec, tree, rows):
@@ -161,7 +261,7 @@ def _rows_per_chunk(monkeypatch, spec, tree, rows):
     monkeypatch.setattr(forward, "CHUNK_BYTES", rows * widest * np.dtype(float).itemsize)
 
 
-@pytest.mark.parametrize("rows", [2, 7, 100])
+@pytest.mark.parametrize("rows", [1, 2, 7, 100])
 def test_brute_force_is_the_same_in_chunks(rows, monkeypatch):
     spec = _oracle_lq()
     tree = spec.build_tree()
