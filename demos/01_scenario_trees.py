@@ -14,12 +14,12 @@ grid = TimeGrid(t0=0.0, h=0.5, n_steps=2)
 
 # The minimal admissible increment law: +-sqrt(h) with equal probability.
 binary = NoiseModel.binary(dim=1, step=grid.h)
-print("binary support:", binary.values[0], "probs:", binary.probs[0])
+print("binary support:", binary.values, "probs:", binary.probs)
 print(validate_noise(binary).summary_line())
 
 # A trinomial law spends one extra branch per step on a mass at zero.
 trinomial = NoiseModel.trinomial(dim=1, step=grid.h, p=0.2)
-print("trinomial support:", trinomial.values[0], "probs:", trinomial.probs[0])
+print("trinomial support:", trinomial.values, "probs:", trinomial.probs)
 print(validate_noise(trinomial).summary_line())
 
 tree = build_tree(grid, binary)

@@ -154,28 +154,13 @@ def smooth_nonlinear(seed):
     return ProblemSpec(n, r, d, grid, noise, rng.uniform(-0.5, 0.5, n), coeffs, admissible)
 
 
-def random_control(spec, tree, seed, margin=0.15):
-    """Feasible control strictly inside the boxes (finite-difference safe)."""
+def random_control(spec, tree, seed):
+    """Seeded feasible control strictly inside the boxes (finite-difference
+    safe): each level is one `AdmissibleSet.sample` draw around zero."""
     rng = np.random.default_rng(seed)
     u = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
-    for k in range(tree.grid.n_steps + 1):
-        lo, hi = spec.admissible.lo[k], spec.admissible.hi[k]
-        vals = np.empty((tree.size(k), spec.r))
-        for i in range(spec.r):
-            a, b = lo[i], hi[i]
-            if np.isfinite(a) and np.isfinite(b):
-                w = b - a
-                if w == 0.0:
-                    vals[:, i] = a
-                else:
-                    vals[:, i] = rng.uniform(a + margin * w, b - margin * w, tree.size(k))
-            elif np.isfinite(a):
-                vals[:, i] = a + (1.0 + abs(a)) * rng.uniform(0.2, 1.0, tree.size(k))
-            elif np.isfinite(b):
-                vals[:, i] = b - (1.0 + abs(b)) * rng.uniform(0.2, 1.0, tree.size(k))
-            else:
-                vals[:, i] = rng.uniform(-0.8, 0.8, tree.size(k))
-        u.set_level(k, vals)
+    for k in u.levels():
+        u.set_level(k, spec.admissible.sample(rng, k, u.at(k)))
     return u
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import CostDomainError, MfsmpError, SimulationError
 from .forward import (add_level, add_terminal, chunk_rows, cost, forward_levels, level_cost,
                       level_mean, simulate)
+from .instances import random_control
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
 
@@ -46,7 +47,7 @@ class OptimizerOptions:
     max_iters: int = 500
     step_init: float = 1.0  # first and fallback trial step
     grad_tol: float = 1e-8
-    seed: int | None = None
+    seed: int | None = None  # start from random_control(spec, tree, seed), else zero
 
 
 @dataclass(eq=False)
@@ -61,17 +62,6 @@ class OptimizeResult:
 
 def _project_control(spec, u: AdaptedProcess) -> AdaptedProcess:
     return AdaptedProcess(u.tree, 0, [spec.admissible.project(k, u.at(k)) for k in u.levels()])
-
-
-def _initial_control(spec, tree, options) -> AdaptedProcess:
-    u = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
-    if options.seed is not None:
-        rng = np.random.default_rng(options.seed)
-        for k in u.levels():
-            lo = np.where(np.isfinite(spec.admissible.lo[k]), spec.admissible.lo[k], -1.0)
-            hi = np.where(np.isfinite(spec.admissible.hi[k]), spec.admissible.hi[k], 1.0)
-            u.set_level(k, rng.uniform(lo, hi, (tree.size(k), spec.r)))
-    return _project_control(spec, u)
 
 
 def _inner(tree, a, b) -> float:
@@ -109,7 +99,10 @@ def _safe_cost(spec, tree, u):
 def optimize(spec, tree, u0: AdaptedProcess | None = None,
              options: OptimizerOptions | None = None) -> OptimizeResult:
     options = options or OptimizerOptions()
-    u = _project_control(spec, u0) if u0 is not None else _initial_control(spec, tree, options)
+    if u0 is None:
+        u0 = (AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,)) if options.seed is None
+              else random_control(spec, tree, options.seed))
+    u = _project_control(spec, u0)
     j_val, traj = _safe_cost(spec, tree, u)
     if not np.isfinite(j_val):
         raise CostDomainError("cost undefined at the (projected) initial control")

@@ -107,6 +107,24 @@ class AdmissibleSet:
         v = np.asarray(v, dtype=float)
         return float(np.max(np.maximum(self.lo[step] - v, v - self.hi[step]), initial=0.0))
 
+    def sample(self, rng, steps, base):
+        """Random admissible points near `base` (..., r), one `rng.random` draw
+        per entry, strictly inside the boxes of `steps` (an int, or indices
+        whose boxes broadcast against `base`): the inner 90% of a finite box
+        (its point where lo = hi), (0.05, 1) (1 + |bound|) beyond a one-sided
+        bound, and base +- 1 when free."""
+        lo, hi = self.lo[steps], self.hi[steps]
+        unit = rng.random(base.shape)
+        lo_in, hi_in = np.isfinite(lo), np.isfinite(hi)
+        with np.errstate(invalid="ignore"):
+            w = hi - lo
+            low, high = lo + 0.05 * w, hi - 0.05 * w
+            return np.select(
+                [lo_in & hi_in & (w == 0.0), lo_in & hi_in, lo_in, hi_in],
+                [lo, low + (high - low) * unit, lo + (1.0 + np.abs(lo)) * (0.05 + 0.95 * unit),
+                 hi - (1.0 + np.abs(hi)) * (0.05 + 0.95 * unit)],
+                base + (2.0 * unit - 1.0))
+
 
 @dataclass(eq=False)
 class ProblemSpec:
@@ -671,26 +689,6 @@ def serialize_problem(spec: ProblemSpec) -> str:
     return json.dumps(to_config(spec), sort_keys=True, indent=2)
 
 
-def _sample_controls(spec, rng, count):
-    lo, hi = spec.admissible.lo[0], spec.admissible.hi[0]
-    out = np.empty((count, spec.r))
-    for i in range(spec.r):
-        a, b = lo[i], hi[i]
-        if np.isfinite(a) and np.isfinite(b):
-            w = b - a
-            if w == 0.0:
-                out[:, i] = a
-            else:
-                out[:, i] = rng.uniform(a + 0.1 * w, b - 0.1 * w, count)
-        elif np.isfinite(a):
-            out[:, i] = a + (1.0 + abs(a)) * rng.uniform(0.1, 1.0, count)
-        elif np.isfinite(b):
-            out[:, i] = b - (1.0 + abs(b)) * rng.uniform(0.1, 1.0, count)
-        else:
-            out[:, i] = rng.uniform(-1.0, 1.0, count)
-    return out
-
-
 def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
                   seed: int = 0, fd_step: float = 1e-6) -> CheckReport:
     """Sampled consistency check: output shapes, analytic partials against
@@ -703,7 +701,7 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
     scale = 1.0 + np.abs(spec.x0)
     x = spec.x0 + rng.uniform(-0.5, 0.5, (m, n)) * scale
     y = spec.x0 + rng.uniform(-0.5, 0.5, (m, n)) * scale
-    u = _sample_controls(spec, rng, m)
+    u = spec.admissible.sample(rng, 0, np.zeros((m, r)))
     k = 0
     c = spec.coeffs
 

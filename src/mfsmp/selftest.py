@@ -37,8 +37,7 @@ def suite_noise(trials=None, fault=None) -> CheckReport:
     ]
     if fault == "noise-mean":
         broken = NoiseModel.binary(1, 1.0)
-        shifted = tuple(v + 1e-3 for v in broken.values)
-        broken = NoiseModel(1, 1.0, shifted, broken.probs, kind="custom")
+        broken = NoiseModel(1, 1.0, broken.values + 1e-3, broken.probs, kind="custom")
         models.append(("binary d=1 shifted (injected fault)", broken))
     for label, model in models:
         sub = validate_noise(model, tol=1e-14)

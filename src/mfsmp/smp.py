@@ -240,23 +240,6 @@ def rate_check(spec, tree, u, spike: SpikeVariation,
     return report
 
 
-def _sample_box_rows(rng, lo, hi, base):
-    """Jittered admissible points near `base` (..., r), one uniform draw per
-    entry, kept strictly inside the box [lo, hi] broadcast against it: the
-    inner 90% of a finite box (`base` where it is a point), (0.05, 1)
-    (1 + |bound|) beyond a one-sided bound, and base +- 1 when free."""
-    unit = rng.random(base.shape)
-    lo_in, hi_in = np.isfinite(lo), np.isfinite(hi)
-    with np.errstate(invalid="ignore"):
-        w = hi - lo
-        low, high = lo + 0.05 * w, hi - 0.05 * w
-        return np.select(
-            [lo_in & hi_in & (w == 0.0), lo_in & hi_in, lo_in, hi_in],
-            [base, low + (high - low) * unit, lo + (1.0 + np.abs(lo)) * (0.05 + 0.95 * unit),
-             hi - (1.0 + np.abs(hi)) * (0.05 + 0.95 * unit)],
-            base + (2.0 * unit - 1.0))
-
-
 def _max_skipping_nan(values) -> float:
     """Largest value that is not NaN, or -inf: a running `max` from -inf."""
     return float(np.max(values[~np.isnan(values)], initial=-np.inf))
@@ -270,7 +253,8 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     costates, nonnegative mean-gradients along the trajectory, and Hamiltonian
     optimality over box vertices (unbounded sides probed at a few spans).
     Parts (i) and (ii) draw their `samples` points as arrays, one rng call per
-    quantity, from the distributions a per-sample draw would use."""
+    quantity; part (ii)'s controls are `AdmissibleSet.sample` points around
+    the checked control."""
     rng = np.random.default_rng(seed)
     report = CheckReport("sufficient-conditions")
     report.note("orientation: maximize-H convention; concavity of H here equals "
@@ -301,8 +285,7 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     span = 1.0 + np.abs(xn).max(axis=1, keepdims=True)
     x1, x2 = xn + rng.uniform(-0.5, 0.5, (2, samples, spec.n)) * span
     y1, y2 = traj.means[steps] + rng.uniform(-0.5, 0.5, (2, samples, spec.n)) * span
-    v1, v2 = _sample_box_rows(rng, spec.admissible.lo[steps], spec.admissible.hi[steps],
-                              np.stack([un, un]))
+    v1, v2 = spec.admissible.sample(rng, steps, np.stack([un, un]))
     xs, ys, vs = (np.stack([a, b, 0.5 * (a + b)], axis=1)
                   for a, b in ((x1, x2), (y1, y2), (v1, v2)))
     gaps = np.full(samples, np.nan)
@@ -531,7 +514,7 @@ def certify_gradient(spec, tree, u, g, traj=None) -> CheckReport:
       `CERT_SAMPLE_TOL` (relative, as `gradient_consistency` measures);
     - along each of `certificate_directions`, v = w / p_node, the complex-step
       derivative equals <g, v>_P = sum g w to `CERT_DIRECTION_TOL` of
-      sum (|g + l_u| + |l_u|) |w|, which sees an error at any single node;
+      sum (|l_u - g| + |l_u|) |w|, which sees an error at any single node;
     - the Taylor remainder |J(u + eps v) - J(u) - eps sum g w| shrinks like
       eps^2 down the rungs of `TAYLOR_MOVES` (real batch rows), checked on
       the last two neighbouring rungs whose remainders are finite and above
@@ -569,18 +552,18 @@ def certify_gradient(spec, tree, u, g, traj=None) -> CheckReport:
 
     if traj is None:
         traj = simulate(spec, tree, u, validate=False)
-    # g = (state part) - l_u node by node; the two parts cancel near an
+    # g = l_u - (state part) node by node; the two parts cancel near an
     # optimum, and roundoff scales with their sizes, not with |g|
     size = []
     for k in u.levels():
         x = traj.at(k)
         lu = np.asarray(spec.coeffs.l_u(k, x, np.broadcast_to(traj.means[k], x.shape), u.at(k)))
-        size.append(np.abs(g.at(k) + lu) + np.abs(lu))
+        size.append(np.abs(lu - g.at(k)) + np.abs(lu))
     gw = [sum(float(np.sum(g.at(k) * w[k])) for k in u.levels()) for w in directions]
     scale = [sum(float(np.sum(size[k] * np.abs(w[k]))) for k in u.levels()) for w in directions]
     for d, (exact, inner, sc) in enumerate(zip(along, gw, scale)):
         report.add(f"{method} derivative along direction #{d} vs sum g w, relative to "
-                   f"sum (|g + l_u| + |l_u|) |w|",
+                   f"sum (|l_u - g| + |l_u|) |w|",
                    abs(exact - inner) / max(sc, np.finfo(float).tiny), direction_tol)
 
     eps = TAYLOR_MOVES * _least_control_prob(tree)

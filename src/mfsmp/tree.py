@@ -45,40 +45,32 @@ class NoiseModel:
     """Finite-support law of one noise increment, satisfying the moment conditions.
 
     Each of the `dim` components is an independent scalar with zero mean and
-    second moment equal to the grid step; joint increments are the product
-    distribution, which makes cross second moments h times the identity.
+    second moment equal to the grid step, all on one support `values` with
+    probabilities `probs`; joint increments are the product distribution,
+    which makes cross second moments h times the identity.
     """
 
     def __init__(self, dim, step, values, probs, kind="custom", params=None):
         if dim < 1:
             raise MfsmpError(f"noise dimension must be >= 1, got {dim}")
-        if len(values) != dim or len(probs) != dim:
-            raise MfsmpError("need one support per noise component")
         self.dim = int(dim)
         self.step = float(step)
-        self.values = tuple(np.asarray(v, dtype=float) for v in values)
-        self.probs = tuple(np.asarray(p, dtype=float) for p in probs)
+        self.values = np.asarray(values, dtype=float)
+        self.probs = np.asarray(probs, dtype=float)
         self.kind = kind
         self.params = dict(params or {})
-        for j, (v, p) in enumerate(zip(self.values, self.probs)):
-            if v.ndim != 1 or p.shape != v.shape or v.size == 0:
-                raise MfsmpError(f"component {j}: support and probabilities must be equal-length 1-d")
-            if np.any(p <= 0.0):
-                raise MfsmpError(f"component {j}: probabilities must be positive")
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise MfsmpError(f"component {j}: probabilities sum to {float(p.sum())!r}, not 1")
+        if self.values.ndim != 1 or self.probs.shape != self.values.shape or self.values.size == 0:
+            raise MfsmpError("support and probabilities must be equal-length 1-d")
+        if np.any(self.probs <= 0.0):
+            raise MfsmpError("probabilities must be positive")
+        if abs(self.probs.sum() - 1.0) > 1e-12:
+            raise MfsmpError(f"probabilities sum to {float(self.probs.sum())!r}, not 1")
 
     @classmethod
     def binary(cls, dim, step):
         """Symmetric two-point law +-sqrt(h), the minimal admissible increment."""
         a = np.sqrt(step)
-        return cls(
-            dim,
-            step,
-            [np.array([a, -a])] * dim,
-            [np.array([0.5, 0.5])] * dim,
-            kind="binary",
-        )
+        return cls(dim, step, [a, -a], [0.5, 0.5], kind="binary")
 
     @classmethod
     def trinomial(cls, dim, step, p=0.25):
@@ -86,36 +78,23 @@ class NoiseModel:
         if not 0.0 < p < 0.5:
             raise MfsmpError(f"trinomial tail probability must lie in (0, 0.5), got {p}")
         a = np.sqrt(step / (2.0 * p))
-        return cls(
-            dim,
-            step,
-            [np.array([-a, 0.0, a])] * dim,
-            [np.array([p, 1.0 - 2.0 * p, p])] * dim,
-            kind="trinomial",
-            params={"p": float(p)},
-        )
+        return cls(dim, step, [-a, 0.0, a], [p, 1.0 - 2.0 * p, p],
+                   kind="trinomial", params={"p": float(p)})
 
     @classmethod
     def from_support(cls, dim, step, support):
-        """Custom per-component support given as [(value, prob), ...] (shared by all components)."""
-        vals = np.array([s[0] for s in support], dtype=float)
-        prb = np.array([s[1] for s in support], dtype=float)
-        return cls(dim, step, [vals] * dim, [prb] * dim,
+        """Custom support of every component given as [(value, prob), ...]."""
+        return cls(dim, step, [s[0] for s in support], [s[1] for s in support],
                    kind="custom", params={"support": [[float(v), float(p)] for v, p in support]})
 
     @property
     def branch_count(self) -> int:
-        out = 1
-        for v in self.values:
-            out *= v.size
-        return out
+        return self.values.size ** self.dim
 
     def joint_support(self):
         """Product law across components: (values (B, dim), probs (B,))."""
-        grids = list(itertools.product(*[range(v.size) for v in self.values]))
-        vals = np.array([[self.values[j][g[j]] for j in range(self.dim)] for g in grids])
-        probs = np.array([np.prod([self.probs[j][g[j]] for j in range(self.dim)]) for g in grids])
-        return vals, probs
+        grid = np.array(list(itertools.product(range(self.values.size), repeat=self.dim)))
+        return self.values[grid], np.prod(self.probs[grid], axis=1)
 
 
 def validate_noise(noise: NoiseModel, tol: float = 1e-14) -> CheckReport:

@@ -421,7 +421,7 @@ def _admissible_steps(cfg, entries):
     (lambda c: c.update(admissible=[{"t": "all", "lo": [1.0], "hi": [-1.0]}]),
      "admissible step 0: empty box at coordinate 0, lo=1.0 > hi=-1.0"),
     (lambda c: c.update(noise={"kind": "custom", "params": {"support": [[1.0, 0.5], [-1.0, 0.4]]}}),
-     "noise.params.support: component 0: probabilities sum to 0.9, not 1"),
+     "noise.params.support: probabilities sum to 0.9, not 1"),
     (lambda c: c.update(noise={"kind": "custom", "params": {"support": [[2.0, 0.5], [-2.0, 0.5]]}}),
      "noise.params.support: moments break the model, |E w^1 w^1 - h| = 3.0"),
     (lambda c: c.update(noise={"kind": "custom", "params": {"support": [[1.5, 0.5], [-0.5, 0.5]]}}),

@@ -534,6 +534,25 @@ def test_iterates_stay_feasible_under_an_active_box(monkeypatch):
     assert result.reason == "gradient-tolerance"
 
 
+def test_seeded_start_is_strictly_inside_a_one_sided_box(monkeypatch):
+    # the seeded start is `random_control`: beyond a lower bound with no upper one
+    opt_module = _optimize_module()
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=2, x0=[0.4], A=[[0.3]], B=[[1.0]],
+                   Q=[[0.8]], R=[[0.6]], G=[[0.9]], lo=2.0, hi=np.inf)
+    tree = spec.build_tree()
+    trials = []
+    safe_cost = opt_module._safe_cost
+
+    def spy(spec, tree, u):
+        trials.append(u)
+        return safe_cost(spec, tree, u)
+    monkeypatch.setattr(opt_module, "_safe_cost", spy)
+    result = optimize(spec, tree, options=OptimizerOptions(seed=3))
+    start = np.concatenate([trials[0].at(k) for k in trials[0].levels()])
+    assert np.all(start > 2.0) and np.all(np.isfinite(start))
+    assert result.reason == "gradient-tolerance"
+
+
 def _deep_lq(n_steps):
     """Unconstrained convex mean-field LQ, n = 2, r = d = 1, h = 0.5, binary
     noise: the coefficients of the benchmark's solve-ladder `lq-binary`

@@ -11,7 +11,8 @@ from mfsmp.errors import CostDomainError, SimulationError
 from mfsmp.forward import constant_control, cost, simulate
 from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
                              smooth_nonlinear)
-from mfsmp.problem import builtin, parse_problem, serialize_problem, validate_spec
+from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, serialize_problem,
+                           validate_spec)
 from mfsmp.smp import (SpikeVariation, adjoint_gradient, duality_residual,
                        fd_cost_gradient, gradient_consistency, hamiltonian,
                        hamiltonian_gradient, necessary_check, rate_check, rate_ratios,
@@ -590,6 +591,30 @@ def test_certificate_passes_and_fails_on_flipped_sign(case):
     assert not any(r.ok for r in flipped.residuals[1:])
 
 
+def test_certificate_direction_scale_is_the_state_part_plus_l_u():
+    # the scale is sum (|state part| + |l_u|) |w|, with the state part read
+    # from the Hamiltonian gradient's own parts, not recovered from g
+    spec = random_prodcons(2)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 5)
+    traj, adj = _solved(spec, tree, u)
+    g = adjoint_gradient(spec, tree, u)
+    report = smp.certify_gradient(spec, tree, u, g)
+    directions = smp.certificate_directions(spec, tree, u)
+    moves = [[wk / tree.abs_prob[k][:, None] for k, wk in enumerate(w)] for w in directions]
+    _, along = smp.complex_step_derivatives(
+        spec, tree, u, smp.certificate_sample(tree, spec.r), moves)
+    parts = [smp._hamiltonian_gradient_parts(spec, tree, traj, adj, u, k) for k in u.levels()]
+    for d, w in enumerate(directions):
+        numerator = abs(along[d] - sum(float(np.sum(g.at(k) * w[k])) for k in u.levels()))
+        scale = sum(float(np.sum((np.abs(state) + np.abs(lu)) * np.abs(w[k])))
+                    for k, (state, lu) in enumerate(parts))
+        assert numerator > 0.0
+        row = report.residuals[1 + d]
+        assert "|l_u - g| + |l_u|" in row.label
+        assert row.value == pytest.approx(numerator / scale, rel=1e-9, abs=0.0)
+
+
 def test_complex_step_matches_fd_on_selftest_instances():
     from mfsmp.selftest import gradient_instance
     for seed in range(20):
@@ -731,7 +756,7 @@ def test_adjoint_gradient_reuses_given_trajectory():
 
 
 def _box_point(unit, lo, hi, base):
-    """One coordinate at a time, the point `_sample_box_rows` makes of the
+    """One coordinate at a time, the point `AdmissibleSet.sample` makes of the
     uniform draws `unit`, in the arithmetic of `Generator.uniform`."""
     out = np.empty_like(base)
     for i in range(base.size):
@@ -739,7 +764,7 @@ def _box_point(unit, lo, hi, base):
         if np.isfinite(a) and np.isfinite(b):
             w = b - a
             low, high = a + 0.05 * w, b - 0.05 * w
-            out[i] = base[i] if w == 0.0 else low + (high - low) * unit[i]
+            out[i] = a if w == 0.0 else low + (high - low) * unit[i]
         elif np.isfinite(a):
             out[i] = a + (1.0 + abs(a)) * (0.05 + 0.95 * unit[i])
         elif np.isfinite(b):
@@ -814,16 +839,16 @@ def test_sufficiency_batches_match_per_sample_loop(make, rtol):
     assert values["H(vertex) - H(candidate) max"] == pytest.approx(vertex, rel=rtol, abs=0.0)
 
 
-def test_sample_box_rows_keeps_each_bound_case_in_its_range():
+def test_admissible_sample_keeps_each_bound_case_in_its_range():
     # one column per case: a finite box, a point box, lower bound only,
-    # upper bound only, free; bounds given per row, as the check passes them
+    # upper bound only, free; one box per row, as the check passes them
     rng = np.random.default_rng(3)
     rows = 2000
-    lo = np.tile([-2.0, 0.5, 3.0, -np.inf, -np.inf], (rows, 1))
-    hi = np.tile([1.0, 0.5, np.inf, -4.0, np.inf], (rows, 1))
-    base = rng.uniform(-1.0, 1.0, (rows, 5))
-    base[:, 1] = 0.5
-    v = smp._sample_box_rows(rng, lo, hi, base)
+    box = AdmissibleSet(np.tile([-2.0, 0.5, 3.0, -np.inf, -np.inf], (4, 1)),
+                        np.tile([1.0, 0.5, np.inf, -4.0, np.inf], (4, 1)))
+    steps = rng.integers(4, size=rows)
+    base = rng.uniform(-1.0, 1.0, (rows, 5))  # off the point box's point
+    v = box.sample(rng, steps, base)
     ranges = [(-2.0 + 0.15, 1.0 - 0.15), (3.0 + 0.05 * 4.0, 3.0 + 4.0),
               (-4.0 - 5.0, -4.0 - 0.05 * 5.0)]
     for col, (low, high) in zip((0, 2, 3), ranges):
@@ -831,9 +856,11 @@ def test_sample_box_rows_keeps_each_bound_case_in_its_range():
         # the draws fill the range, not a corner of it
         assert v[:, col].min() < low + 0.01 * (high - low)
         assert v[:, col].max() > high - 0.01 * (high - low)
-    np.testing.assert_array_equal(v[:, 1], base[:, 1])
+    np.testing.assert_array_equal(v[:, 1], 0.5)
     free = v[:, 4] - base[:, 4]
     assert np.all(np.abs(free) <= 1.0) and free.min() < -0.99 and free.max() > 0.99
+    # a point box returns its point around any base, zero included
+    np.testing.assert_array_equal(box.sample(rng, 0, np.zeros((3, 5)))[:, 1], 0.5)
 
 
 def _capped_cost(spec, limit):
@@ -861,8 +888,9 @@ def test_certificate_taylor_skips_rungs_outside_cost_domain():
 
     # a node on the domain's edge that both directions move out of: no rung
     # is finite, so the Taylor test cannot pass
-    u.at(7)[up, 0] = 0.9
-    spec = _capped_cost(base, 0.9 + 1e-12)
+    edge = max(float(np.abs(u.at(k)).max()) for k in u.levels()) + 0.1
+    u.at(7)[up, 0] = edge
+    spec = _capped_cost(base, edge + 1e-12)
     report = smp.certify_gradient(spec, tree, u, adjoint_gradient(spec, tree, u))
     assert [r.value for r in report.residuals[3:]] == [np.inf, np.inf]
     assert all(r.ok for r in report.residuals[:3])

@@ -59,7 +59,7 @@ def test_validate_noise_trinomial():
 
 
 def test_validate_noise_one_point_fails_mean():
-    model = NoiseModel(1, 1.0, [np.array([1.0])], [np.array([1.0])])
+    model = NoiseModel(1, 1.0, [1.0], [1.0])
     report = validate_noise(model, tol=1e-14)
     assert not report.passed
     mean_res = [r for r in report.residuals if r.label.startswith("|E w^1|")][0]
@@ -68,9 +68,9 @@ def test_validate_noise_one_point_fails_mean():
 
 def test_noise_model_rejects_bad_probabilities():
     with pytest.raises(MfsmpError):
-        NoiseModel(1, 1.0, [np.array([1.0, -1.0])], [np.array([0.7, 0.2])])
+        NoiseModel(1, 1.0, [1.0, -1.0], [0.7, 0.2])
     with pytest.raises(MfsmpError):
-        NoiseModel(1, 1.0, [np.array([1.0, -1.0])], [np.array([1.0, -0.0])])
+        NoiseModel(1, 1.0, [1.0, -1.0], [1.0, -0.0])
     with pytest.raises(MfsmpError):
         NoiseModel.trinomial(1, 1.0, p=0.6)
 
