@@ -15,13 +15,15 @@ its transpose Phi*_k in the probability-weighted pairing
                + sum_j B_j^T E{v w^j | F_k} + sum_j E[B1_j^T E{v w^j | F_k}]
 
 The backward system solved here reads p_k = Phi*_k p_{k+1} - rhs_k with
-q_j(k) = E{p_{k+1} w^j | F_k} and terminal p = -terminal gradient.  The
+q_j(k) = E{p_{k+1} w^j | F_k} and terminal p = -terminal gradient;
+`backward_levels` sweeps it one level at a time.  The
 expectation-coupled terms are unconditional level means, constant across
 nodes of their level.  The step factor on the mean drift gradient is what
 makes the backward step the transpose of the forward one, so the discrete
 summation-by-parts pairing of p against the spike response closes exactly.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,11 @@ import numpy as np
 from .errors import MfsmpError
 from .report import CheckReport
 from .tree import AdaptedProcess, cond_expect, cond_expect_noise, expect
+
+
+# the coefficients of one step: the Jacobian blocks as `LinearSystemData`
+# lists them and the backward forcing
+StepCoefficients = namedtuple("StepCoefficients", "drift_x drift_mean diff_x diff_mean running")
 
 
 @dataclass(eq=False)
@@ -54,9 +61,9 @@ class LinearSystemData:
     def n(self):
         return self.terminal.shape[1]
 
-    @property
-    def d(self):
-        return self.diff_x[0].shape[1]
+    def step(self, k) -> StepCoefficients:
+        return StepCoefficients(self.drift_x[k], self.drift_mean[k], self.diff_x[k],
+                                self.diff_mean[k], self.running[k])
 
 
 @dataclass(eq=False)
@@ -65,49 +72,67 @@ class AdjointSolution:
     q: AdaptedProcess   # levels 0..N, values (d, n)
 
 
-def linearize(spec, tree, traj, u) -> LinearSystemData:
-    """Evaluate the adjoint coefficients along (x̂, Ex̂, û), node by node; a
+def linearize_step(spec, tree, traj, u, k) -> StepCoefficients:
+    """The step-k adjoint coefficients along (x̂, Ex̂, û), node by node; a
     step-constant Jacobian stays one (1, ...) block."""
-    grid = tree.grid
-    h = grid.h
-    c = spec.coeffs
-    drift_x, drift_mean, diff_x, diff_mean, running = [], [], [], [], []
-    for k in range(grid.n_steps + 1):
-        x = traj.at(k)
-        y = np.broadcast_to(traj.means[k], x.shape)
-        uk = u.at(k)
-        drift_x.append(h * np.asarray(c.f_x(k, x, y, uk)))
-        drift_mean.append(h * np.asarray(c.f_y(k, x, y, uk)))
-        diff_x.append(np.asarray(c.sigma_x(k, x, y, uk)))
-        diff_mean.append(np.asarray(c.sigma_y(k, x, y, uk)))
-        lx = np.asarray(c.l_x(k, x, y, uk))
-        ly_mean = expect(tree, np.asarray(c.l_y(k, x, y, uk)), k)
-        running.append(lx + ly_mean)
-    kT = grid.n_steps + 1
+    h, c = tree.grid.h, spec.coeffs
+    x = traj.at(k)
+    y = np.broadcast_to(traj.means[k], x.shape)
+    uk = u.at(k)
+    return StepCoefficients(
+        h * np.asarray(c.f_x(k, x, y, uk)), h * np.asarray(c.f_y(k, x, y, uk)),
+        np.asarray(c.sigma_x(k, x, y, uk)), np.asarray(c.sigma_y(k, x, y, uk)),
+        np.asarray(c.l_x(k, x, y, uk)) + expect(tree, np.asarray(c.l_y(k, x, y, uk)), k))
+
+
+def linearize_terminal(spec, tree, traj) -> np.ndarray:
+    """The terminal gradient phi_x + E phi_y over the leaves."""
+    kT = tree.grid.n_steps + 1
     xT = traj.at(kT)
     yT = np.broadcast_to(traj.means[kT], xT.shape)
-    terminal = np.asarray(c.phi_x(xT, yT)) + expect(tree, np.asarray(c.phi_y(xT, yT)), kT)
-    return LinearSystemData(drift_x, drift_mean, diff_x, diff_mean, running, terminal)
+    c = spec.coeffs
+    # the level mean first, so phi_y's values are gone before phi_x's are made
+    mean = expect(tree, np.asarray(c.phi_y(xT, yT)), kT)
+    return np.asarray(c.phi_x(xT, yT)) + mean
+
+
+def linearize(spec, tree, traj, u) -> LinearSystemData:
+    """`linearize_step` at every step and `linearize_terminal`, stored."""
+    steps = [linearize_step(spec, tree, traj, u, k) for k in range(tree.grid.n_steps + 1)]
+    return LinearSystemData(*map(list, zip(*steps)), linearize_terminal(spec, tree, traj))
+
+
+def backward_levels(tree, p, coefficients):
+    """The backward recursion p_k = Phi*_k p_{k+1} - running_k from the leaf
+    costate p = p_{N+1}, with `coefficients(k)` the step-k `StepCoefficients`:
+    yields (k, p_k, q_k, E{p_{k+1} | F_k}) for k = N .. 0, with exact
+    conditional expectations.  p_{k+1} and the step's coefficients are
+    dropped once read, so a consumer that keeps no level holds about one."""
+    for k in range(tree.grid.n_steps, -1, -1):
+        qk = cond_expect_noise(tree, p, k + 1)
+        ep = cond_expect(tree, p, k + 1)
+        del p
+        step = coefficients(k)
+        p = _transpose_local(step, tree, k, ep, qk) - step.running
+        del step
+        yield k, p, qk, ep
+
+
+def adjoint_solution(tree, p_last, levels) -> AdjointSolution:
+    """p and q of the leaf costate p_last and the (p_k, q_k), k = N .. 0, of
+    a `backward_levels` sweep."""
+    p, q = zip(*levels[::-1])
+    return AdjointSolution(AdaptedProcess(tree, 0, [*p, p_last]), AdaptedProcess(tree, 0, q))
 
 
 def solve_adjoint(data: LinearSystemData, tree) -> AdjointSolution:
-    """Backward recursion from p(T) = -terminal; exact conditional expectations."""
+    """`backward_levels` over stored coefficients from p(T) = -terminal."""
     n_steps = tree.grid.n_steps
     if data.n_steps != n_steps or data.terminal.shape[0] != tree.size(n_steps + 1):
         raise MfsmpError("linear system data does not match the tree shape")
-    n, d = data.n, data.d
-    p = AdaptedProcess.zeros(tree, 0, n_steps + 1, (n,))
-    q = AdaptedProcess.zeros(tree, 0, n_steps, (d, n))
-    p.set_level(n_steps + 1, -data.terminal)
-    for k in range(n_steps, -1, -1):
-        pc = p.at(k + 1)
-        qk = cond_expect_noise(tree, pc, k + 1)
-        q.set_level(k, qk)
-        # the transposed transition, fed the q it stores rather than
-        # computing E{p w | F} a second time
-        p.set_level(k, _transpose_local(data, tree, k, cond_expect(tree, pc, k + 1), qk)
-                    - data.running[k])
-    return AdjointSolution(p, q)
+    p_last = -data.terminal
+    return adjoint_solution(tree, p_last, [(p, q) for _, p, q, _ in
+                                           backward_levels(tree, p_last, data.step)])
 
 
 def q_definition_residual(adj: AdjointSolution, tree) -> float:
@@ -135,18 +160,19 @@ def apply_transition(data: LinearSystemData, tree, k: int, z) -> np.ndarray:
     return tree.children(k, base, diff)
 
 
-def _transpose_local(data, tree, k, ep, qk):
-    """Level-k part of the transposed step-k transition, given E{v | F_k} and
-    E{v w^j | F_k} of the level-k+1 values v.  The mean-field terms are the
+def _transpose_local(step, tree, k, ep, qk):
+    """Level-k part of the transposed step-k transition with the
+    `StepCoefficients` `step`, given E{v | F_k} and E{v w^j | F_k} of the
+    level-k+1 values v.  The mean-field terms are the
     node-wise contractions of the local terms followed by one
     probability-weighted sum over the level, so a step-constant block and its
     per-node copy go through the same arithmetic."""
     w = tree.abs_prob[k]
-    mean_drift = w @ np.einsum("mij,mi->mj", data.drift_mean[k], ep)
-    mean_diff = w @ np.einsum("mjab,mja->mb", data.diff_mean[k], qk)
+    mean_drift = w @ np.einsum("mij,mi->mj", step.drift_mean, ep)
+    mean_diff = w @ np.einsum("mjab,mja->mb", step.diff_mean, qk)
     return (ep
-            + np.einsum("mij,mi->mj", data.drift_x[k], ep)
-            + np.einsum("mjab,mja->mb", data.diff_x[k], qk)
+            + np.einsum("mij,mi->mj", step.drift_x, ep)
+            + np.einsum("mjab,mja->mb", step.diff_x, qk)
             + mean_drift + mean_diff)
 
 
@@ -157,7 +183,7 @@ def apply_transition_adjoint(data: LinearSystemData, tree, k: int, v) -> np.ndar
     v = np.asarray(v, dtype=float)
     if v.shape != (tree.size(k + 1), data.n):
         raise MfsmpError(f"expected level-{k + 1} values of shape ({tree.size(k + 1)}, {data.n})")
-    return _transpose_local(data, tree, k, cond_expect(tree, v, k + 1),
+    return _transpose_local(data.step(k), tree, k, cond_expect(tree, v, k + 1),
                             cond_expect_noise(tree, v, k + 1))
 
 

@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .adjoint import integrability_report
 from .errors import ConfigError, MfsmpError
-from .forward import check_feasible, cost, simulate
+from .forward import cost, simulate
 from .optimize import OptimizerOptions, optimize
 from .problem import parse_problem
 from .prodcons import comparison_csv, comparison_rows, plot_data_csv
@@ -33,8 +34,10 @@ from .tree import AdaptedProcess
 from .instances import random_spike
 
 
-# rows per formatted chunk: bounds the text held in memory while a CSV is written
+# rows per chunk: bounds the text held in memory while a CSV is written or read
 CHUNK_ROWS = 16384
+# characters per block of lines a control CSV is split in
+READ_CHARS = 1 << 18
 # printf conversion per numpy dtype kind; any other kind (object) is "%s"
 _CONVERSIONS = {"i": "%d", "f": "%r"}
 
@@ -122,44 +125,59 @@ def write_control_csv(spec, tree, u, out=None) -> str | None:
                        lambda k: [u.at(k)])
 
 
+def _lines(text):
+    """The non-blank lines of a stripped `text`, split a block of whole lines
+    of about `READ_CHARS` characters at a time, never the whole text at once."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + READ_CHARS)
+        cut = len(text) if cut < 0 else cut
+        yield from filter(str.strip, text[start:cut].split("\n"))
+        start = cut + 1
+
+
 def read_control_csv(spec, tree, text) -> AdaptedProcess:
-    lines = [line for line in text.strip().split("\n") if line.strip()]
-    if not lines:
+    """The control of a CSV text in the format `write_control_csv` writes,
+    read `CHUNK_ROWS` rows at a time into one preallocated array per level.
+    The checks, and which one wins when several fail, are those of a
+    per-line parse: the header, the row count, then level by level each
+    row's field count, node id and numbers, and the level's values finite."""
+    text = text.strip()
+    lines = _lines(text)
+    header = next(lines, "").split(",")
+    if header == [""]:
         raise ConfigError("control CSV is empty")
-    header = lines[0].split(",")
     expected = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
     if header != expected:
         raise ConfigError(f"control CSV header {header} != expected {expected}")
-    expected_rows = sum(tree.size(k) for k in range(tree.grid.n_steps + 1))
-    if len(lines) - 1 != expected_rows:
-        raise ConfigError(
-            f"control CSV has {len(lines) - 1} rows, tree needs {expected_rows}")
-    arrays = []
-    pos = 1
-    for k in range(tree.grid.n_steps + 1):
-        first, size = int(tree.global_id(k, 0)), tree.size(k)
-        values = []
+    levels = [np.empty((tree.size(k), spec.r)) for k in range(tree.grid.n_steps + 1)]
+    rows, expected_rows = sum(1 for _ in _lines(text)) - 1, sum(map(len, levels))
+    if rows != expected_rows:
+        raise ConfigError(f"control CSV has {rows} rows, tree needs {expected_rows}")
+    for k, level in enumerate(levels):
+        first = int(tree.global_id(k, 0))
         try:
-            for node, line in enumerate(lines[pos:pos + size]):
-                parts = line.split(",")
-                if len(parts) != 2 + spec.r:
-                    raise ConfigError(f"control CSV row has {len(parts)} fields, "
-                                      f"expected {2 + spec.r}")
-                if int(parts[1]) != first + node:
-                    raise ConfigError(
-                        f"control CSV node ids out of order at level {k}, node {node}")
-                values.extend(map(float, parts[2:]))
+            for start in range(0, len(level), CHUNK_ROWS):
+                values = []
+                part = islice(lines, min(CHUNK_ROWS, len(level) - start))
+                for node, line in enumerate(part, start):
+                    parts = line.split(",")
+                    if len(parts) != 2 + spec.r:
+                        raise ConfigError(f"control CSV row has {len(parts)} fields, "
+                                          f"expected {2 + spec.r}")
+                    if int(parts[1]) != first + node:
+                        raise ConfigError(
+                            f"control CSV node ids out of order at level {k}, node {node}")
+                    values.extend(map(float, parts[2:]))
+                level[start:node + 1] = np.reshape(values, (-1, spec.r))
         except ValueError as exc:
             raise ConfigError(
                 f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
-        level = np.array(values, dtype=float).reshape(size, spec.r)
         # a NaN would pass the box check, so the reader rejects it here
         if not np.isfinite(level).all():
             node = int(np.flatnonzero(~np.isfinite(level).all(axis=1))[0])
             raise ConfigError(f"control CSV value is not finite at level {k}, node {node}")
-        arrays.append(level)
-        pos += size
-    return AdaptedProcess(tree, 0, arrays)
+    return AdaptedProcess(tree, 0, levels)
 
 
 def _write(out_dir: Path, name: str, content, manifest_outputs: list) -> None:
@@ -263,7 +281,7 @@ def cmd_check(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
     u = read_control_csv(spec, tree, Path(args.control).read_text())
-    check_feasible(spec, tree, u)
+    # the gradient's `simulate` checks u against its box first
     checks = _check_reports(spec, tree, u, args.tol,
                             *adjoint_gradient(spec, tree, u, return_all=True))
     text = _checks_json(checks)
@@ -281,8 +299,7 @@ def cmd_simulate(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
     u = read_control_csv(spec, tree, Path(args.control).read_text())
-    check_feasible(spec, tree, u)
-    traj = simulate(spec, tree, u)
+    traj = simulate(spec, tree, u)  # checks u against its box first
     j_val = cost(spec, tree, u, traj=traj)
     if args.out:
         outputs = []

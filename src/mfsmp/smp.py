@@ -16,11 +16,13 @@ probability shows up as a weight.
 """
 
 from dataclasses import dataclass
+from itertools import starmap
 import warnings
 
 import numpy as np
 
-from .adjoint import LinearSystemData, linearize, solve_adjoint, solve_linear_forward
+from .adjoint import (LinearSystemData, adjoint_solution, backward_levels, linearize,
+                      linearize_step, linearize_terminal, solve_linear_forward)
 from .errors import MfsmpError
 from .forward import batch_cost, cost, simulate
 from .report import CheckReport
@@ -85,12 +87,12 @@ def hamiltonian(spec, tree, traj, adj, k: int, v) -> np.ndarray:
                              conditional_costate(tree, adj, k), adj.q.at(k), v)
 
 
-def _hamiltonian_gradient_parts(spec, tree, traj, adj, u, k):
+def _hamiltonian_gradient_parts(spec, tree, traj, u, k, ep, qk):
+    """(h f_u^T E{p|F} + sum_j sigma_u^T q_j, l_u) per level-k node, given
+    E{p_{k+1} | F_k} and q_k."""
     x = traj.at(k)
     y = np.broadcast_to(traj.means[k], x.shape)
     uk = u.at(k)
-    ep = conditional_costate(tree, adj, k)
-    qk = adj.q.at(k)
     c = spec.coeffs
     state_part = (tree.grid.h * np.einsum("mia,mi->ma", c.f_u(k, x, y, uk), ep)
                   + np.einsum("mjia,mji->ma", c.sigma_u(k, x, y, uk), qk))
@@ -99,7 +101,8 @@ def _hamiltonian_gradient_parts(spec, tree, traj, adj, u, k):
 
 def hamiltonian_gradient(spec, tree, traj, adj, u, k: int) -> np.ndarray:
     """H_u(k, u(k)) per level-k node: h f_u^T E{p|F} + sum_j sigma_u^T q_j - l_u."""
-    state_part, lu = _hamiltonian_gradient_parts(spec, tree, traj, adj, u, k)
+    state_part, lu = _hamiltonian_gradient_parts(spec, tree, traj, u, k,
+                                                 conditional_costate(tree, adj, k), adj.q.at(k))
     return state_part - lu
 
 
@@ -173,7 +176,9 @@ def duality_residual(spec, tree, traj, adj, u, spike: SpikeVariation) -> float:
     run_term = sum(
         float(expect(tree, np.einsum("mi,mi->m", data.running[k], xi.at(k)), k))
         for k in range(tree.grid.n_steps + 1))
-    state_part, _ = _hamiltonian_gradient_parts(spec, tree, traj, adj, u, spike.step)
+    state_part, _ = _hamiltonian_gradient_parts(spec, tree, traj, u, spike.step,
+                                                conditional_costate(tree, adj, spike.step),
+                                                adj.q.at(spike.step))
     spike_term = spike.scale * float(expect(
         tree, np.einsum("ma,ma->m", state_part, spike.delta), spike.step))
     return abs(lhs - run_term - spike_term)
@@ -186,10 +191,9 @@ def spike_cost_increment(spec, tree, u, spike: SpikeVariation):
     difference.  Their gap is o(scale), and second order for quadratic costs.
     """
     traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
-    hu = hamiltonian_gradient(spec, tree, traj, adj, u, spike.step)
-    predicted = -spike.scale * float(expect(
-        tree, np.einsum("ma,ma->m", hu, spike.delta), spike.step))
+    g = adjoint_gradient(spec, tree, u, traj=traj)  # -H_u
+    predicted = spike.scale * float(expect(
+        tree, np.einsum("ma,ma->m", g.at(spike.step), spike.delta), spike.step))
     base = cost(spec, tree, u, traj=traj)
     actual = cost(spec, tree, perturbed_control(u, spike)) - base
     return predicted, actual
@@ -355,16 +359,26 @@ def adjoint_gradient(spec, tree, u, return_all: bool = False, traj=None):
     Against coordinate-wise finite differences of the cost, each node's value
     picks up that node's path probability as the metric weight.  `traj`, when
     given, is `simulate(spec, tree, u)` already run, and is not run again.
-    """
+    It is one `backward_levels` sweep over coefficients made a step at a time,
+    which keeps no level of p or q unless `return_all` asks for
+    (g, traj, adj)."""
     if traj is None:
         traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
-    g = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
-    for k in range(tree.grid.n_steps + 1):
-        g.set_level(k, -hamiltonian_gradient(spec, tree, traj, adj, u, k))
-    if return_all:
-        return g, traj, adj
-    return g
+    p_last = -linearize_terminal(spec, tree, traj)
+    levels = backward_levels(tree, p_last, lambda k: linearize_step(spec, tree, traj, u, k))
+    kept = []  # (p_k, q_k), k = N .. 0, for return_all
+
+    def level_gradient(k, pk, qk, ep):
+        if return_all:
+            kept.append((pk, qk))
+        state_part, lu = _hamiltonian_gradient_parts(spec, tree, traj, u, k, ep, qk)
+        return -(state_part - lu)
+
+    if not return_all:
+        del p_last  # the sweep drops p_{N+1} once read
+    # starmap lets go of each level's arrays before it asks the sweep for the next
+    g = AdaptedProcess(tree, 0, list(starmap(level_gradient, levels))[::-1])
+    return (g, traj, adjoint_solution(tree, p_last, kept)) if return_all else g
 
 
 def fd_cost_gradient(spec, tree, u, step: float = FD_STEP) -> AdaptedProcess:

@@ -71,7 +71,8 @@ def _operator_case(name):
         # and beside the block of another Jacobian at step 0
         tree, data = _operator_case("mean-field")
         data.drift_x[0] = rng.uniform(-0.5, 0.5, (tree.size(0), data.n, data.n))
-        data.diff_mean[0] = rng.uniform(-0.5, 0.5, (tree.size(0), data.d, data.n, data.n))
+        d = data.diff_x[0].shape[1]
+        data.diff_mean[0] = rng.uniform(-0.5, 0.5, (tree.size(0), d, data.n, data.n))
         data.drift_x[1] = rng.uniform(-0.5, 0.5, (tree.size(1), data.n, data.n))
         assert [a.shape[0] for a in data.diff_x] == [1, 1]
         assert [a.shape[0] for a in data.diff_mean] == [tree.size(0), 1]
@@ -465,7 +466,7 @@ def test_transpose_local_means_match_three_operand_einsum(case):
         # relative to the sum of the terms' magnitudes, which no
         # cancellation in the level sums can shrink
         scale = _einsum_transpose_local(magnitudes, tree, k, np.abs(ep), np.abs(qk))
-        gap = np.abs(_transpose_local(data, tree, k, ep, qk)
+        gap = np.abs(_transpose_local(data.step(k), tree, k, ep, qk)
                      - _einsum_transpose_local(data, tree, k, ep, qk))
         assert np.all(gap <= 1e-15 * scale)
 

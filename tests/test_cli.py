@@ -4,13 +4,15 @@ import json
 import numpy as np
 import pytest
 
-from mfsmp import cli
+from mfsmp import cli, forward
 from mfsmp.adjoint import linearize, solve_adjoint
 from mfsmp.cli import (main, read_control_csv, write_adjoint_csv, write_control_csv,
                        write_trajectory_csv)
+from mfsmp.errors import ConfigError
 from mfsmp.forward import simulate
 from mfsmp.instances import e1_problem, random_control, random_lq
 from mfsmp.problem import builtin, serialize_problem
+from mfsmp.tree import AdaptedProcess
 
 ZERO_CONFIG = {
     "dims": {"n": 1, "r": 1, "d": 1},
@@ -145,13 +147,178 @@ def test_control_csv_non_numeric_exits_2(tmp_path, capsys, field, value):
         assert "not a number at level 2, node 4" in err and repr(value) in err
 
 
-def test_control_csv_roundtrip(e1_config):
-    spec = e1_problem()
+def test_control_csv_roundtrip():
+    # more rows than one reader block: every level comes back to the bit
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.1, N=15, x0=[0.0])
     tree = spec.build_tree()
-    from mfsmp.instances import random_control
     u = random_control(spec, tree, 5)
-    again = read_control_csv(spec, tree, write_control_csv(spec, tree, u))
-    np.testing.assert_allclose(again.at(0), u.at(0), atol=1e-15)
+    text = write_control_csv(spec, tree, u)
+    assert tree.size(tree.grid.n_steps) > cli.CHUNK_ROWS and len(text) > 2 * cli.READ_CHARS
+    again = read_control_csv(spec, tree, text)
+    for k in u.levels():
+        assert again.at(k).dtype == u.at(k).dtype and again.at(k).tobytes() == u.at(k).tobytes()
+
+
+def _reference_read_control(spec, tree, text):
+    """The control reader as a per-line parse of the whole text: every check
+    in the order the block reader must keep."""
+    lines = [line for line in text.strip().split("\n") if line.strip()]
+    if not lines:
+        raise ConfigError("control CSV is empty")
+    header = lines[0].split(",")
+    expected = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
+    if header != expected:
+        raise ConfigError(f"control CSV header {header} != expected {expected}")
+    expected_rows = sum(tree.size(k) for k in range(tree.grid.n_steps + 1))
+    if len(lines) - 1 != expected_rows:
+        raise ConfigError(f"control CSV has {len(lines) - 1} rows, tree needs {expected_rows}")
+    arrays, pos = [], 1
+    for k in range(tree.grid.n_steps + 1):
+        first, size = int(tree.global_id(k, 0)), tree.size(k)
+        values = []
+        try:
+            for node, line in enumerate(lines[pos:pos + size]):
+                parts = line.split(",")
+                if len(parts) != 2 + spec.r:
+                    raise ConfigError(f"control CSV row has {len(parts)} fields, "
+                                      f"expected {2 + spec.r}")
+                if int(parts[1]) != first + node:
+                    raise ConfigError(
+                        f"control CSV node ids out of order at level {k}, node {node}")
+                values.extend(map(float, parts[2:]))
+        except ValueError as exc:
+            raise ConfigError(
+                f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
+        level = np.array(values, dtype=float).reshape(size, spec.r)
+        if not np.isfinite(level).all():
+            node = int(np.flatnonzero(~np.isfinite(level).all(axis=1))[0])
+            raise ConfigError(f"control CSV value is not finite at level {k}, node {node}")
+        arrays.append(level)
+        pos += size
+    return AdaptedProcess(tree, 0, arrays)
+
+
+def _outcome(read, spec, tree, text):
+    """The levels' bytes a reader returns, or the text of the error it raises."""
+    try:
+        u = read(spec, tree, text)
+    except ConfigError as exc:
+        return "error", str(exc)
+    return "ok", [(u.at(k).shape, u.at(k).dtype.str, u.at(k).tobytes()) for k in u.levels()]
+
+
+def _set_field(row, field, value):
+    """Edit of the control CSV lines: field `field` of data row `row` set to `value`."""
+    def edit(lines):
+        parts = lines[1 + row].split(",")
+        parts[field] = value
+        lines[1 + row] = ",".join(parts)
+    return edit
+
+
+def _edit_row(row, fn):
+    def edit(lines):
+        lines[1 + row] = fn(lines[1 + row])
+    return edit
+
+
+# binary N = 5: levels 3, 4 and 5 start at data rows 7, 15 and 31
+READER_CASES = {
+    "valid": [],
+    "blank lines": [lambda lines: lines.insert(20, ""), lambda lines: lines.insert(9, "  \t"),
+                    lambda lines: lines.append("\n \n")],
+    "leading and trailing whitespace": [
+        _edit_row(0, lambda line: "  " + line), _edit_row(40, lambda line: "  " + line + " \r"),
+        _set_field(41, 1, " 41 "), _set_field(41, 3, "\t0.25 "),
+        _edit_row(62, lambda line: line + "  \t"), lambda lines: lines.insert(0, " \n\t")],
+    "indented header": [lambda lines: lines.__setitem__(0, " \t " + lines[0])],
+    "last value not a number, then whitespace": [_set_field(62, 3, "abc"),
+                                                 _edit_row(62, lambda line: line + " \t")],
+    "python number forms": [_set_field(40, 1, "+40"), _set_field(42, 1, "4_2"),
+                            _set_field(43, 2, "1_0.5"), _set_field(44, 3, "1e-3")],
+    "windows line ends": [_edit_row(row, lambda line: line + "\r") for row in range(0, 63, 5)],
+    "extra field": [_edit_row(40, lambda line: line + ",0.5")],
+    "missing field": [_edit_row(40, lambda line: line.rsplit(",", 1)[0])],
+    "fields shifted between rows": [_edit_row(40, lambda line: line + ",0.5"),
+                                    _edit_row(41, lambda line: line.rsplit(",", 1)[0])],
+    "a field moved to the row before": [
+        lambda lines: lines.__setitem__(41, lines[41] + "," + lines[42].split(",", 1)[0]),
+        _edit_row(41, lambda line: line.split(",", 1)[1])],
+    "ids out of order": [_set_field(40, 1, "41"), _set_field(41, 1, "40")],
+    "field count beats the id of its row": [_edit_row(40, lambda line: line + ",0.5"),
+                                            _set_field(40, 1, "99")],
+    "id beats a bad number of its row": [_set_field(40, 1, "99"), _set_field(40, 3, "abc")],
+    "id not an integer": [_set_field(40, 1, "40.0")],
+    "id too large for int64": [_set_field(40, 1, "9" * 30)],
+    "value not a number": [_set_field(40, 3, "abc")],
+    "value not finite": [_set_field(40, 2, "nan"), _set_field(50, 3, "-inf")],
+    "a bad number beats an earlier non-finite of its level": [_set_field(33, 2, "inf"),
+                                                              _set_field(60, 2, "abc")],
+    "non-finite beats a bad number of a later level": [_set_field(20, 2, "nan"),
+                                                       _set_field(40, 2, "abc")],
+    "too few rows": [lambda lines: lines.pop(50)],
+    "too many rows": [lambda lines: lines.insert(50, lines[50])],
+    "row count beats a bad row": [_set_field(40, 3, "abc"), lambda lines: lines.pop()],
+    "wrong header": [lambda lines: lines.__setitem__(0, "time,node,u_1,u_2")],
+    "header beats the row count": [lambda lines: lines.__setitem__(0, "time,node_id,u_1"),
+                                   lambda lines: lines.pop()],
+    "empty": [lambda lines: lines.clear(), lambda lines: lines.append(" \n\t ")],
+}
+
+
+@pytest.mark.parametrize("read_chars, chunk_rows", [(None, None), (64, 5), (200, 7)])
+@pytest.mark.parametrize("case", READER_CASES)
+def test_control_reader_matches_per_line_reference(case, read_chars, chunk_rows, monkeypatch):
+    # with small blocks every edit lies past the first block, and levels
+    # straddle blocks and row chunks; values agree to the bit, errors to the
+    # character
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.5, N=5, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 2)).split("\n")[:-1]
+    # the first block ends before data row 20, where the erroneous edits start
+    before_row_20 = len("\n".join(lines[:21]))
+    for edit in READER_CASES[case]:
+        edit(lines)
+    text = "\n".join(lines) + "\n"
+    if read_chars is not None:
+        monkeypatch.setattr(cli, "READ_CHARS", read_chars)
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        assert 2 * read_chars < before_row_20
+    got = _outcome(read_control_csv, spec, tree, text)
+    assert got == _outcome(_reference_read_control, spec, tree, text)
+    assert (got[0] == "ok") == (case in ("valid", "blank lines", "leading and trailing whitespace",
+                                         "indented header", "python number forms",
+                                         "windows line ends"))
+
+
+def test_check_and_simulate_test_feasibility_once(tmp_path, capsys, monkeypatch):
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(serialize_problem(spec))
+    calls = []
+    feasible = forward.check_feasible
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return feasible(*args, **kw)
+
+    # by either name, so a command that tests feasibility itself is seen too
+    monkeypatch.setattr(forward, "check_feasible", counted)
+    monkeypatch.setattr(cli, "check_feasible", counted, raising=False)
+    u = random_control(spec, tree, 3)
+    good = tmp_path / "good.csv"
+    good.write_text(write_control_csv(spec, tree, u))
+    u.at(2)[1, 0] = 1.5
+    bad = tmp_path / "bad.csv"
+    bad.write_text(write_control_csv(spec, tree, u))
+    for command in ("check", "simulate"):
+        calls.clear()
+        assert main([command, str(cfg), str(good), "--out", str(tmp_path / command)]) in (0, 1)
+        assert len(calls) == 1
+        assert main([command, str(cfg), str(bad)]) == 1
+        assert capsys.readouterr().err == (
+            "error: control violates admissible box at step 2 by 5.000e-01\n")
 
 
 def test_example_prodcons_outputs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,56 @@ def test_step_blocks_match_per_node_jacobians_bitwise(case):
     assert dual == dual_wide and dual <= 1e-10
 
 
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("per_node", [False, True])
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_gradient_sweep_matches_stored_adjoint_bitwise(case, per_node):
+    # one backward sweep over coefficients made a step at a time, against
+    # the stored linearization, its solve and the Hamiltonian gradient
+    spec = _per_node(FD_CASES[case]()) if per_node else FD_CASES[case]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 8)
+    g, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
+    ref_traj = simulate(spec, tree, u)
+    ref = solve_adjoint(linearize(spec, tree, ref_traj, u), tree)
+    assert all(_same_bits(adj.p.at(k), ref.p.at(k)) for k in range(tree.grid.n_levels))
+    g_alone = adjoint_gradient(spec, tree, u)
+    for k in u.levels():
+        assert _same_bits(adj.q.at(k), ref.q.at(k))
+        expected = -hamiltonian_gradient(spec, tree, ref_traj, ref, u, k)
+        assert _same_bits(g.at(k), expected) and _same_bits(g_alone.at(k), expected)
+
+
+@pytest.mark.parametrize("return_all, bound", [(False, 3.5), (True, 4.0)])
+def test_adjoint_gradient_holds_about_one_costate_level(return_all, bound):
+    # the sweep keeps no level of p or q unless asked, makes the coefficients
+    # a step at a time and drops each E{p|F} once its g_k is made: at N = 14
+    # its peak is about 2.6 leaf state arrays, 3.7 with the p and q it
+    # returns (3.3), where the stored linearization and costate took 6.6
+    n = 3
+    spec = builtin("lq_meanfield", n=n, r=1, d=1, h=0.1, N=14, x0=[0.3, -0.2, 0.1],
+                   A=0.2 * np.eye(n), A_mean=0.1 * np.eye(n), B=np.ones((n, 1)),
+                   sigma=[{"s0": [0.1] * n, "C": 0.2 * np.eye(n), "C_mean": 0.1 * np.eye(n)}],
+                   Q=np.eye(n), Q_mean=0.3 * np.eye(n), R=[[1.0]], q=[0.1] * n,
+                   G=np.eye(n), G_mean=0.2 * np.eye(n), g=[0.2] * n)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 4)
+    traj = simulate(spec, tree, u)
+    leaf_bytes = traj.at(tree.grid.n_steps + 1).nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        adjoint_gradient(spec, tree, u, return_all=return_all, traj=traj)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * leaf_bytes
+
+
 def _rows_per_chunk(monkeypatch, spec, tree, rows):
     """Patch the chunk budget so a finite-difference chunk holds `rows` rows."""
     widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
@@ -604,7 +655,9 @@ def test_certificate_direction_scale_is_the_state_part_plus_l_u():
     moves = [[wk / tree.abs_prob[k][:, None] for k, wk in enumerate(w)] for w in directions]
     _, along = smp.complex_step_derivatives(
         spec, tree, u, smp.certificate_sample(tree, spec.r), moves)
-    parts = [smp._hamiltonian_gradient_parts(spec, tree, traj, adj, u, k) for k in u.levels()]
+    parts = [smp._hamiltonian_gradient_parts(spec, tree, traj, u, k,
+                                             smp.conditional_costate(tree, adj, k), adj.q.at(k))
+             for k in u.levels()]
     for d, w in enumerate(directions):
         numerator = abs(along[d] - sum(float(np.sum(g.at(k) * w[k])) for k in u.levels()))
         scale = sum(float(np.sum((np.abs(state) + np.abs(lu)) * np.abs(w[k])))
