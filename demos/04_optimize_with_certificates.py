@@ -6,8 +6,8 @@ first-order condition over the boxes, sampled convexity/concavity evidence,
 and the expansion-rate diagnostics for the spike response.
 """
 
-from mfsmp import (OptimizerOptions, brute_force, linearize, necessary_check, optimize,
-                   simulate, solve_adjoint, sufficiency_check)
+from mfsmp import (OptimizerOptions, adjoint_gradient, brute_force, necessary_check, optimize,
+                   sufficiency_check)
 from mfsmp.instances import random_lq, random_spike
 from mfsmp.smp import rate_check
 
@@ -26,9 +26,8 @@ print(f"optimizer: J = {result.cost:.10f} after {result.iterations} iterations "
 u_star, j_star = brute_force(spec, tree, grid_per_axis=101)
 print(f"grid oracle (101 points/axis): J = {j_star:.10f}   gap = {abs(result.cost - j_star):.2e}")
 
-traj = simulate(spec, tree, result.u)
-adj = solve_adjoint(linearize(spec, tree, traj, result.u), tree)
-print(necessary_check(spec, tree, traj, adj, result.u, tol=1e-6).summary_line())
+g, traj, adj = adjoint_gradient(spec, tree, result.u, return_all=True)
+print(necessary_check(spec, result.u, g, tol=1e-6).summary_line())
 report = sufficiency_check(spec, tree, traj, adj, result.u)
 print(report.summary_line())
 for note in report.notes:

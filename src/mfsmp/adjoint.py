@@ -76,8 +76,7 @@ def linearize_step(spec, tree, traj, u, k) -> StepCoefficients:
     """The step-k adjoint coefficients along (x̂, Ex̂, û), node by node; a
     step-constant Jacobian stays one (1, ...) block."""
     h, c = tree.grid.h, spec.coeffs
-    x = traj.at(k)
-    y = np.broadcast_to(traj.means[k], x.shape)
+    x, y = traj.rows(k)
     uk = u.at(k)
     return StepCoefficients(
         h * np.asarray(c.f_x(k, x, y, uk)), h * np.asarray(c.f_y(k, x, y, uk)),
@@ -88,8 +87,7 @@ def linearize_step(spec, tree, traj, u, k) -> StepCoefficients:
 def linearize_terminal(spec, tree, traj) -> np.ndarray:
     """The terminal gradient phi_x + E phi_y over the leaves."""
     kT = tree.grid.n_steps + 1
-    xT = traj.at(kT)
-    yT = np.broadcast_to(traj.means[kT], xT.shape)
+    xT, yT = traj.rows(kT)
     c = spec.coeffs
     # the level mean first, so phi_y's values are gone before phi_x's are made
     mean = expect(tree, np.asarray(c.phi_y(xT, yT)), kT)

@@ -163,13 +163,15 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
                 for node, line in enumerate(part, start):
                     parts = line.split(",")
                     if len(parts) != 2 + spec.r:
-                        raise ConfigError(f"control CSV row has {len(parts)} fields, "
-                                          f"expected {2 + spec.r}")
+                        raise ConfigError(f"control CSV row has {len(parts)} fields, expected "
+                                          f"{2 + spec.r}, at level {k}, node {node}")
                     if int(parts[1]) != first + node:
                         raise ConfigError(
                             f"control CSV node ids out of order at level {k}, node {node}")
                     values.extend(map(float, parts[2:]))
                 level[start:node + 1] = np.reshape(values, (-1, spec.r))
+        except ConfigError:
+            raise  # a ValueError, but one of the reader's own
         except ValueError as exc:
             raise ConfigError(
                 f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
@@ -207,17 +209,21 @@ def _manifest(command, config_path, options, outputs) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _load_spec(path: str):
+def _read_text(path: str, what: str) -> str:
+    """The text of the input file `path`, or a ConfigError naming it as `what`."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_problem(text)
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_spec(path: str):
+    return parse_problem(_read_text(path, "config"))
 
 
 def _check_reports(spec, tree, u, tol, g, traj, adj):
     """Every check report of control u, given its `adjoint_gradient(..., return_all=True)`."""
-    necessary = necessary_check(spec, tree, traj, adj, u, tol=tol)
+    necessary = necessary_check(spec, u, g, tol=tol)
     sufficient = sufficiency_check(spec, tree, traj, adj, u, tol_hamiltonian=max(tol, 1e-6))
     spike = random_spike(spec, tree, u, seed=0, scale=1e-3)
     dual = duality_residual(spec, tree, traj, adj, u, spike)
@@ -280,7 +286,7 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
-    u = read_control_csv(spec, tree, Path(args.control).read_text())
+    u = read_control_csv(spec, tree, _read_text(args.control, "control"))
     # the gradient's `simulate` checks u against its box first
     checks = _check_reports(spec, tree, u, args.tol,
                             *adjoint_gradient(spec, tree, u, return_all=True))
@@ -298,7 +304,7 @@ def cmd_check(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
-    u = read_control_csv(spec, tree, Path(args.control).read_text())
+    u = read_control_csv(spec, tree, _read_text(args.control, "control"))
     traj = simulate(spec, tree, u)  # checks u against its box first
     j_val = cost(spec, tree, u, traj=traj)
     if args.out:

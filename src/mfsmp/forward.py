@@ -36,6 +36,11 @@ class StateTrajectory:
     def at(self, level):
         return self.states.at(level)
 
+    def rows(self, k):
+        """The level-k state and its mean as evaluator rows, (m_k, n) each:
+        `_rows` is the one place a level mean is broadcast over its nodes."""
+        return _rows(self.at(k), self.means[k])
+
 
 def check_feasible(spec, tree, u: AdaptedProcess, tol: float = 1e-9):
     """Raise if the control leaves its admissible box anywhere (beyond tol)."""
@@ -192,9 +197,8 @@ def cost(spec, tree, u: AdaptedProcess, traj: StateTrajectory | None = None,
             node = int(np.flatnonzero(~np.isfinite(vals))[0])
             kind, at = ("terminal", "") if k == kT else ("running", f"level {k}, ")
             raise CostDomainError(f"{kind} cost undefined at {at}node {node}", level=k, node=node)
-        # `add_level` sums batch rows with this same einsum
-        total += float(np.einsum("...m,m->...", vals, tree.abs_prob[k]))
-    return total
+        total = add_level(total, vals, tree.abs_prob[k])
+    return float(total)
 
 
 def mean_recursion_residual(spec, tree, u, traj) -> float:
@@ -203,9 +207,7 @@ def mean_recursion_residual(spec, tree, u, traj) -> float:
     mean = spec.x0.copy()
     worst = float(np.max(np.abs(traj.means[0] - mean)))
     for k in range(grid.n_steps + 1):
-        x = traj.at(k)
-        y = np.broadcast_to(traj.means[k], x.shape)
-        drift_mean = expect(tree, spec.coeffs.f(k, x, y, u.at(k)), k)
+        drift_mean = expect(tree, spec.coeffs.f(k, *traj.rows(k), u.at(k)), k)
         mean = mean + grid.h * drift_mean
         worst = max(worst, float(np.max(np.abs(traj.means[k + 1] - mean))))
     return worst

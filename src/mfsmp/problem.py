@@ -2,6 +2,7 @@
 
 Coefficient evaluators are vectorized over nodes: with m evaluation points,
 state x is (m, n), mean argument y is (m, n) (the level mean broadcast to rows,
+as `StateTrajectory.rows` and the batch recursion get them from `forward._rows`,
 or a genuine per-row batch), control u is (m, r), and k is the integer step
 0..N whose coefficients apply; the terminal cost phi takes no step.
 Returned shapes are
@@ -327,6 +328,14 @@ def _pospow(v, expo):
         return np.where(inside, np.power(safe, expo), np.nan)
 
 
+def _constant(value, ndim):
+    """A Jacobian evaluator that returns one shared read-only block (1, ..., 1)
+    of `value` for every node and step."""
+    block = np.full((1,) * ndim, value)
+    block.flags.writeable = False
+    return lambda k, x, y, u: block
+
+
 def _prodcons_coeffs(grid, delta_util, depreciation):
     """Production/consumption model: capital grows by retained income, is consumed
     directly (no step factor on the consumption term), and carries proportional
@@ -341,26 +350,11 @@ def _prodcons_coeffs(grid, delta_util, depreciation):
     def f(k, x, y, u):
         return growth * x - u / h
 
-    def f_x(k, x, y, u):
-        return np.full((1, 1, 1), growth)
-
-    def f_y(k, x, y, u):
-        return np.zeros((1, 1, 1))
-
-    def f_u(k, x, y, u):
-        return np.full((1, 1, 1), -1.0 / h)
-
     def sigma(k, x, y, u):
         return 0.5 * x.reshape(-1, 1, 1)
 
-    def sigma_x(k, x, y, u):
-        return np.full((1, 1, 1, 1), 0.5)
-
-    def sigma_y(k, x, y, u):
-        return np.zeros((1, 1, 1, 1))
-
-    def sigma_u(k, x, y, u):
-        return np.zeros((1, 1, 1, 1))
+    f_x, f_y, f_u = _constant(growth, 3), _constant(0.0, 3), _constant(-1.0 / h, 3)
+    sigma_x, sigma_y, sigma_u = _constant(0.5, 4), _constant(0.0, 4), _constant(0.0, 4)
 
     def l(k, x, y, u):
         return -coef * _pospow(u[:, 0], expo)

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjoint import linearize, solve_adjoint
 from .errors import MfsmpError
-from .forward import constant_control, simulate
+from .forward import constant_control
 from .optimize import OptimizerOptions, optimize
 from .problem import builtin
+from .smp import adjoint_gradient
 
 
 @dataclass
@@ -57,8 +57,7 @@ def general_run(delta_util: float, h: float, n_steps: int, x0: float = 1.0,
     tree = spec.build_tree()
     result = optimize(spec, tree, constant_control(spec, tree, max(1.0, v_floor)),
                       OptimizerOptions(max_iters=400, grad_tol=1e-10))
-    traj = simulate(spec, tree, result.u)
-    adj = solve_adjoint(linearize(spec, tree, traj, result.u), tree)
+    _, _, adj = adjoint_gradient(spec, tree, result.u, return_all=True)
     p_seq = np.empty(n_steps + 2)
     for k in range(n_steps + 2):
         vals = adj.p.at(k)[:, 0]

@@ -50,8 +50,7 @@ def _duality_instance(seed):
     spec = random_lq(seed) if seed % 3 else random_prodcons(seed)
     tree = spec.build_tree()
     u = random_control(spec, tree, 10_000 + seed)
-    traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    _, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
     spike = random_spike(spec, tree, u, 20_000 + seed, 0.05)
     return spec.family or "custom", duality_residual(spec, tree, traj, adj, u, spike)
 
@@ -188,9 +187,7 @@ def _optimizer_instance(seed):
     tree = spec.build_tree()
     result = optimize(spec, tree, options=OptimizerOptions(seed=seed, grad_tol=1e-9))
     u_star, j_star = brute_force(spec, tree, 101)
-    traj = simulate(spec, tree, result.u)
-    adj = solve_adjoint(linearize(spec, tree, traj, result.u), tree)
-    ncheck = necessary_check(spec, tree, traj, adj, result.u, tol=1e-6)
+    ncheck = necessary_check(spec, result.u, adjoint_gradient(spec, tree, result.u), tol=1e-6)
     worst_dir = max(res.value for res in ncheck.residuals)
     # J may rise by the UNRESOLVED_ULPS ulps within which the optimizer judges a trial by slope
     js = [row[0] for row in result.history]

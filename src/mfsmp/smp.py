@@ -80,9 +80,8 @@ def _hamiltonian_rows(spec, h, k, x, y, ep, qk, v) -> np.ndarray:
 
 def hamiltonian(spec, tree, traj, adj, k: int, v) -> np.ndarray:
     """H(k, v) per level-k node; v is (r,) or (m_k, r)."""
-    x = traj.at(k)
+    x, y = traj.rows(k)
     v = np.broadcast_to(np.asarray(v, dtype=float), (x.shape[0], spec.r))
-    y = np.broadcast_to(traj.means[k], x.shape)
     return _hamiltonian_rows(spec, tree.grid.h, k, x, y,
                              conditional_costate(tree, adj, k), adj.q.at(k), v)
 
@@ -90,8 +89,7 @@ def hamiltonian(spec, tree, traj, adj, k: int, v) -> np.ndarray:
 def _hamiltonian_gradient_parts(spec, tree, traj, u, k, ep, qk):
     """(h f_u^T E{p|F} + sum_j sigma_u^T q_j, l_u) per level-k node, given
     E{p_{k+1} | F_k} and q_k."""
-    x = traj.at(k)
-    y = np.broadcast_to(traj.means[k], x.shape)
+    x, y = traj.rows(k)
     uk = u.at(k)
     c = spec.coeffs
     state_part = (tree.grid.h * np.einsum("mia,mi->ma", c.f_u(k, x, y, uk), ep)
@@ -106,8 +104,9 @@ def hamiltonian_gradient(spec, tree, traj, adj, u, k: int) -> np.ndarray:
     return state_part - lu
 
 
-def necessary_check(spec, tree, traj, adj, u, tol: float = 1e-6) -> CheckReport:
-    """First-order condition over the admissible boxes.
+def necessary_check(spec, u, g, tol: float = 1e-6) -> CheckReport:
+    """First-order condition over the admissible boxes, read from the cost
+    gradient g = -H_u that `adjoint_gradient` returns.
 
     For finite box sides the directional maximum of <H_u, v - u> is attained
     coordinate-wise at a bound (exact for boxes); infinite sides reduce to a
@@ -117,8 +116,8 @@ def necessary_check(spec, tree, traj, adj, u, tol: float = 1e-6) -> CheckReport:
     report = CheckReport("necessary-condition")
     report.note("orientation: candidate maximizes H along feasible directions "
                 "(equivalently minimizes the sign-flipped Hamiltonian)")
-    for k in range(tree.grid.n_steps + 1):
-        hu = hamiltonian_gradient(spec, tree, traj, adj, u, k)
+    for k in u.levels():
+        hu = -g.at(k)
         uk = u.at(k)
         lo, hi = spec.admissible.lo[k], spec.admissible.hi[k]
         pos, neg = np.maximum(hu, 0.0), np.maximum(-hu, 0.0)
@@ -142,8 +141,7 @@ def variational_data(spec, tree, traj, u, spike: SpikeVariation) -> LinearSystem
     data.drift_force = [np.zeros((tree.size(k), n)) for k in range(tree.grid.n_steps + 1)]
     data.diff_force = [np.zeros((tree.size(k), d, n)) for k in range(tree.grid.n_steps + 1)]
     k = spike.step
-    x = traj.at(k)
-    y = np.broadcast_to(traj.means[k], x.shape)
+    x, y = traj.rows(k)
     bump = spike.scale * np.broadcast_to(spike.delta, (tree.size(k), spec.r))
     data.drift_force[k] = tree.grid.h * np.einsum(
         "mia,ma->mi", spec.coeffs.f_u(k, x, y, u.at(k)), bump)
@@ -308,13 +306,11 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     # (iii) nonnegative mean-gradients along the trajectory
     worst = 0.0
     for k in range(grid.n_steps + 1):
-        x = traj.at(k)
-        y = np.broadcast_to(traj.means[k], x.shape)
+        x, y = traj.rows(k)
         uk = u.at(k)
         for arr in (c.f_y(k, x, y, uk), c.sigma_y(k, x, y, uk), c.l_y(k, x, y, uk)):
             worst = max(worst, float(np.max(-np.asarray(arr), initial=0.0)))
-    xT_b = traj.at(kT)
-    yT = np.broadcast_to(traj.means[kT], xT_b.shape)
+    xT_b, yT = traj.rows(kT)
     worst = max(worst, float(np.max(-np.asarray(c.phi_y(xT_b, yT)), initial=0.0)))
     report.add("negative mean-gradient entries", worst, tol_signs)
 
@@ -570,8 +566,7 @@ def certify_gradient(spec, tree, u, g, traj=None) -> CheckReport:
     # optimum, and roundoff scales with their sizes, not with |g|
     size = []
     for k in u.levels():
-        x = traj.at(k)
-        lu = np.asarray(spec.coeffs.l_u(k, x, np.broadcast_to(traj.means[k], x.shape), u.at(k)))
+        lu = np.asarray(spec.coeffs.l_u(k, *traj.rows(k), u.at(k)))
         size.append(np.abs(lu - g.at(k)) + np.abs(lu))
     gw = [sum(float(np.sum(g.at(k) * w[k])) for k in u.levels()) for w in directions]
     scale = [sum(float(np.sum(size[k] * np.abs(w[k]))) for k in u.levels()) for w in directions]

@@ -180,12 +180,14 @@ def _reference_read_control(spec, tree, text):
             for node, line in enumerate(lines[pos:pos + size]):
                 parts = line.split(",")
                 if len(parts) != 2 + spec.r:
-                    raise ConfigError(f"control CSV row has {len(parts)} fields, "
-                                      f"expected {2 + spec.r}")
+                    raise ConfigError(f"control CSV row has {len(parts)} fields, expected "
+                                      f"{2 + spec.r}, at level {k}, node {node}")
                 if int(parts[1]) != first + node:
                     raise ConfigError(
                         f"control CSV node ids out of order at level {k}, node {node}")
                 values.extend(map(float, parts[2:]))
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(
                 f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
@@ -289,6 +291,50 @@ def test_control_reader_matches_per_line_reference(case, read_chars, chunk_rows,
     assert (got[0] == "ok") == (case in ("valid", "blank lines", "leading and trailing whitespace",
                                          "indented header", "python number forms",
                                          "windows line ends"))
+
+
+@pytest.mark.parametrize("read_chars, chunk_rows", [(None, None), (64, 5)])
+def test_control_reader_row_errors_read_as_themselves(read_chars, chunk_rows, monkeypatch):
+    # a wrong field count and an out-of-order id are the reader's own errors:
+    # each names its level and node, and neither is reported as a bad number
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.5, N=5, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    if read_chars is not None:
+        monkeypatch.setattr(cli, "READ_CHARS", read_chars)
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 2)).split("\n")
+    # data row 40 is node 9 of level 5, past the first block and row chunk
+    for edit, message in (
+            (_edit_row(40, lambda line: line + ",0.5"),
+             "control CSV row has 5 fields, expected 4, at level 5, node 9"),
+            (_set_field(40, 1, "41"), "control CSV node ids out of order at level 5, node 9")):
+        edited = list(lines)
+        edit(edited)
+        with pytest.raises(ConfigError) as info:
+            read_control_csv(spec, tree, "\n".join(edited))
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", ["missing control", "directory as control",
+                                  "config not UTF-8"])
+def test_unreadable_input_file_exits_2_with_one_error_line(case, tmp_path, capsys):
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=2, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    cfg, control = tmp_path / "cfg.json", tmp_path / "control.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 1)))
+    what = "control"
+    if case == "missing control":
+        control = tmp_path / "missing.csv"
+    elif case == "directory as control":
+        control = tmp_path
+    else:
+        cfg.write_bytes(b"\xff\xfe" + cfg.read_bytes())
+        what = "config"
+    for command in ("check", "simulate"):
+        assert main([command, str(cfg), str(control)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} ") and err.count("\n") == 1
 
 
 def test_check_and_simulate_test_feasibility_once(tmp_path, capsys, monkeypatch):

@@ -80,13 +80,11 @@ def test_hamiltonian_gradient_e1_values(e1):
 def test_necessary_check_examples(e1):
     spec, tree = e1
     u0 = constant_control(spec, tree, 0.0)
-    traj0, adj0 = _solved(spec, tree, u0)
-    report = necessary_check(spec, tree, traj0, adj0, u0, tol=1e-10)
+    report = necessary_check(spec, u0, adjoint_gradient(spec, tree, u0), tol=1e-10)
     assert report.passed and report.worst.value == pytest.approx(0.0, abs=1e-14)
 
     u_bad = constant_control(spec, tree, 0.5)
-    traj_b, adj_b = _solved(spec, tree, u_bad)
-    report_b = necessary_check(spec, tree, traj_b, adj_b, u_bad, tol=1e-6)
+    report_b = necessary_check(spec, u_bad, adjoint_gradient(spec, tree, u_bad), tol=1e-6)
     assert not report_b.passed
     # H_u = -2 at u = 0.5; worst feasible direction is v = -1: <-2, -1.5> = 3
     assert report_b.worst.value == pytest.approx(3.0)
@@ -97,8 +95,7 @@ def test_necessary_check_interior_stationary_unbounded():
                    B=[[1.0]], sigma=[{"s0": [1.0]}], R=[[2.0]], G=[[2.0]])
     tree = spec.build_tree()
     u = constant_control(spec, tree, 0.0)
-    traj, adj = _solved(spec, tree, u)
-    assert necessary_check(spec, tree, traj, adj, u, tol=1e-10).passed
+    assert necessary_check(spec, u, adjoint_gradient(spec, tree, u), tol=1e-10).passed
 
 
 def test_variational_state_zero_scale_and_single_step(e1):
@@ -387,6 +384,45 @@ def test_gradient_sweep_matches_stored_adjoint_bitwise(case, per_node):
         assert _same_bits(g.at(k), expected) and _same_bits(g_alone.at(k), expected)
 
 
+def _reference_necessary_residuals(spec, u, hu_levels):
+    """(value, step, node) of the worst node of each step: sum over the
+    coordinates of max <H_u, v - u> on the box, one scalar at a time."""
+    rows = []
+    for k, hu in enumerate(hu_levels):
+        lo, hi = spec.admissible.lo[k], spec.admissible.hi[k]
+        per_node = []
+        for h_row, u_row in zip(hu.tolist(), u.at(k).tolist()):
+            total = 0.0
+            for i, (a, v) in enumerate(zip(h_row, u_row)):
+                up = max(a, 0.0) * (hi[i] - v) if np.isfinite(hi[i]) else max(a, 0.0)
+                down = max(-a, 0.0) * (v - lo[i]) if np.isfinite(lo[i]) else max(-a, 0.0)
+                total += max(up, down)
+            per_node.append(total)
+        node = int(np.argmax(per_node))
+        rows.append((per_node[node], k, node))
+    return rows
+
+
+@pytest.mark.parametrize("case", sorted(FD_CASES))
+def test_necessary_check_reads_g_as_the_hamiltonian_gradient(case):
+    # the verdict reads g = -H_u from the gradient sweep; residual by residual
+    # it equals the residuals of H_u evaluated on its own, to the bit, at a
+    # seeded control where the check fails
+    spec = FD_CASES[case]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 8)
+    g, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
+    report = necessary_check(spec, u, g)
+    expected = _reference_necessary_residuals(
+        spec, u, [hamiltonian_gradient(spec, tree, traj, adj, u, k) for k in u.levels()])
+    assert not report.passed
+    assert len(report.residuals) == len(expected)
+    for res, (value, k, node) in zip(report.residuals, expected):
+        assert (res.label, res.level, res.node, res.tol) == (f"max <H_u, v-u> @step {k}",
+                                                             k, node, 1e-6)
+        assert res.value == value
+
+
 @pytest.mark.parametrize("return_all, bound", [(False, 3.5), (True, 4.0)])
 def test_adjoint_gradient_holds_about_one_costate_level(return_all, bound):
     # the sweep keeps no level of p or q unless asked, makes the coefficients
@@ -583,8 +619,8 @@ def test_evaluators_receive_integer_steps(make):
     traj = simulate(spec, tree, u)
     cost(spec, tree, u, traj=traj)
     linearize(spec, tree, traj, u)
-    _, _, adj = adjoint_gradient(spec, tree, u, return_all=True)
-    necessary_check(spec, tree, traj, adj, u)
+    g, _, adj = adjoint_gradient(spec, tree, u, return_all=True)
+    necessary_check(spec, u, g)
     sufficiency_check(spec, tree, traj, adj, u, samples=20)
     duality_residual(spec, tree, traj, adj, u, spike)
     rate_ratios(spec, tree, u, spike, eps_values=(1e-2,))
