@@ -6,10 +6,10 @@ Conventions.  The linear one-step system on the tree, level k to k+1, is
     Phi_k z = (I + A) z + A1 E z + sum_j (B_j z + B1_j E z) w^j(k)
 
 with A = h * (drift x-gradient), A1 = h * (drift mean-gradient) and B_j / B1_j
-the diffusion gradients, all evaluated at step k, and optional additive
-forcing (c, e_j).  `apply_transition` is Phi_k.  `apply_transition_adjoint` is
-its transpose Phi*_k in the probability-weighted pairing
-<z, v>_k = sum_m pi_m z_m . v_m of level k:
+the diffusion gradients, all evaluated at step k, and forcing (c, e_j) passed
+to `solve_linear_forward`.  `apply_transition` is Phi_k, `transition_local` its
+kernel.  `apply_transition_adjoint` is its transpose Phi*_k in the
+probability-weighted pairing <z, v>_k = sum_m pi_m z_m . v_m of level k:
 
     Phi*_k v = (I + A^T) E{v | F_k} + E[A1^T E{v | F_k}]
                + sum_j B_j^T E{v w^j | F_k} + sum_j E[B1_j^T E{v w^j | F_k}]
@@ -50,8 +50,6 @@ class LinearSystemData:
     diff_mean: list     # per step: (m_k | 1, d, n, n)
     running: list       # per step: (m_k, n)  backward forcing
     terminal: np.ndarray  # (m_{N+1}, n)
-    drift_force: list | None = None  # per step: (m_k, n)  forward forcing
-    diff_force: list | None = None   # per step: (m_k, d, n)
 
     @property
     def n_steps(self):
@@ -149,12 +147,17 @@ def apply_transition(data: LinearSystemData, tree, k: int, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape != (tree.size(k), data.n):
         raise MfsmpError(f"expected level-{k} values of shape ({tree.size(k)}, {data.n})")
+    return transition_local(data.step(k), tree, k, z)
+
+
+def transition_local(step, tree, k, z):
+    """Phi_k z with the step-k `StepCoefficients` `step`: level k -> k+1."""
     zbar = expect(tree, z, k)
     base = (z
-            + np.einsum("mij,mj->mi", data.drift_x[k], z)
-            + np.einsum("mij,j->mi", data.drift_mean[k], zbar))
-    diff = (np.einsum("mjab,mb->mja", data.diff_x[k], z)
-            + np.einsum("mjab,b->mja", data.diff_mean[k], zbar))
+            + np.einsum("mij,mj->mi", step.drift_x, z)
+            + np.einsum("mij,j->mi", step.drift_mean, zbar))
+    diff = (np.einsum("mjab,mb->mja", step.diff_x, z)
+            + np.einsum("mjab,b->mja", step.diff_mean, zbar))
     return tree.children(k, base, diff)
 
 
@@ -197,32 +200,30 @@ def propagate(data: LinearSystemData, tree, z, k_from: int, k_to: int) -> np.nda
     return out
 
 
-def solve_linear_forward(data: LinearSystemData, tree, z0) -> AdaptedProcess:
-    """Direct recursion of the linear system (the oracle for the representation)."""
+def solve_linear_forward(data: LinearSystemData, tree, z0, drift_force,
+                         diff_force) -> AdaptedProcess:
+    """Direct recursion, every level stored, with the step-k forcing c + sum_j e_j w^j
+    (c, e the arguments' k-th entries) lifted onto level k+1; the spike response streams."""
     n_steps = tree.grid.n_steps
     z = AdaptedProcess.zeros(tree, 0, n_steps + 1, (data.n,))
     z.set_level(0, np.broadcast_to(np.asarray(z0, dtype=float), (1, data.n)))
     for k in range(n_steps + 1):
-        child = apply_transition(data, tree, k, z.at(k))
-        if data.drift_force is not None:
-            # the step-k forcing c + sum_j e_j w^j, lifted onto level k+1
-            child = child + tree.children(k, data.drift_force[k], data.diff_force[k])
-        z.set_level(k + 1, child)
+        z.set_level(k + 1, apply_transition(data, tree, k, z.at(k))
+                    + tree.children(k, drift_force[k], diff_force[k]))
     return z
 
 
-def variation_of_constants(data: LinearSystemData, tree, z0) -> AdaptedProcess:
+def variation_of_constants(data: LinearSystemData, tree, z0, drift_force,
+                           diff_force) -> AdaptedProcess:
     """Representation-formula solution: transition chain applied to the initial
-    value plus chains applied to each step's lifted forcing."""
-    if data.drift_force is None or data.diff_force is None:
-        raise MfsmpError("representation requires forward forcing terms")
+    value plus chains applied to each step's lifted forcing, passed as arguments."""
     n_steps = tree.grid.n_steps
     z0 = np.broadcast_to(np.asarray(z0, dtype=float), (1, data.n))
     out = AdaptedProcess.zeros(tree, 0, n_steps + 1, (data.n,))
     for level in range(n_steps + 2):
         total = propagate(data, tree, z0, 0, level)
         for k in range(min(level, n_steps + 1)):
-            lifted = tree.children(k, data.drift_force[k], data.diff_force[k])
+            lifted = tree.children(k, drift_force[k], diff_force[k])
             total = total + propagate(data, tree, lifted, k + 1, level)
         out.set_level(level, total)
     return out

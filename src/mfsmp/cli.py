@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 check/test failure (for `solve`: its solution fails
 the first-order check, with every output written), 2 usage or configuration
-error.
+error, or an output that cannot be written (found before any work is done).
 All outputs are deterministic for identical inputs (stable float repr, sorted
 JSON keys, no timestamps), so re-running a manifest reproduces files byte for
 byte.
@@ -27,7 +27,7 @@ from .optimize import OptimizerOptions, optimize
 from .problem import parse_problem
 from .prodcons import comparison_csv, comparison_rows, plot_data_csv
 from .report import CheckReport
-from .selftest import report_json, run_selftest
+from .selftest import check_options, report_json, run_selftest
 from .smp import (adjoint_gradient, certify_gradient, duality_residual, necessary_check,
                   sufficiency_check)
 from .tree import AdaptedProcess
@@ -182,15 +182,26 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
     return AdaptedProcess(tree, 0, levels)
 
 
+def _out_dir(path) -> Path:
+    """The output directory `path`, made with its parents, or a ConfigError."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return Path(path)
+
+
 def _write(out_dir: Path, name: str, content, manifest_outputs: list) -> None:
     """Write `content` to `out_dir/name`: a string, or a function that writes
     the file's text to the open text stream it is passed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / name, "w") as stream:
-        if isinstance(content, str):
-            stream.write(content)
-        else:
-            content(stream)
+    try:
+        with open(out_dir / name, "w") as stream:
+            if isinstance(content, str):
+                stream.write(content)
+            else:
+                content(stream)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_dir / name}: {exc}") from exc
     manifest_outputs.append(name)
 
 
@@ -246,10 +257,10 @@ def _checks_json(checks) -> str:
 def cmd_solve(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
+    out = _out_dir(args.out)
     options = OptimizerOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     result = optimize(spec, tree, options=options)
     g, traj, adj = adjoint_gradient(spec, tree, result.u, return_all=True)
-    out = Path(args.out)
     outputs = []
     opt_report = {
         "cost": result.cost,
@@ -287,14 +298,15 @@ def cmd_check(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
     u = read_control_csv(spec, tree, _read_text(args.control, "control"))
+    out = _out_dir(args.out) if args.out else None
     # the gradient's `simulate` checks u against its box first
     checks = _check_reports(spec, tree, u, args.tol,
                             *adjoint_gradient(spec, tree, u, return_all=True))
     text = _checks_json(checks)
-    if args.out:
+    if out:
         outputs = []
-        _write(Path(args.out), "checks.json", text, outputs)
-        _write(Path(args.out), "manifest.json",
+        _write(out, "checks.json", text, outputs)
+        _write(out, "manifest.json",
                _manifest("check", args.config, {"tol": args.tol}, outputs), [])
     else:
         sys.stdout.write(text)
@@ -305,13 +317,14 @@ def cmd_simulate(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
     u = read_control_csv(spec, tree, _read_text(args.control, "control"))
+    out = _out_dir(args.out) if args.out else None
     traj = simulate(spec, tree, u)  # checks u against its box first
     j_val = cost(spec, tree, u, traj=traj)
-    if args.out:
+    if out:
         outputs = []
-        _write(Path(args.out), "trajectory.csv",
+        _write(out, "trajectory.csv",
                partial(write_trajectory_csv, spec, tree, traj, u), outputs)
-        _write(Path(args.out), "manifest.json",
+        _write(out, "manifest.json",
                _manifest("simulate", args.config, {}, outputs), [])
         print(f"simulate: J = {j_val!r}; outputs in {args.out}")
     else:
@@ -322,8 +335,11 @@ def cmd_simulate(args) -> int:
 def cmd_example_prodcons(args) -> int:
     if not 0.0 < args.delta < 1.0:
         raise ConfigError(f"--delta must lie in (0, 1), got {args.delta}")
+    out = _out_dir(args.out)
+    plot = Path(args.plot_data) if args.plot_data else None
+    if plot:
+        _out_dir(plot.parent)
     rep, result, rows = comparison_rows(args.delta, args.h, args.N, x0=args.x0)
-    out = Path(args.out)
     outputs = []
     replica_lines = ["k,t,p,q,v"]
     for k in range(args.N + 2):
@@ -332,12 +348,10 @@ def cmd_example_prodcons(args) -> int:
         replica_lines.append(f"{k},{_fmt(k * args.h)},{_fmt(rep.p[k])},{q_val},{v_val}")
     _write(out, "replica.csv", "\n".join(replica_lines) + "\n", outputs)
     _write(out, "comparison.csv", comparison_csv(rows), outputs)
-    plot_text = plot_data_csv(rep)
-    if args.plot_data:
-        Path(args.plot_data).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.plot_data).write_text(plot_text)
+    if plot:
+        _write(plot.parent, plot.name, plot_data_csv(rep), [])
     else:
-        _write(out, "figure_data.csv", plot_text, outputs)
+        _write(out, "figure_data.csv", plot_data_csv(rep), outputs)
     general = {
         "cost": result.cost,
         "objective": -result.cost,
@@ -356,9 +370,10 @@ def cmd_example_prodcons(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    check_options(args.suite, args.trials, args.inject_fault)
+    out = _out_dir(args.out)
     report, reports = run_selftest(suite=args.suite, trials=args.trials,
                                    inject_fault=args.inject_fault)
-    out = Path(args.out)
     outputs = []
     _write(out, "selftest_report.json", report_json(report), outputs)
     opts = {"suite": args.suite, "trials": args.trials, "inject_fault": args.inject_fault}

@@ -38,6 +38,7 @@ _LQ_MATRIX_KEYS = {
 }
 _LQ_SIGMA_KEYS = {"C": ("n", "n"), "C_mean": ("n", "n"), "D": ("n", "r"), "s0": ("n",)}
 _JACOBIANS = ("f_x", "f_y", "f_u", "sigma_x", "sigma_y", "sigma_u")
+SPEC_FD_STEP = 1e-6
 
 
 @dataclass
@@ -684,7 +685,7 @@ def serialize_problem(spec: ProblemSpec) -> str:
 
 
 def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
-                  seed: int = 0, fd_step: float = 1e-6) -> CheckReport:
+                  seed: int = 0) -> CheckReport:
     """Sampled consistency check: output shapes, analytic partials against
     central finite differences, and non-empty boxes.  This samples smoothness
     near the initial state; it certifies nothing globally."""
@@ -718,14 +719,14 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
         worst = 0.0
         for i in range(dim):
             shift = np.zeros(dim)
-            shift[i] = fd_step
+            shift[i] = SPEC_FD_STEP
             if wrt == "x":
                 hi_v, lo_v = value_fn(x + shift, y, u), value_fn(x - shift, y, u)
             elif wrt == "y":
                 hi_v, lo_v = value_fn(x, y + shift, u), value_fn(x, y - shift, u)
             else:
                 hi_v, lo_v = value_fn(x, y, u + shift), value_fn(x, y, u + (-shift))
-            fd = (np.asarray(hi_v) - np.asarray(lo_v)) / (2.0 * fd_step)
+            fd = (np.asarray(hi_v) - np.asarray(lo_v)) / (2.0 * SPEC_FD_STEP)
             try:
                 # a length-1 node axis broadcasts over the sampled rows
                 err = np.max(np.abs(fd - analytic[..., i]) / np.maximum(1.0, np.abs(fd)))

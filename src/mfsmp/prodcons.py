@@ -20,6 +20,10 @@ from .optimize import OptimizerOptions, optimize
 from .problem import builtin
 from .smp import adjoint_gradient
 
+V_FLOOR = 1e-6
+AGREE_REL_TOL = 1e-9
+PLOT_T0 = 0.0
+
 
 @dataclass
 class ProdconsReplica:
@@ -43,19 +47,17 @@ def replica(delta_util: float, h: float, n_steps: int) -> ProdconsReplica:
     return ProdconsReplica(delta_util, h, n_steps, p, np.zeros(n_steps + 1), v)
 
 
-def general_run(delta_util: float, h: float, n_steps: int, x0: float = 1.0,
-                depreciation: float | None = None, v_floor: float = 1e-6):
+def general_run(delta_util: float, h: float, n_steps: int, x0: float = 1.0):
     """Solve the same model with the general machinery (optimizer + adjoint).
 
     Returns the spec, optimize result, and per-time costate values.  The
     costate of this model is deterministic (constant across nodes per level),
     which is asserted before collapsing it to a sequence.
     """
-    spec = builtin("prodcons", delta_util=delta_util,
-                   depreciation=delta_util if depreciation is None else depreciation,
-                   h=h, N=n_steps, x0=x0, v_floor=v_floor)
+    spec = builtin("prodcons", delta_util=delta_util, depreciation=delta_util,
+                   h=h, N=n_steps, x0=x0, v_floor=V_FLOOR)
     tree = spec.build_tree()
-    result = optimize(spec, tree, constant_control(spec, tree, max(1.0, v_floor)),
+    result = optimize(spec, tree, constant_control(spec, tree, max(1.0, V_FLOOR)),
                       OptimizerOptions(max_iters=400, grad_tol=1e-10))
     _, _, adj = adjoint_gradient(spec, tree, result.u, return_all=True)
     p_seq = np.empty(n_steps + 2)
@@ -68,8 +70,7 @@ def general_run(delta_util: float, h: float, n_steps: int, x0: float = 1.0,
     return spec, tree, result, p_seq, v_seq
 
 
-def comparison_rows(delta_util: float, h: float, n_steps: int, x0: float = 1.0,
-                    rel_tol: float = 1e-9):
+def comparison_rows(delta_util: float, h: float, n_steps: int, x0: float = 1.0):
     """Side-by-side replica vs general-solver sequences with agreement flags."""
     rep = replica(delta_util, h, n_steps)
     _, _, result, p_gen, v_gen = general_run(delta_util, h, n_steps, x0)
@@ -77,22 +78,22 @@ def comparison_rows(delta_util: float, h: float, n_steps: int, x0: float = 1.0,
     for k in range(n_steps + 2):
         t = k * h
         row = {"k": k, "t": t, "p_replica": float(rep.p[k]), "p_general": float(p_gen[k])}
-        row["p_agree"] = abs(row["p_replica"] - row["p_general"]) <= rel_tol * max(
+        row["p_agree"] = abs(row["p_replica"] - row["p_general"]) <= AGREE_REL_TOL * max(
             1.0, abs(row["p_replica"]))
         if k <= n_steps:
             row["v_replica"] = float(rep.v[k])
             row["v_general"] = float(v_gen[k])
-            row["v_agree"] = abs(row["v_replica"] - row["v_general"]) <= rel_tol * max(
+            row["v_agree"] = abs(row["v_replica"] - row["v_general"]) <= AGREE_REL_TOL * max(
                 1.0, abs(row["v_replica"]))
         rows.append(row)
     return rep, result, rows
 
 
-def plot_data_csv(rep: ProdconsReplica, t0: float = 0.0) -> str:
+def plot_data_csv(rep: ProdconsReplica) -> str:
     """Consumption-path CSV (t, v) with exactly N+1 rows of increasing t."""
     lines = ["t,v"]
     for k in range(rep.n_steps + 1):
-        lines.append(f"{float(t0 + k * rep.h)!r},{float(rep.v[k])!r}")
+        lines.append(f"{float(PLOT_T0 + k * rep.h)!r},{float(rep.v[k])!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -126,13 +126,12 @@ def _operator_instance(seed):
         split = propagate(data, tree, propagate(data, tree, z0, 0, k), k, n_steps + 1)
         semi = max(semi, float(np.max(np.abs(full - split))))
 
-    data.drift_force = [rng.uniform(-0.5, 0.5, (tree.size(k), spec.n))
-                        for k in range(n_steps + 1)]
-    data.diff_force = [rng.uniform(-0.5, 0.5, (tree.size(k), spec.d, spec.n))
-                       for k in range(n_steps + 1)]
+    forcing = ([rng.uniform(-0.5, 0.5, (tree.size(k), spec.n)) for k in range(n_steps + 1)],
+               [rng.uniform(-0.5, 0.5, (tree.size(k), spec.d, spec.n))
+                for k in range(n_steps + 1)])
     z_init = rng.uniform(-1.0, 1.0, spec.n)
-    direct = solve_linear_forward(data, tree, z_init)
-    rep = variation_of_constants(data, tree, z_init)
+    direct = solve_linear_forward(data, tree, z_init, *forcing)
+    rep = variation_of_constants(data, tree, z_init, *forcing)
     rep_res = max(float(np.max(np.abs(direct.at(k) - rep.at(k))))
                   for k in range(n_steps + 2))
 
@@ -259,14 +258,19 @@ SUITES = {
 }
 
 
-def run_selftest(suite=None, trials=None, inject_fault=None):
-    """Run the verification suites and assemble a deterministic report dict."""
+def check_options(suite=None, trials=None, inject_fault=None):
+    """A ConfigError unless `run_selftest` accepts these options."""
     if inject_fault is not None and inject_fault not in KNOWN_FAULTS:
         raise ConfigError(f"unknown fault {inject_fault!r}; known: {', '.join(KNOWN_FAULTS)}")
     if trials is not None and trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     if suite is not None and suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}")
+
+
+def run_selftest(suite=None, trials=None, inject_fault=None):
+    """Run the verification suites and assemble a deterministic report dict."""
+    check_options(suite, trials, inject_fault)
     names = [suite] if suite else list(SUITES)
     reports = {}
     for name in names:

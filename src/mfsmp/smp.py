@@ -21,8 +21,8 @@ import warnings
 
 import numpy as np
 
-from .adjoint import (LinearSystemData, adjoint_solution, backward_levels, linearize,
-                      linearize_step, linearize_terminal, solve_linear_forward)
+from .adjoint import (adjoint_solution, backward_levels, linearize_step, linearize_terminal,
+                      transition_local)
 from .errors import MfsmpError
 from .forward import batch_cost, cost, simulate
 from .report import CheckReport
@@ -43,6 +43,11 @@ CERT_SAMPLE_TOL = 1e-6
 CERT_DIRECTION_TOL = 1e-12
 CERT_ORDER_SHORTFALL_TOL = 0.5
 FD_STEP = 1e-5
+RATE_EPS = (1e-1, 1e-2, 1e-3)
+RATE_DROP = 1e-2
+RATE_FLOOR = 1e-20
+SUFFICIENCY_CONVEXITY_TOL = 1e-10
+SUFFICIENCY_SIGN_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -132,28 +137,29 @@ def necessary_check(spec, u, g, tol: float = 1e-6) -> CheckReport:
     return report
 
 
-def variational_data(spec, tree, traj, u, spike: SpikeVariation) -> LinearSystemData:
-    """Linearized system with the spike forcing attached at the spike step; the
-    drift blocks and forcing carry the step factor h, so the response is the
-    exact derivative of the forward map."""
-    data = linearize(spec, tree, traj, u)
-    n, d = spec.n, spec.d
-    data.drift_force = [np.zeros((tree.size(k), n)) for k in range(tree.grid.n_steps + 1)]
-    data.diff_force = [np.zeros((tree.size(k), d, n)) for k in range(tree.grid.n_steps + 1)]
-    k = spike.step
-    x, y = traj.rows(k)
-    bump = spike.scale * np.broadcast_to(spike.delta, (tree.size(k), spec.r))
-    data.drift_force[k] = tree.grid.h * np.einsum(
-        "mia,ma->mi", spec.coeffs.f_u(k, x, y, u.at(k)), bump)
-    data.diff_force[k] = np.einsum(
-        "mjia,ma->mji", spec.coeffs.sigma_u(k, x, y, u.at(k)), bump)
-    return data
+def _spike_levels(spec, tree, traj, u, spike: SpikeVariation):
+    """The spike response xi, zero up to the spike step s, swept forward from its
+    forcing h f_u bump + sum_j sigma_u bump w^j lifted onto level s+1 (the exact
+    derivative of the forward map): yields (k, xi_k, running_k), k = s+1 .. N, then
+    (N+1, xi_{N+1}, None), dropping each step's coefficients as `backward_levels` does."""
+    c, s = spec.coeffs, spike.step
+    x, y = traj.rows(s)
+    bump = spike.scale * np.broadcast_to(spike.delta, (tree.size(s), spec.r))
+    xi = tree.children(s, tree.grid.h * np.einsum("mia,ma->mi", c.f_u(s, x, y, u.at(s)), bump),
+                       np.einsum("mjia,ma->mji", c.sigma_u(s, x, y, u.at(s)), bump))
+    for k in range(s + 1, tree.grid.n_steps + 1):
+        step = linearize_step(spec, tree, traj, u, k)
+        yield k, xi, step.running
+        xi = transition_local(step, tree, k, xi)
+        del step
+    yield tree.grid.n_steps + 1, xi, None
 
 
 def variational_state(spec, tree, traj, u, spike: SpikeVariation) -> AdaptedProcess:
     """First-order state response to the spike (zero initial value)."""
-    data = variational_data(spec, tree, traj, u, spike)
-    return solve_linear_forward(data, tree, np.zeros(spec.n))
+    levels = [np.zeros((tree.size(k), spec.n)) for k in range(spike.step + 1)]
+    levels += [xi for _, xi, _ in _spike_levels(spec, tree, traj, u, spike)]
+    return AdaptedProcess(tree, 0, levels)
 
 
 def duality_residual(spec, tree, traj, adj, u, spike: SpikeVariation) -> float:
@@ -165,15 +171,14 @@ def duality_residual(spec, tree, traj, adj, u, spike: SpikeVariation) -> float:
 
     This is an exact algebraic identity on the tree, so the residual is
     roundoff-sized whenever (p, q) solve the adjoint system of the same
-    linearization convention.
+    linearization convention.  It holds one level of xi at a time.
     """
-    data = variational_data(spec, tree, traj, u, spike)
-    xi = solve_linear_forward(data, tree, np.zeros(spec.n))
     kT = tree.grid.n_steps + 1
-    lhs = float(expect(tree, np.einsum("mi,mi->m", adj.p.at(kT), xi.at(kT)), kT))
-    run_term = sum(
-        float(expect(tree, np.einsum("mi,mi->m", data.running[k], xi.at(k)), k))
-        for k in range(tree.grid.n_steps + 1))
+    run_term = 0
+    for k, xi, running in _spike_levels(spec, tree, traj, u, spike):
+        if k < kT:
+            run_term += float(expect(tree, np.einsum("mi,mi->m", running, xi), k))
+    lhs = float(expect(tree, np.einsum("mi,mi->m", adj.p.at(kT), xi), kT))
     state_part, _ = _hamiltonian_gradient_parts(spec, tree, traj, u, spike.step,
                                                 conditional_costate(tree, adj, spike.step),
                                                 adj.q.at(spike.step))
@@ -197,8 +202,7 @@ def spike_cost_increment(spec, tree, u, spike: SpikeVariation):
     return predicted, actual
 
 
-def rate_ratios(spec, tree, u, spike: SpikeVariation,
-                eps_values=(1e-1, 1e-2, 1e-3)):
+def rate_ratios(spec, tree, u, spike: SpikeVariation, eps_values=RATE_EPS):
     """Scaled squared deviations of the spiked trajectory.
 
     ratio1(eps) = max_k E|x_eps - x|^2 / eps^2        (stays bounded)
@@ -223,13 +227,11 @@ def rate_ratios(spec, tree, u, spike: SpikeVariation,
     return {"eps": list(eps_values), "ratio1": ratio1, "ratio2": ratio2}
 
 
-def rate_check(spec, tree, u, spike: SpikeVariation,
-               eps_values=(1e-1, 1e-2, 1e-3), drop: float = 1e-2,
-               floor: float = 1e-20) -> CheckReport:
-    """Pass iff ratio1 stays bounded across the ladder and ratio2 collapses by
-    the prescribed factor from the largest to the smallest scale (an absolute
-    floor absorbs the all-roundoff linear case)."""
-    rates = rate_ratios(spec, tree, u, spike, eps_values)
+def rate_check(spec, tree, u, spike: SpikeVariation) -> CheckReport:
+    """Pass iff ratio1 stays bounded across the `RATE_EPS` ladder and ratio2
+    collapses by `RATE_DROP` from the largest to the smallest scale (the
+    absolute floor `RATE_FLOOR` absorbs the all-roundoff linear case)."""
+    rates = rate_ratios(spec, tree, u, spike)
     report = CheckReport("expansion-rates")
     for eps, r1, r2 in zip(rates["eps"], rates["ratio1"], rates["ratio2"]):
         report.add(f"ratio1 @eps={eps:g}", r1, np.inf)
@@ -238,7 +240,7 @@ def rate_check(spec, tree, u, spike: SpikeVariation,
     report.add("ratio1 bounded (last <= 2*first + 1e-30)",
                r1_last, 2.0 * r1_first + 1e-30)
     report.add("ratio2 collapse (last <= drop*first, floored)",
-               rates["ratio2"][-1], max(drop * rates["ratio2"][0], floor))
+               rates["ratio2"][-1], max(RATE_DROP * rates["ratio2"][0], RATE_FLOOR))
     return report
 
 
@@ -248,7 +250,6 @@ def _max_skipping_nan(values) -> float:
 
 
 def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 0,
-                      tol_convexity: float = 1e-10, tol_signs: float = 1e-12,
                       tol_hamiltonian: float = 1e-6) -> CheckReport:
     """Sampled sufficiency evidence (not a proof): terminal-cost midpoint
     convexity, Hamiltonian midpoint concavity in (x, mean, v) with the frozen
@@ -273,7 +274,7 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
     vals = c.phi(np.concatenate([x1, x2, 0.5 * (x1 + x2)]),
                  np.concatenate([y1, y2, 0.5 * (y1 + y2)])).reshape(3, samples)
     report.add("terminal midpoint convexity violation",
-               _max_skipping_nan(vals[2] - 0.5 * (vals[0] + vals[1])), tol_convexity)
+               _max_skipping_nan(vals[2] - 0.5 * (vals[0] + vals[1])), SUFFICIENCY_CONVEXITY_TOL)
 
     # (ii) Hamiltonian midpoint concavity in (x, y, v) with frozen (p, q); the
     # samples are drawn as arrays, then each step's rows go through one evaluator call
@@ -301,7 +302,7 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
         finite = np.isfinite(hvals).all(axis=1)
         gaps[sel[finite]] = 0.5 * (hvals[finite, 0] + hvals[finite, 1]) - hvals[finite, 2]
     report.add("Hamiltonian midpoint concavity violation", _max_skipping_nan(gaps),
-               tol_convexity)
+               SUFFICIENCY_CONVEXITY_TOL)
 
     # (iii) nonnegative mean-gradients along the trajectory
     worst = 0.0
@@ -312,7 +313,7 @@ def sufficiency_check(spec, tree, traj, adj, u, samples: int = 200, seed: int = 
             worst = max(worst, float(np.max(-np.asarray(arr), initial=0.0)))
     xT_b, yT = traj.rows(kT)
     worst = max(worst, float(np.max(-np.asarray(c.phi_y(xT_b, yT)), initial=0.0)))
-    report.add("negative mean-gradient entries", worst, tol_signs)
+    report.add("negative mean-gradient entries", worst, SUFFICIENCY_SIGN_TOL)
 
     # (iv) Hamiltonian optimality over box vertices / unbounded probes: the
     # candidate and every probe combination of a step in one evaluator call

@@ -209,28 +209,20 @@ def test_semigroup_property_random():
         np.testing.assert_allclose(full, split, atol=1e-12)
 
 
-def test_variation_of_constants_requires_forcing():
-    tree = build_tree(TimeGrid(0.0, 1.0, 0), NoiseModel.binary(1, 1.0))
-    with pytest.raises(MfsmpError, match="forcing"):
-        variation_of_constants(_zero_data(tree), tree, np.zeros(1))
-
-
 def test_variation_of_constants_zero_forcing_zero_start():
     tree = build_tree(TimeGrid(0.0, 1.0, 2), NoiseModel.binary(1, 1.0))
-    data = _zero_data(tree)
-    data.drift_force = [np.zeros((tree.size(k), 1)) for k in range(3)]
-    data.diff_force = [np.zeros((tree.size(k), 1, 1)) for k in range(3)]
-    rep = variation_of_constants(data, tree, np.zeros(1))
+    rep = variation_of_constants(_zero_data(tree), tree, np.zeros(1),
+                                 [np.zeros((tree.size(k), 1)) for k in range(3)],
+                                 [np.zeros((tree.size(k), 1, 1)) for k in range(3)])
     assert all(np.all(rep.at(k) == 0.0) for k in range(4))
 
 
 def test_variation_of_constants_constant_forcing():
     # zero coefficients with constant forcing c accumulate k * c
     tree = build_tree(TimeGrid(0.0, 1.0, 2), NoiseModel.binary(1, 1.0))
-    data = _zero_data(tree)
-    data.drift_force = [np.full((tree.size(k), 1), 0.3) for k in range(3)]
-    data.diff_force = [np.zeros((tree.size(k), 1, 1)) for k in range(3)]
-    rep = variation_of_constants(data, tree, np.array([0.5]))
+    rep = variation_of_constants(_zero_data(tree), tree, np.array([0.5]),
+                                 [np.full((tree.size(k), 1), 0.3) for k in range(3)],
+                                 [np.zeros((tree.size(k), 1, 1)) for k in range(3)])
     for k in range(4):
         np.testing.assert_allclose(rep.at(k), 0.5 + 0.3 * k, atol=1e-14)
 
@@ -244,13 +236,12 @@ def test_representation_matches_recursion_random():
         data = linearize(spec, tree, traj, u)
         rng = np.random.default_rng(60 + seed)
         steps = tree.grid.n_steps + 1
-        data.drift_force = [rng.uniform(-0.5, 0.5, (tree.size(k), spec.n))
-                            for k in range(steps)]
-        data.diff_force = [rng.uniform(-0.5, 0.5, (tree.size(k), spec.d, spec.n))
-                           for k in range(steps)]
+        forcing = ([rng.uniform(-0.5, 0.5, (tree.size(k), spec.n)) for k in range(steps)],
+                   [rng.uniform(-0.5, 0.5, (tree.size(k), spec.d, spec.n))
+                    for k in range(steps)])
         z0 = rng.uniform(-1.0, 1.0, spec.n)
-        direct = solve_linear_forward(data, tree, z0)
-        rep = variation_of_constants(data, tree, z0)
+        direct = solve_linear_forward(data, tree, z0, *forcing)
+        rep = variation_of_constants(data, tree, z0, *forcing)
         for k in range(steps + 1):
             np.testing.assert_allclose(rep.at(k), direct.at(k), atol=1e-12)
 

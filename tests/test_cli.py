@@ -337,6 +337,50 @@ def test_unreadable_input_file_exits_2_with_one_error_line(case, tmp_path, capsy
         assert err.startswith(f"error: cannot read {what} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, work", [
+    (["solve", "CONFIG", "--out", "BLOCKED/x"], "optimize"),
+    (["check", "CONFIG", "CONTROL", "--out", "BLOCKED/y"], "adjoint_gradient"),
+    (["simulate", "CONFIG", "CONTROL", "--out", "BLOCKED/z"], "simulate"),
+    (["example", "prodcons", "--out", "BLOCKED/pc"], "comparison_rows"),
+    (["example", "prodcons", "--out", "OK", "--plot-data", "BLOCKED/p.csv"], "comparison_rows"),
+    (["selftest", "--suite", "noise", "--out", "BLOCKED/st"], "run_selftest"),
+], ids=["solve", "check", "simulate", "prodcons-out", "prodcons-plot-data", "selftest"])
+def test_output_that_cannot_be_created_exits_2_before_any_work(command, work, tmp_path,
+                                                                 capsys, monkeypatch):
+    # BLOCKED is a plain file, so no directory can be made below it
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=2, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    cfg, control, blocked = tmp_path / "cfg.json", tmp_path / "control.csv", tmp_path / "BLOCKED"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 1)))
+    blocked.write_text("")
+
+    def refuse(*args, **kw):
+        raise AssertionError(f"{work} ran before the output directory was made")
+
+    monkeypatch.setattr(cli, work, refuse)
+    names = {"CONFIG": str(cfg), "CONTROL": str(control)}
+    argv = [names.get(a, a.replace("BLOCKED", str(blocked)).replace("OK", str(tmp_path / "ok")))
+            for a in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocked}") and err.count("\n") == 1
+
+
+def test_unwritable_output_file_exits_2_with_one_error_line(tmp_path, capsys):
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=2, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    cfg, control = tmp_path / "cfg.json", tmp_path / "control.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 1)))
+    out = tmp_path / "out"
+    (out / "checks.json").mkdir(parents=True)
+    assert main(["check", str(cfg), str(control), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'checks.json'}: ")
+    assert err.count("\n") == 1
+
+
 def test_check_and_simulate_test_feasibility_once(tmp_path, capsys, monkeypatch):
     spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[0.0], lo=-1.0, hi=1.0)
     tree = spec.build_tree()

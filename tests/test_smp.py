@@ -14,11 +14,11 @@ from mfsmp.instances import (random_control, random_lq, random_prodcons, random_
                              smooth_nonlinear)
 from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, serialize_problem,
                            validate_spec)
-from mfsmp.smp import (SpikeVariation, adjoint_gradient, duality_residual,
-                       fd_cost_gradient, gradient_consistency, hamiltonian,
-                       hamiltonian_gradient, necessary_check, rate_check, rate_ratios,
-                       spike_cost_increment, sufficiency_check, variational_data,
-                       variational_state)
+from mfsmp.smp import (SpikeVariation, _hamiltonian_gradient_parts, adjoint_gradient,
+                       conditional_costate, duality_residual, fd_cost_gradient,
+                       gradient_consistency, hamiltonian, hamiltonian_gradient,
+                       necessary_check, rate_check, rate_ratios, spike_cost_increment,
+                       sufficiency_check, variational_state)
 from mfsmp.tree import AdaptedProcess, expect
 
 
@@ -26,6 +26,21 @@ def _solved(spec, tree, u):
     traj = simulate(spec, tree, u)
     adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
     return traj, adj
+
+
+def _stored_spike_system(spec, tree, traj, u, spike):
+    """The spike response's linear system stored whole: every step's
+    coefficients from `linearize`, and forward forcing that is the spike's
+    h f_u bump, sigma_u bump at its step and zero at every other step."""
+    steps = range(tree.grid.n_steps + 1)
+    drift = [np.zeros((tree.size(k), spec.n)) for k in steps]
+    diff = [np.zeros((tree.size(k), spec.d, spec.n)) for k in steps]
+    k = spike.step
+    x, y = traj.rows(k)
+    bump = spike.scale * np.broadcast_to(spike.delta, (tree.size(k), spec.r))
+    drift[k] = tree.grid.h * np.einsum("mia,ma->mi", spec.coeffs.f_u(k, x, y, u.at(k)), bump)
+    diff[k] = np.einsum("mjia,ma->mji", spec.coeffs.sigma_u(k, x, y, u.at(k)), bump)
+    return linearize(spec, tree, traj, u), drift, diff
 
 
 def test_hamiltonian_e1_closed_form(e1):
@@ -566,14 +581,45 @@ def test_literal_variational_drift_differs():
     spike = random_spike(spec, tree, u, 79, 0.1, step=0)
     xi = variational_state(spec, tree, traj, u, spike)
     # the h-free variant: drift blocks and drift forcing without the step factor
-    literal, h = variational_data(spec, tree, traj, u, spike), tree.grid.h
+    (literal, drift, diff), h = _stored_spike_system(spec, tree, traj, u, spike), tree.grid.h
     literal.drift_x = [a / h for a in literal.drift_x]
     literal.drift_mean = [a / h for a in literal.drift_mean]
-    literal.drift_force = [c / h for c in literal.drift_force]
-    xi_lit = solve_linear_forward(literal, tree, np.zeros(spec.n))
+    xi_lit = solve_linear_forward(literal, tree, np.zeros(spec.n), [c / h for c in drift], diff)
     gap = max(float(np.max(np.abs(xi.at(k) - xi_lit.at(k))))
               for k in range(tree.grid.n_steps + 2))
     assert gap > 1e-6
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("make", [lambda: random_lq(5, steps_max=3), lambda: random_prodcons(3),
+                                  lambda: smooth_nonlinear(1)], ids=["lq", "prodcons", "smooth"])
+def test_streamed_spike_response_matches_stored_system_bit_for_bit(make, where):
+    # the response streamed from the spike step against the whole stored
+    # system run from level 0: its levels up to the spike step are zero, so
+    # the two sum the same nonzero terms in the same order
+    spec = make()
+    tree = spec.build_tree()
+    n_steps = tree.grid.n_steps
+    step = {"first": 0, "middle": n_steps // 2, "last": n_steps}[where]
+    u = random_control(spec, tree, 11)
+    _, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
+    spike = random_spike(spec, tree, u, 12, 0.05, step=step)
+    data, drift, diff = _stored_spike_system(spec, tree, traj, u, spike)
+    xi = solve_linear_forward(data, tree, np.zeros(spec.n), drift, diff)
+    streamed = variational_state(spec, tree, traj, u, spike)
+    assert all(np.array_equal(streamed.at(k), xi.at(k)) for k in range(n_steps + 2))
+    assert np.any(xi.at(n_steps + 1) != 0.0)
+
+    kT = n_steps + 1
+    lhs = float(expect(tree, np.einsum("mi,mi->m", adj.p.at(kT), xi.at(kT)), kT))
+    run_term = sum(float(expect(tree, np.einsum("mi,mi->m", data.running[k], xi.at(k)), k))
+                   for k in range(n_steps + 1))
+    state_part, _ = _hamiltonian_gradient_parts(spec, tree, traj, u, step,
+                                                conditional_costate(tree, adj, step),
+                                                adj.q.at(step))
+    spike_term = spike.scale * float(expect(
+        tree, np.einsum("ma,ma->m", state_part, spike.delta), step))
+    assert duality_residual(spec, tree, traj, adj, u, spike) == abs(lhs - run_term - spike_term)
 
 
 def test_gradient_scales_with_cost_scaling():
