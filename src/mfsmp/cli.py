@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 check/test failure (for `solve`: its solution fails
 the first-order check, with every output written), 2 usage or configuration
-error, or an output that cannot be written (found before any work is done).
+error, or an output that cannot be written (found before any work is done),
+141 (128 + SIGPIPE, as a shell reports) when standard output closes before
+all is written, as in `mfsmp simulate ... | head`: the command ends quietly.
 All outputs are deterministic for identical inputs (stable float repr, sorted
 JSON keys, no timestamps), so re-running a manifest reproduces files byte for
 byte.
@@ -12,6 +14,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 from functools import partial
 from itertools import islice
@@ -35,7 +38,7 @@ from .instances import random_spike
 
 
 # rows per chunk: bounds the text held in memory while a CSV is written or read
-CHUNK_ROWS = 16384
+CHUNK_ROWS = 4096
 # characters per block of lines a control CSV is split in
 READ_CHARS = 1 << 18
 # printf conversion per numpy dtype kind; any other kind (object) is "%s"
@@ -59,13 +62,14 @@ def _write_rows(out, header, tree, levels, fields) -> str | None:
     """Write CSV rows `time,node_id,...` for every node of each level in `levels`
     to the text stream `out`, or return the text when `out` is None.
 
-    `fields(k)` lays out the rest of a level-k row as a list whose items are
-    either a string free of `%`, written verbatim in every row, or an array
-    with one row per node whose columns become fields: integers as `%d`,
-    floats as their shortest round-trip repr (`%r`, equal to
-    `repr(float(v))`), objects as `%s`.  Each level is formatted column-wise
-    and written in chunks of `CHUNK_ROWS` rows, so the whole text is never
-    held in memory.
+    `fields(k, rows)` lays out the rest of the level-k rows in the slice
+    `rows` as a list whose items are either a string free of `%`, written
+    verbatim in every row, or an array with one row per node of the slice
+    whose columns become fields: integers as `%d`, floats as their shortest
+    round-trip repr (`%r`, equal to `repr(float(v))`), objects as `%s`.  Each
+    level is formatted column-wise and written in chunks of `CHUNK_ROWS`
+    rows, node ids included, so no array spans a whole level and the whole
+    text is never held in memory.
     """
     if out is None:
         buf = io.StringIO()
@@ -74,21 +78,20 @@ def _write_rows(out, header, tree, levels, fields) -> str | None:
     out.write(",".join(header) + "\n")
     for k in levels:
         size, first = tree.size(k), int(tree.global_id(k, 0))
-        parts = [repr(float(tree.grid.time(k))), "%d"]
-        columns = [np.arange(first, first + size)[:, None]]
-        for item in fields(k):
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            item = item.reshape(size, -1)
-            parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
-            columns.append(item)
-        row = ",".join(parts) + "\n"
         for start in range(0, size, CHUNK_ROWS):
+            rows = slice(start, min(start + CHUNK_ROWS, size))
+            parts = [repr(float(tree.grid.time(k))), "%d"]
+            columns = [np.arange(first + rows.start, first + rows.stop)[:, None]]
+            for item in fields(k, rows):
+                if isinstance(item, str):
+                    parts.append(item)
+                    continue
+                item = item.reshape(len(columns[0]), -1)
+                parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
+                columns.append(item)
             # casting to object turns each cell into a Python int, float or str
-            cells = np.concatenate([c[start:start + CHUNK_ROWS] for c in columns],
-                                   axis=1, dtype=object)
-            out.write((row * cells.shape[0]) % tuple(cells.ravel().tolist()))
+            cells = np.concatenate(columns, axis=1, dtype=object)
+            out.write(((",".join(parts) + "\n") * len(cells)) % tuple(cells.ravel().tolist()))
     return None
 
 
@@ -97,12 +100,12 @@ def write_trajectory_csv(spec, tree, traj, u, out=None) -> str | None:
               + [f"x_{i + 1}" for i in range(spec.n)]
               + [f"u_{i + 1}" for i in range(spec.r)])
 
-    def fields(k):
+    def fields(k, rows):
         # a node's parent is its index // branch on the level above
-        parent = ([""] if k == 0
-                  else [tree.global_id(k - 1, 0) + np.arange(tree.size(k)) // tree.branch])
-        controls = [u.at(k)] if k <= tree.grid.n_steps else [""] * spec.r
-        return parent + [_distinct_labels(tree.abs_prob[k]), traj.at(k)] + controls
+        parent = ([""] if k == 0 else
+                  [tree.global_id(k - 1, 0) + np.arange(rows.start, rows.stop) // tree.branch])
+        controls = [u.at(k)[rows]] if k <= tree.grid.n_steps else [""] * spec.r
+        return parent + [_distinct_labels(tree.abs_prob[k][rows]), traj.at(k)[rows]] + controls
 
     return _write_rows(out, header, tree, range(tree.grid.n_levels), fields)
 
@@ -111,10 +114,10 @@ def write_adjoint_csv(spec, tree, adj, out=None) -> str | None:
     header = (["time", "node_id"] + [f"p_{i + 1}" for i in range(spec.n)]
               + [f"q{j + 1}_{i + 1}" for j in range(spec.d) for i in range(spec.n)])
 
-    def fields(k):
+    def fields(k, rows):
         # q is (nodes, d, n); its rows flatten j-major, matching the header
-        q = [adj.q.at(k)] if k <= tree.grid.n_steps else [""] * (spec.d * spec.n)
-        return [adj.p.at(k)] + q
+        q = [adj.q.at(k)[rows]] if k <= tree.grid.n_steps else [""] * (spec.d * spec.n)
+        return [adj.p.at(k)[rows]] + q
 
     return _write_rows(out, header, tree, range(tree.grid.n_levels), fields)
 
@@ -122,16 +125,15 @@ def write_adjoint_csv(spec, tree, adj, out=None) -> str | None:
 def write_control_csv(spec, tree, u, out=None) -> str | None:
     header = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
     return _write_rows(out, header, tree, range(tree.grid.n_steps + 1),
-                       lambda k: [u.at(k)])
+                       lambda k, rows: [u.at(k)[rows]])
 
 
-def _lines(text):
-    """The non-blank lines of a stripped `text`, split a block of whole lines
+def _lines(text, start, end):
+    """The non-blank lines of `text[start:end]`, split a block of whole lines
     of about `READ_CHARS` characters at a time, never the whole text at once."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + READ_CHARS)
-        cut = len(text) if cut < 0 else cut
+    while start < end:
+        cut = text.find("\n", start + READ_CHARS, end)
+        cut = end if cut < 0 else cut
         yield from filter(str.strip, text[start:cut].split("\n"))
         start = cut + 1
 
@@ -140,10 +142,15 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
     """The control of a CSV text in the format `write_control_csv` writes,
     read `CHUNK_ROWS` rows at a time into one preallocated array per level.
     The checks, and which one wins when several fail, are those of a
-    per-line parse: the header, the row count, then level by level each
-    row's field count, node id and numbers, and the level's values finite."""
-    text = text.strip()
-    lines = _lines(text)
+    per-line parse of `text.strip()`: the header, the row count, then level
+    by level each row's field count, node id and numbers, and the level's
+    values finite."""
+    lo, hi = 0, len(text)  # the bounds of `text.strip()`, found without a copy
+    while lo < hi and text[lo].isspace():
+        lo += 1
+    while hi > lo and text[hi - 1].isspace():
+        hi -= 1
+    lines = _lines(text, lo, hi)
     header = next(lines, "").split(",")
     if header == [""]:
         raise ConfigError("control CSV is empty")
@@ -151,7 +158,7 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
     if header != expected:
         raise ConfigError(f"control CSV header {header} != expected {expected}")
     levels = [np.empty((tree.size(k), spec.r)) for k in range(tree.grid.n_steps + 1)]
-    rows, expected_rows = sum(1 for _ in _lines(text)) - 1, sum(map(len, levels))
+    rows, expected_rows = sum(1 for _ in _lines(text, lo, hi)) - 1, sum(map(len, levels))
     if rows != expected_rows:
         raise ConfigError(f"control CSV has {rows} rows, tree needs {expected_rows}")
     for k, level in enumerate(levels):
@@ -455,6 +462,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.fn(args)
+    except BrokenPipeError:  # stdout's reader has gone: flush to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

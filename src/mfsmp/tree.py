@@ -168,15 +168,22 @@ class ScenarioTree:
         """Lift `base` (..., m, n) and `diff` (..., m, d, n) of level `level`,
         leading axes a batch, to the children: child c of node i gets
         base[i] + sum_j w^j_c diff[i, j], w_c the increment on its edge.  Its
-        transpose is (cond_expect, cond_expect_noise) of the child values."""
+        transpose is (cond_expect, cond_expect_noise) of the child values.
+        The child level is made in one array, in the order and rounding of
+        fresh repeats: the noise terms in component order, then the base."""
         inc = self.increments(level + 1)  # MfsmpError unless 0 <= level <= N
-        # one repeat and one multiply-add per noise component; the noise
-        # terms are summed in component order and the base is added last,
-        # the order that fixes every forward state to the bit
-        noise = inc[:, 0, None] * np.repeat(diff[..., 0, :], self.branch, axis=-2)
+        noise = np.repeat(diff[..., 0, :], self.branch, axis=-2)
+        noise *= inc[:, 0, None]
         for j in range(1, inc.shape[1]):
-            noise += inc[:, j, None] * np.repeat(diff[..., j, :], self.branch, axis=-2)
-        return np.repeat(base, self.branch, axis=-2) + noise
+            term = np.repeat(diff[..., j, :], self.branch, axis=-2)
+            term *= inc[:, j, None]
+            noise += term
+            del term
+        # cast after the products, which stay real under a complex base over a real diff
+        noise = noise.astype(np.result_type(base, noise), copy=False)
+        lifted = noise.reshape(noise.shape[:-2] + (-1, self.branch, noise.shape[-1]))
+        lifted += base[..., None, :]
+        return noise
 
     def _check_level(self, level, lo=0):
         if not lo <= level < self.n_levels:

@@ -1,5 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,6 +614,46 @@ def test_csv_writers_return_or_stream_reference_text(chunk_rows, monkeypatch):
         stream = io.StringIO()
         assert write(out=stream) is None
         assert stream.getvalue() == reference
+
+
+def test_trajectory_writer_holds_no_level_wide_array(monkeypatch):
+    # node ids, parent ids and probability labels are made per chunk, so
+    # with small chunks the writer's peak stays below one level of int64
+    class Sink:
+        def write(self, text):
+            pass
+
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 64)
+    spec = builtin("lq_meanfield", n=3, r=1, d=1, h=0.1, N=13, x0=[0.0, 0.0, 0.0])
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 1)
+    traj = simulate(spec, tree, u)
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(spec, tree, traj, u, out=Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tree.size(tree.n_levels - 1) * np.dtype(np.int64).itemsize
+
+
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    # a reader that closes after one line: simulate exits 141 (128 + SIGPIPE)
+    # with nothing on stderr, neither a traceback nor an error at exit
+    spec = builtin("lq_meanfield", n=3, r=1, d=1, h=0.1, N=12, x0=[0.0, 0.0, 0.0])
+    tree = spec.build_tree()
+    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 4)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    # the trajectory text (about 1 MB) overfills the pipe, so the writer is
+    # still writing when the pipe closes
+    proc = subprocess.Popen([sys.executable, "-m", "mfsmp.cli", "simulate", str(cfg), str(control)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"time,node_id,parent_id,prob,")
+    proc.stdout.close()
+    assert proc.communicate(timeout=60)[1] == b""
+    assert proc.returncode == 141
 
 
 def test_simulate_stdout_matches_out_file(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,22 @@ def test_overflow_raises_simulation_error():
     with pytest.raises(SimulationError, match="level 1") as err:
         simulate(spec, tree, constant_control(spec, tree, 0.0))
     assert err.value.level == 1
+
+
+def test_simulate_transient_memory_is_one_and_a_half_leaf_arrays():
+    # the lift builds each child level in one array, the one kept: on top of
+    # the trajectory, simulate holds only the leaf step's drift, base and
+    # diff (half a leaf array each on a binary tree), plus 68 KiB that do not
+    # grow with the tree: 0.04 leaf arrays at N = 15
+    spec = builtin("lq_meanfield", n=3, r=1, d=1, h=0.1, N=15, x0=[0.1, -0.2, 0.3])
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 1)
+    leaf = tree.size(tree.n_levels - 1) * spec.n * 8
+    tracemalloc.start()
+    try:
+        traj = simulate(spec, tree, u)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= 2 * leaf * (1 - 2.0 ** -tree.n_levels)  # the kept states
+    assert peak - held <= 1.6 * leaf

@@ -243,3 +243,45 @@ def test_children_matches_einsum_lift_bitwise(kind, d, batch, dtype):
         reference = _einsum_lift(tree, k, base, diff)
         assert lifted.dtype == reference.dtype and lifted.shape == reference.shape
         assert lifted.tobytes() == reference.tobytes()
+
+
+def _repeat_lift(tree, level, base, diff):
+    """The lift in fresh arrays: one repeat and one multiply-add per noise
+    component, and the repeated base added last.  The reference whose bits
+    the in-place `children` keeps."""
+    inc = tree.increments(level + 1)
+    noise = inc[:, 0, None] * np.repeat(diff[..., 0, :], tree.branch, axis=-2)
+    for j in range(1, inc.shape[1]):
+        noise += inc[:, j, None] * np.repeat(diff[..., j, :], tree.branch, axis=-2)
+    return np.repeat(base, tree.branch, axis=-2) + noise
+
+
+@pytest.mark.parametrize("values", ["float", "complex", "complex base"])
+@pytest.mark.parametrize("batch", [(), (5,)], ids=["rows", "batch"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(LIFT_NOISES))
+def test_children_matches_repeat_lift_bitwise(kind, d, batch, values):
+    # "complex base" lifts a complex base over a real diff, as the complex
+    # step does at level 0; signed zeros in both then show a cast made
+    # before the products, whose imaginary parts would be -0.0
+    noise = LIFT_NOISES[kind](d, 0.5)
+    tree = build_tree(TimeGrid(0.0, 0.5, 2 if noise.branch_count <= 16 else 1), noise)
+    n = 3
+    rng = np.random.default_rng(13)
+
+    def draw(shape, complex_values):
+        out = np.empty(shape, dtype=complex if complex_values else float)
+        parts = (out.real, out.imag) if complex_values else (out,)
+        for part in parts:
+            part[...] = rng.normal(size=shape)
+            part[rng.random(shape) < 0.2] = -0.0
+            part[rng.random(shape) < 0.1] = 0.0
+        return out
+
+    for k in range(tree.grid.n_steps + 1):
+        base = draw(batch + (tree.size(k), n), values != "float")
+        diff = draw(batch + (tree.size(k), d, n), values == "complex")
+        lifted = tree.children(k, base, diff)
+        reference = _repeat_lift(tree, k, base, diff)
+        assert lifted.dtype == reference.dtype and lifted.shape == reference.shape
+        assert lifted.tobytes() == reference.tobytes()
