@@ -16,8 +16,9 @@ import io
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .adjoint import integrability_report
 from .errors import ConfigError, MfsmpError
-from .forward import cost, simulate
+from .forward import cost, forward_levels
 from .optimize import OptimizerOptions, optimize
 from .problem import parse_problem
 from .prodcons import comparison_csv, comparison_rows, plot_data_csv
@@ -39,8 +40,10 @@ from .instances import random_spike
 
 # rows per chunk: bounds the text held in memory while a CSV is written or read
 CHUNK_ROWS = 4096
-# characters per block of lines a control CSV is split in
-READ_CHARS = 1 << 18
+# characters per block of lines a control CSV is read and split in; blocks
+# of 256K characters left the heap too fragmented for the gradient that ran
+# after `mfsmp simulate` in the same process (+6.5 MB peak RSS on wide-tree)
+READ_CHARS = 1 << 15
 # printf conversion per numpy dtype kind; any other kind (object) is "%s"
 _CONVERSIONS = {"i": "%d", "f": "%r"}
 
@@ -59,108 +62,158 @@ def _distinct_labels(values):
 
 
 def _write_rows(out, header, tree, levels, fields) -> str | None:
-    """Write CSV rows `time,node_id,...` for every node of each level in `levels`
+    """Write CSV rows `time,node_id,...` for every node of levels 0, 1, ...
     to the text stream `out`, or return the text when `out` is None.
 
-    `fields(k, rows)` lays out the rest of the level-k rows in the slice
-    `rows` as a list whose items are either a string free of `%`, written
-    verbatim in every row, or an array with one row per node of the slice
-    whose columns become fields: integers as `%d`, floats as their shortest
-    round-trip repr (`%r`, equal to `repr(float(v))`), objects as `%s`.  Each
-    level is formatted column-wise and written in chunks of `CHUNK_ROWS`
-    rows, node ids included, so no array spans a whole level and the whole
-    text is never held in memory.
+    `levels` gives each level's data in turn, and `fields(k, data, rows)`
+    lays out the rest of the level-k rows in the slice `rows` as a list
+    whose items are either a string free of `%`, written verbatim in every
+    row, or an array with one row per node of the slice whose columns become
+    fields: integers as `%d`, floats as their shortest round-trip repr (`%r`,
+    equal to `repr(float(v))`), objects as `%s`.  Each level is formatted
+    column-wise and written in chunks of `CHUNK_ROWS` rows, node ids
+    included, so no array spans a whole level and the whole text is never
+    held in memory.  A level's data is let go before the next is asked for,
+    so a source that makes its levels one at a time, as `forward_levels`
+    does, has one alive.
     """
     if out is None:
         buf = io.StringIO()
         _write_rows(buf, header, tree, levels, fields)
         return buf.getvalue()
     out.write(",".join(header) + "\n")
-    for k in levels:
-        size, first = tree.size(k), int(tree.global_id(k, 0))
-        for start in range(0, size, CHUNK_ROWS):
-            rows = slice(start, min(start + CHUNK_ROWS, size))
-            parts = [repr(float(tree.grid.time(k))), "%d"]
-            columns = [np.arange(first + rows.start, first + rows.stop)[:, None]]
-            for item in fields(k, rows):
-                if isinstance(item, str):
-                    parts.append(item)
-                    continue
-                item = item.reshape(len(columns[0]), -1)
-                parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
-                columns.append(item)
-            # casting to object turns each cell into a Python int, float or str
-            cells = np.concatenate(columns, axis=1, dtype=object)
-            out.write(((",".join(parts) + "\n") * len(cells)) % tuple(cells.ravel().tolist()))
+    k = 0
+    for data in levels:
+        _write_level(out, tree, k, partial(fields, k, data))
+        del data
+        k += 1
     return None
 
 
+def _write_level(out, tree, k, fields) -> None:
+    """The rows of level k for `_write_rows`, `fields(rows)` laying out a chunk."""
+    size, first = tree.size(k), int(tree.global_id(k, 0))
+    for start in range(0, size, CHUNK_ROWS):
+        rows = slice(start, min(start + CHUNK_ROWS, size))
+        parts = [repr(float(tree.grid.time(k))), "%d"]
+        columns = [np.arange(first + rows.start, first + rows.stop)[:, None]]
+        for item in fields(rows):
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            item = item.reshape(len(columns[0]), -1)
+            parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
+            columns.append(item)
+        # casting to object turns each cell into a Python int, float or str
+        cells = np.concatenate(columns, axis=1, dtype=object)
+        out.write(((",".join(parts) + "\n") * len(cells)) % tuple(cells.ravel().tolist()))
+
+
 def write_trajectory_csv(spec, tree, traj, u, out=None) -> str | None:
+    """The trajectory CSV of control u.  `traj` is a `StateTrajectory` or
+    any source of the (state, mean) of levels 0..N+1 in turn, such as a
+    `forward_levels` pass, of which the writer holds one level at a time."""
     header = (["time", "node_id", "parent_id", "prob"]
               + [f"x_{i + 1}" for i in range(spec.n)]
               + [f"u_{i + 1}" for i in range(spec.r)])
 
-    def fields(k, rows):
+    def fields(k, x, rows):
         # a node's parent is its index // branch on the level above
         parent = ([""] if k == 0 else
                   [tree.global_id(k - 1, 0) + np.arange(rows.start, rows.stop) // tree.branch])
         controls = [u.at(k)[rows]] if k <= tree.grid.n_steps else [""] * spec.r
-        return parent + [_distinct_labels(tree.abs_prob[k][rows]), traj.at(k)[rows]] + controls
+        return parent + [_distinct_labels(tree.abs_prob[k][rows]), x[rows]] + controls
 
-    return _write_rows(out, header, tree, range(tree.grid.n_levels), fields)
+    return _write_rows(out, header, tree, map(itemgetter(0), traj), fields)
 
 
 def write_adjoint_csv(spec, tree, adj, out=None) -> str | None:
     header = (["time", "node_id"] + [f"p_{i + 1}" for i in range(spec.n)]
               + [f"q{j + 1}_{i + 1}" for j in range(spec.d) for i in range(spec.n)])
 
-    def fields(k, rows):
+    def fields(k, p, rows):
         # q is (nodes, d, n); its rows flatten j-major, matching the header
         q = [adj.q.at(k)[rows]] if k <= tree.grid.n_steps else [""] * (spec.d * spec.n)
-        return [adj.p.at(k)[rows]] + q
+        return [p[rows]] + q
 
-    return _write_rows(out, header, tree, range(tree.grid.n_levels), fields)
+    return _write_rows(out, header, tree, map(adj.p.at, adj.p.levels()), fields)
 
 
 def write_control_csv(spec, tree, u, out=None) -> str | None:
     header = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
-    return _write_rows(out, header, tree, range(tree.grid.n_steps + 1),
-                       lambda k, rows: [u.at(k)[rows]])
+    return _write_rows(out, header, tree, map(u.at, u.levels()),
+                       lambda k, uk, rows: [uk[rows]])
 
 
-def _lines(text, start, end):
-    """The non-blank lines of `text[start:end]`, split a block of whole lines
-    of about `READ_CHARS` characters at a time, never the whole text at once."""
-    while start < end:
-        cut = text.find("\n", start + READ_CHARS, end)
-        cut = end if cut < 0 else cut
-        yield from filter(str.strip, text[start:cut].split("\n"))
-        start = cut + 1
+def _blocks(source):
+    """The text of `source`, a str or a text stream read from its start, in
+    blocks of whole lines of about `READ_CHARS` characters, each without its
+    last line end: never the whole text at once."""
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            cut = source.find("\n", start + READ_CHARS)
+            cut = len(source) if cut < 0 else cut
+            yield source[start:cut]
+            start = cut + 1
+        return
+    source.seek(0)
+    parts = []
+    while block := source.read(READ_CHARS):
+        cut = block.rfind("\n")
+        if cut < 0:
+            parts.append(block)
+            continue
+        parts.append(block[:cut])
+        yield "".join(parts)
+        parts = [block[cut + 1:]]
+    yield "".join(parts)
+
+
+def _lines(blocks):
+    """The non-blank lines of the text that `blocks` make up, as those of its
+    `.strip()`: the first without its leading, the last without its trailing
+    whitespace.  Each block's last line waits for the next line, so the
+    text's last line is known when it is given."""
+    last = None
+    for block in blocks:
+        lines = list(filter(str.strip, block.split("\n")))
+        if not lines:
+            continue
+        if last is None:
+            lines[0] = lines[0].lstrip()
+        else:
+            yield last
+        last = lines.pop()
+        yield from lines
+    if last is not None:
+        yield last.rstrip()
 
 
 def read_control_csv(spec, tree, text) -> AdaptedProcess:
-    """The control of a CSV text in the format `write_control_csv` writes,
-    read `CHUNK_ROWS` rows at a time into one preallocated array per level.
-    The checks, and which one wins when several fail, are those of a
-    per-line parse of `text.strip()`: the header, the row count, then level
-    by level each row's field count, node id and numbers, and the level's
-    values finite."""
-    lo, hi = 0, len(text)  # the bounds of `text.strip()`, found without a copy
-    while lo < hi and text[lo].isspace():
-        lo += 1
-    while hi > lo and text[hi - 1].isspace():
-        hi -= 1
-    lines = _lines(text, lo, hi)
+    """The control of a CSV in the format `write_control_csv` writes: `text`
+    is a str or a text stream, such as the open file the CLI passes, which
+    is read twice from its start, once to count the rows and once to parse
+    them, a block of `READ_CHARS` characters at a time.  Rows go `CHUNK_ROWS`
+    at a time into one preallocated array per level.  The checks, and which
+    one wins when several fail, are those of a per-line parse of
+    `text.strip()`, after a stream's decode error: the header, the row
+    count, then level by level each row's field count, node id and numbers,
+    and the level's values finite."""
+    lines = _lines(_blocks(text))
     header = next(lines, "").split(",")
+    rows = sum(1 for _ in lines)  # a stream is read to its end before any check
     if header == [""]:
         raise ConfigError("control CSV is empty")
     expected = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
     if header != expected:
         raise ConfigError(f"control CSV header {header} != expected {expected}")
     levels = [np.empty((tree.size(k), spec.r)) for k in range(tree.grid.n_steps + 1)]
-    rows, expected_rows = sum(1 for _ in _lines(text, lo, hi)) - 1, sum(map(len, levels))
+    expected_rows = sum(map(len, levels))
     if rows != expected_rows:
         raise ConfigError(f"control CSV has {rows} rows, tree needs {expected_rows}")
+    lines = _lines(_blocks(text))
+    next(lines)  # the header, checked above
     for k, level in enumerate(levels):
         first = int(tree.global_id(k, 0))
         try:
@@ -235,6 +288,22 @@ def _read_text(path: str, what: str) -> str:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _read_control(spec, tree, path: str) -> AdaptedProcess:
+    """The control of the CSV file `path`, read from the open file a block at
+    a time (a pipe, which cannot be read twice, whole), or a ConfigError
+    naming the file when it cannot be read or decoded."""
+    try:
+        with open(path) as stream:
+            return read_control_csv(spec, tree, stream if stream.seekable() else stream.read())
+    except UnicodeDecodeError as exc:
+        # a block's decoder counts positions from its block: decoded whole,
+        # the file raises the error at its position in the file
+        _read_text(path, "control")
+        raise ConfigError(f"cannot read control {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read control {path}: {exc}") from exc
+
+
 def _load_spec(path: str):
     return parse_problem(_read_text(path, "config"))
 
@@ -304,7 +373,7 @@ def cmd_solve(args) -> int:
 def cmd_check(args) -> int:
     spec = _load_spec(args.config)
     tree = spec.build_tree()
-    u = read_control_csv(spec, tree, _read_text(args.control, "control"))
+    u = _read_control(spec, tree, args.control)
     out = _out_dir(args.out) if args.out else None
     # the gradient's `simulate` checks u against its box first
     checks = _check_reports(spec, tree, u, args.tol,
@@ -321,21 +390,28 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """J and the trajectory CSV of a control, holding one level of states at
+    a time: `cost` takes J from one forward pass, which checks u against its
+    box and every state finite, and the CSV is written from a second, so no
+    trajectory is stored."""
     spec = _load_spec(args.config)
     tree = spec.build_tree()
-    u = read_control_csv(spec, tree, _read_text(args.control, "control"))
+    u = _read_control(spec, tree, args.control)
     out = _out_dir(args.out) if args.out else None
-    traj = simulate(spec, tree, u)  # checks u against its box first
-    j_val = cost(spec, tree, u, traj=traj)
+    j_val = cost(spec, tree, u)
+
+    def write(stream):
+        levels = forward_levels(spec, tree, [u.at(k) for k in u.levels()])
+        write_trajectory_csv(spec, tree, levels, u, out=stream)
+
     if out:
         outputs = []
-        _write(out, "trajectory.csv",
-               partial(write_trajectory_csv, spec, tree, traj, u), outputs)
+        _write(out, "trajectory.csv", write, outputs)
         _write(out, "manifest.json",
                _manifest("simulate", args.config, {}, outputs), [])
         print(f"simulate: J = {j_val!r}; outputs in {args.out}")
     else:
-        write_trajectory_csv(spec, tree, traj, u, out=sys.stdout)
+        write(sys.stdout)
     return 0
 
 
@@ -396,11 +472,14 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-def _at_least(lo, kind):
-    """argparse type: a finite `kind` >= lo, else an error that names the flag."""
+def _at_least(lo, kind, strict=False):
+    """argparse type: a finite `kind` >= lo (> lo if `strict`), else an error
+    that names the flag."""
     def parse(text):
-        if not (np.isfinite(value := kind(text)) and value >= lo):
-            raise argparse.ArgumentTypeError(f"must be a finite number >= {lo}, got {text}")
+        value = kind(text)
+        if not (np.isfinite(value) and (value > lo if strict else value >= lo)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {lo}, got {text}")
         return value
     parse.__name__ = kind.__name__  # for argparse's "invalid int value" message
     return parse
@@ -438,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex_sub = p_ex.add_subparsers(dest="example", required=True)
     p_pc = ex_sub.add_parser("prodcons", help="production/consumption model")
     p_pc.add_argument("--delta", type=float, default=0.5)
-    p_pc.add_argument("--h", type=float, default=0.5)
+    p_pc.add_argument("--h", type=_at_least(0.0, float, strict=True), default=0.5)
     p_pc.add_argument("--N", type=_at_least(1, int), default=5)
     p_pc.add_argument("--x0", type=float, default=1.0)
     p_pc.add_argument("--plot-data", default=None)
@@ -454,10 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

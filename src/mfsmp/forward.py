@@ -36,6 +36,10 @@ class StateTrajectory:
     def at(self, level):
         return self.states.at(level)
 
+    def __iter__(self):
+        """The (state, mean) of each level in turn, as `forward_levels` yields them."""
+        return ((self.at(k), mean) for k, mean in enumerate(self.means))
+
     def rows(self, k):
         """The level-k state and its mean as evaluator rows, (m_k, n) each:
         `_rows` is the one place a level mean is broadcast over its nodes."""
@@ -74,10 +78,11 @@ def _rows(x, mean):
 def forward_levels(spec, tree: ScenarioTree, controls):
     """The exact state recursion for per-step controls `controls[k]` of shape
     (..., m_k, r), k = 0..N, whose leading axes are a batch.  Yields the state
-    (..., m_k, n) and level mean (..., n) of each level k = 0..N+1 in turn, so
-    a consumer holds one level at a time; overflow is carried on as inf/NaN.
-    The states take the controls' dtype: complex controls (a complex step)
-    give complex states, with complex-safe coefficients."""
+    (..., m_k, n) and level mean (..., n) of each level k = 0..N+1 in turn;
+    nothing of a step is kept once its child level is made, so a consumer
+    that lets go of each level holds one at a time.  Overflow is carried on
+    as inf/NaN.  The states take the controls' dtype: complex controls (a
+    complex step) give complex states, with complex-safe coefficients."""
     n, d, h, c = spec.n, spec.d, tree.grid.h, spec.coeffs
     x = np.broadcast_to(spec.x0, controls[0].shape[:-2] + (1, n))
     for k, uk in enumerate(controls):
@@ -88,7 +93,18 @@ def forward_levels(spec, tree: ScenarioTree, controls):
         with np.errstate(over="ignore", invalid="ignore"):
             drift = c.f(k, xf, yf, uf).reshape(x.shape)
             diff = c.sigma(k, xf, yf, uf).reshape(x.shape[:-1] + (d, n))
-            x = tree.children(k, x + h * drift, diff)
+            del xf, yf, uf, mean
+            # a fresh h * drift takes the sum: an evaluator's output may be
+            # an array it keeps, so it is never written into; a real drift
+            # under complex states widens the sum, which then is not in place
+            base = h * drift
+            del drift
+            base = np.add(x, base, out=base if base.dtype == np.result_type(x, base) else None)
+            del x
+            x = tree.children(k, base, diff)
+            # nothing of the step outlives it: the consumer works on the
+            # child level with only that level alive here
+            del base, diff
     yield x, level_mean(tree, len(controls), x)
 
 
@@ -170,14 +186,23 @@ def add_terminal(spec, tree, costs, x, mean) -> np.ndarray:
     return np.where(finite, costs, np.inf)
 
 
+def _finite_levels(spec, tree, controls):
+    """`forward_levels` of one control, raising at the first non-finite state."""
+    levels = forward_levels(spec, tree, controls)
+    for k in range(len(controls) + 1):
+        x, mean = next(levels)
+        if k > 0 and not np.isfinite(x).all():
+            raise SimulationError(f"non-finite state at level {k}", level=k)
+        yield x, mean
+        del x, mean  # not kept while the next level is made
+
+
 def simulate(spec, tree: ScenarioTree, u: AdaptedProcess, validate: bool = True) -> StateTrajectory:
     """Run the state recursion node by node; exact on the tree."""
     if validate:
         check_feasible(spec, tree, u)
     states, means = [], []
-    for k, (x, mean) in enumerate(forward_levels(spec, tree, [u.at(k) for k in u.levels()])):
-        if k > 0 and not np.isfinite(x).all():
-            raise SimulationError(f"non-finite state at level {k}", level=k)
+    for x, mean in _finite_levels(spec, tree, [u.at(k) for k in u.levels()]):
         states.append(x)
         means.append(mean)
     return StateTrajectory(AdaptedProcess(tree, 0, states), np.array(means))
@@ -185,19 +210,36 @@ def simulate(spec, tree: ScenarioTree, u: AdaptedProcess, validate: bool = True)
 
 def cost(spec, tree, u: AdaptedProcess, traj: StateTrajectory | None = None,
          validate: bool = True) -> float:
-    """Expected cost J (minimization sign; maximize problems were negated at build)."""
-    if traj is None:
-        traj = simulate(spec, tree, u, validate=validate)
+    """Expected cost J (minimization sign; maximize problems were negated at build).
+
+    The levels come from `traj`, or without one from a single `forward_levels`
+    pass that costs each level as it is made and holds one level at a time.
+    That pass raises as `cost(traj=simulate(...))` does: a control outside
+    its box (when `validate`), then any non-finite state, and only when
+    every state is finite the first level whose cost is undefined."""
     controls = [u.at(k) for k in u.levels()]
-    kT = len(controls)
-    total = 0.0
+    if traj is None:
+        if validate:
+            check_feasible(spec, tree, u)
+        levels = _finite_levels(spec, tree, controls)
+    else:
+        levels = iter(traj)
+    kT, total, undefined = len(controls), 0.0, None
     for k in range(kT + 1):
-        vals = level_cost(spec, tree, controls, k, traj.at(k), traj.means[k])
-        if not np.isfinite(vals).all():
-            node = int(np.flatnonzero(~np.isfinite(vals))[0])
-            kind, at = ("terminal", "") if k == kT else ("running", f"level {k}, ")
-            raise CostDomainError(f"{kind} cost undefined at {at}node {node}", level=k, node=node)
-        total = add_level(total, vals, tree.abs_prob[k])
+        x, mean = next(levels)
+        if undefined is None:
+            vals = level_cost(spec, tree, controls, k, x, mean)
+            if np.isfinite(vals).all():
+                total = add_level(total, vals, tree.abs_prob[k])
+            else:
+                node = int(np.flatnonzero(~np.isfinite(vals))[0])
+                kind, at = ("terminal", "") if k == kT else ("running", f"level {k}, ")
+                undefined = CostDomainError(f"{kind} cost undefined at {at}node {node}",
+                                            level=k, node=node)
+            del vals
+        del x, mean  # not kept while the next level is made
+    if undefined is not None:
+        raise undefined
     return float(total)
 
 

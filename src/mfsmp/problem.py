@@ -165,10 +165,20 @@ def project(spec: ProblemSpec, step: int, v):
     return spec.admissible.project(step, v)
 
 
+def _repeated(v):
+    """Whether the rows of v are one row in memory, as a level mean broadcast
+    over its nodes: `_lin` and `_quad` then evaluate that row once and give
+    its value read-only for every row, the same bits without a level-wide
+    temporary."""
+    return len(v) > 1 and v.strides[0] == 0
+
+
 def _lin(v, w):
     """sum_j w_j v[:, j] per row of v (w_j numbers or per-row arrays), from
     elementwise ufuncs only: unlike an einsum or matmul reduction, a row's bits
     do not depend on the batch it is evaluated in.  Complex-safe."""
+    if _repeated(v):
+        return np.broadcast_to(_lin(v[:1], w), v.shape[:1])
     out = w[0] * v[:, 0]
     for j in range(1, len(w)):
         out += w[j] * v[:, j]
@@ -177,6 +187,8 @@ def _lin(v, w):
 
 def _quad(v, mat):
     """v_m . (mat v_m) per row m of v, row-independent as `_lin`."""
+    if _repeated(v):
+        return np.broadcast_to(_quad(v[:1], mat), v.shape[:1])
     out = None
     for i, row in enumerate(mat):
         term = _lin(v, row)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from mfsmp.adjoint import linearize, solve_adjoint
 from mfsmp.cli import (main, read_control_csv, write_adjoint_csv, write_control_csv,
                        write_trajectory_csv)
 from mfsmp.errors import ConfigError
-from mfsmp.forward import simulate
+from mfsmp.forward import cost, simulate
 from mfsmp.instances import e1_problem, random_control, random_lq
 from mfsmp.problem import builtin, serialize_problem
 from mfsmp.tree import AdaptedProcess
@@ -320,6 +321,72 @@ def test_control_reader_row_errors_read_as_themselves(read_chars, chunk_rows, mo
         assert str(info.value) == message
 
 
+def _file_outcome(spec, tree, path):
+    """The outcome of reading the control file whole, then parsing it per line."""
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        return "error", f"cannot read control {path}: {exc}"
+    return _outcome(_reference_read_control, spec, tree, text)
+
+
+def _read_file(spec, tree, path):
+    return cli._read_control(spec, tree, str(path))
+
+
+@pytest.mark.parametrize("read_chars", [None, 64])
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("case", READER_CASES)
+def test_control_file_reads_as_its_whole_text(case, line_end, read_chars, tmp_path, monkeypatch):
+    # the CLI hands the reader the open file, in universal-newline text
+    # mode: values and errors are those of its whole text
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.5, N=5, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 2)).split("\n")[:-1]
+    for edit in READER_CASES[case]:
+        edit(lines)
+    path = tmp_path / "u.csv"
+    path.write_bytes(("\n".join(lines) + "\n").replace("\n", line_end).encode())
+    if read_chars is not None:
+        monkeypatch.setattr(cli, "READ_CHARS", read_chars)
+        monkeypatch.setattr(cli, "CHUNK_ROWS", 5)
+    assert _outcome(_read_file, spec, tree, path) == _file_outcome(spec, tree, path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: b"\xff" + data,                        # in the header
+    lambda data: data[:50000] + b"\xfe" + data[50000:],  # many blocks in
+    lambda data: data[:8191] + b"\xc3" + data[8191:],    # a lead byte at a buffer's end
+    lambda data: data[:8191] + "\u00e9".encode() + data[8191:],  # valid, in a number
+], ids=["header", "late", "lead-byte-at-buffer-end", "valid-two-bytes-in-a-number"])
+def test_control_file_decode_error_names_its_place_in_the_file(edit, tmp_path):
+    # decoded a block at a time, the error still gives its position in the
+    # whole file, and it wins over the reader's own checks
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.1, N=10, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    path = tmp_path / "u.csv"
+    path.write_bytes(edit(write_control_csv(spec, tree, random_control(spec, tree, 2)).encode()))
+    expected = _file_outcome(spec, tree, path)
+    assert _outcome(_read_file, spec, tree, path) == expected
+    assert expected[1].startswith(f"cannot read control {path}: ") != ("number" in expected[1])
+
+
+def test_control_from_a_pipe_is_read_whole(tmp_path, capsys):
+    # a pipe cannot be read twice: its text is read at once, as before
+    spec = CSV_CASES["trinomial"]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 4)
+    cfg, fifo = tmp_path / "cfg.json", tmp_path / "u.fifo"
+    cfg.write_text(serialize_problem(spec))
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(write_control_csv(spec, tree, u),),
+                              daemon=True)
+    writer.start()
+    assert main(["simulate", str(cfg), str(fifo)]) == 0
+    writer.join(timeout=10)
+    assert capsys.readouterr().out == write_trajectory_csv(spec, tree, simulate(spec, tree, u), u)
+
+
 @pytest.mark.parametrize("case", ["missing control", "directory as control",
                                   "config not UTF-8"])
 def test_unreadable_input_file_exits_2_with_one_error_line(case, tmp_path, capsys):
@@ -345,7 +412,7 @@ def test_unreadable_input_file_exits_2_with_one_error_line(case, tmp_path, capsy
 @pytest.mark.parametrize("command, work", [
     (["solve", "CONFIG", "--out", "BLOCKED/x"], "optimize"),
     (["check", "CONFIG", "CONTROL", "--out", "BLOCKED/y"], "adjoint_gradient"),
-    (["simulate", "CONFIG", "CONTROL", "--out", "BLOCKED/z"], "simulate"),
+    (["simulate", "CONFIG", "CONTROL", "--out", "BLOCKED/z"], "cost"),
     (["example", "prodcons", "--out", "BLOCKED/pc"], "comparison_rows"),
     (["example", "prodcons", "--out", "OK", "--plot-data", "BLOCKED/p.csv"], "comparison_rows"),
     (["selftest", "--suite", "noise", "--out", "BLOCKED/st"], "run_selftest"),
@@ -450,6 +517,11 @@ def test_selftest_suite_and_fault_injection(tmp_path):
     (["solve", "CONFIG", "--tol", "nan"], "--tol"),
     (["solve", "CONFIG", "--max-iters", "-3"], "--max-iters"),
     (["check", "CONFIG", "CONTROL", "--tol", "-1"], "--tol"),
+    # the example builds its replica from h before any grid check could run
+    (["example", "prodcons", "--h", "0"], "--h"),
+    (["example", "prodcons", "--h", "-0.5"], "--h"),
+    (["example", "prodcons", "--h", "nan"], "--h"),
+    (["example", "prodcons", "--h", "inf"], "--h"),
 ])
 def test_bad_numeric_flags_exit_2_at_parse_time(argv, flag, e1_config, tmp_path, capsys):
     out = tmp_path / "out"
@@ -667,6 +739,82 @@ def test_simulate_stdout_matches_out_file(tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", str(cfg), str(control)]) == 0
     assert capsys.readouterr().out.encode() == (out / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_simulate_writes_the_stored_trajectory_csv(case, tmp_path, capsys):
+    # J comes from one forward pass and the CSV from a second: both are
+    # those of the stored trajectory, to stdout and with --out
+    spec = CSV_CASES[case]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 4)
+    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, u))
+    traj = simulate(spec, tree, u)
+    expected = write_trajectory_csv(spec, tree, traj, u)
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), str(control), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        f"simulate: J = {cost(spec, tree, u, traj=traj)!r}; outputs in {out}\n")
+    assert (out / "trajectory.csv").read_bytes() == expected.encode()
+    assert main(["simulate", str(cfg), str(control)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_simulate_holds_one_level_of_states(tmp_path, capsys):
+    # the control file read a block at a time, J from one forward pass and
+    # the CSV from a second: at N = 15 the command peaks at 3.87 leaf state
+    # arrays under tracemalloc, 5.37 when it stored the trajectory and read
+    # the file whole
+    eye = np.eye(3)
+    spec = builtin("lq_meanfield", n=3, r=1, d=1, h=0.1, N=15, x0=[0.1, -0.2, 0.3],
+                   A_mean=0.1 * eye, B=[[1.0], [0.5], [0.2]],
+                   sigma=[{"s0": [0.1, 0.2, 0.3], "C": 0.1 * eye}], Q=eye, Q_mean=0.5 * eye,
+                   R=[[1.0]], G=eye, G_mean=0.5 * eye, q=[0.1, 0.1, 0.1], g=[0.1, 0.2, 0.3],
+                   lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 1)))
+    leaf = tree.size(tree.n_levels - 1) * spec.n * 8
+    del tree
+    tracemalloc.start()
+    try:
+        status = main(["simulate", str(cfg), str(control), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and capsys.readouterr().out.startswith("simulate: J = ")
+    assert peak <= 4.4 * leaf
+
+
+def test_parser_built_once_parses_as_fresh_ones(e1_config, tmp_path, capsys, monkeypatch):
+    # a parse error, --version and real commands in one process: the one
+    # parser gives the exit codes and output that a fresh parser gives each
+    control = tmp_path / "u.csv"
+    control.write_text("time,node_id,u_1\n0.0,0,0.25\n")
+    argvs = [["solve", str(e1_config), "--tol", "-1"], ["--version"],
+             ["simulate", str(e1_config), str(control)],
+             ["check", str(e1_config), str(control)], ["nonsense"],
+             ["simulate", str(e1_config), str(control), "--out", str(tmp_path / "out")],
+             ["example", "prodcons", "--h", "0"]]
+
+    def run_all(fresh):
+        seen = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            seen.append((main(argv), *capsys.readouterr()))
+        return seen
+
+    expected = run_all(fresh=True)
+    assert [status for status, *_ in expected] == [2, 0, 0, 1, 2, 0, 2]
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert run_all(fresh=False) == expected
+    assert len(built) == 1
 
 
 def test_non_finite_coefficient_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from mfsmp.errors import CostDomainError, MfsmpError, SimulationError
 from mfsmp.forward import (check_feasible, constant_control, cost,
                            mean_recursion_residual, simulate)
-from mfsmp.instances import random_control, random_lq
-from mfsmp.problem import builtin
+from mfsmp.instances import random_control, random_lq, random_prodcons, smooth_nonlinear
+from mfsmp.problem import builtin, parse_problem
 from mfsmp.tree import AdaptedProcess, expect
 
 
@@ -107,3 +108,129 @@ def test_simulate_transient_memory_is_one_and_a_half_leaf_arrays():
         tracemalloc.stop()
     assert held >= 2 * leaf * (1 - 2.0 ** -tree.n_levels)  # the kept states
     assert peak - held <= 1.6 * leaf
+
+
+STREAM_CASES = {
+    "lq-binary": lambda: random_lq(4, steps_max=4, bounded=True),
+    "lq-trinomial": lambda: builtin(
+        "lq_meanfield", n=1, r=1, d=1, h=0.5, N=4, x0=[1.0], noise="trinomial",
+        trinomial_p=0.2, A_mean=[[0.3]], B=[[1.0]], sigma=[{"s0": [1.0], "C": [[0.3]]}],
+        Q_mean=[[0.4]], R=[[2.0]], G=[[1.0]], G_mean=[[0.5]], lo=-2.0, hi=2.0),
+    "lq-d2": lambda: builtin(
+        "lq_meanfield", n=2, r=2, d=2, h=0.5, N=3, x0=[0.3, -1.0],
+        A=[[0.1, 0.2], [0.0, -0.3]], A_mean=[[0.05, 0.0], [0.0, 0.1]],
+        B=[[1.0, 0.5], [0.2, 1.0]],
+        sigma=[{"s0": [0.1, 0.2], "C": [[0.1, 0.0], [0.0, 0.2]]},
+               {"s0": [0.3, 0.0], "C_mean": [[0.0, 0.1], [0.1, 0.0]]}],
+        Q=[[1.0, 0.0], [0.0, 1.0]], Q_mean=[[0.3, 0.0], [0.0, 0.3]], R=[[2.0, 0.0], [0.0, 1.0]],
+        G_mean=[[0.2, 0.0], [0.0, 0.2]], q_mean=[0.1, -0.2], lo=-1.0, hi=1.0),
+    "tables": lambda: parse_problem(json.dumps({
+        "dims": {"n": 2, "r": 1, "d": 1}, "grid": {"t0": 0.0, "h": 0.5, "N": 2},
+        "noise": {"kind": "binary"}, "x0": [0.5, -0.3],
+        "tables": {"A": {"per_step": [[[0.1, 0.2], [0.0, -0.3]], [[0.0, 0.1], [0.2, 0.0]],
+                                      [[-0.2, 0.0], [0.1, 0.1]]]},
+                   "B": [[1.0], [0.5]], "sigma": [{"C": [[0.2, 0.0], [0.0, 0.1]]}],
+                   "Q_mean": {"per_step": [[[0.2, 0.0], [0.0, 0.2]], [[0.1, 0.0], [0.0, 0.3]],
+                                           [[0.0, 0.0], [0.0, 0.1]]]},
+                   "R": [[1.0]], "G": [[1.0, 0.0], [0.0, 1.0]], "g_mean": [0.1, -0.2]},
+        "admissible": [{"t": "all", "lo": [-1.0], "hi": [1.0]}], "direction": "minimize"})),
+    "prodcons": lambda: random_prodcons(2),
+    "smooth-nonlinear": lambda: smooth_nonlinear(3),
+}
+
+
+def _cost_outcome(spec, tree, u, validate, stored):
+    """J, or the type, text, level and node of the error `cost` raises, from
+    the stored trajectory or from the streamed pass."""
+    try:
+        if stored:
+            return cost(spec, tree, u, traj=simulate(spec, tree, u, validate=validate),
+                        validate=validate)
+        return cost(spec, tree, u, validate=validate)
+    except MfsmpError as exc:
+        return type(exc), str(exc), getattr(exc, "level", None), getattr(exc, "node", None)
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_cost_is_the_stored_paths_to_the_bit(case, validate):
+    spec = STREAM_CASES[case]()
+    tree = spec.build_tree()
+    for seed in (1, 2):
+        u = random_control(spec, tree, seed)
+        j_val = _cost_outcome(spec, tree, u, validate, stored=False)
+        assert type(j_val) is float and j_val == _cost_outcome(spec, tree, u, validate, stored=True)
+
+
+def _box_violation():
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[1.0], R=[[1.0]],
+                   lo=-1.0, hi=1.0)
+    u = random_control(spec, spec.build_tree(), 1)
+    u.at(2)[1, 0] = 1.5
+    return spec, u
+
+
+def _state_after_running_cost():
+    # R u^2 overflows at level 2, node 3, then the state below it at level 3
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[1.0], B=[[1e10]],
+                   R=[[1.0]], lo=-1e308, hi=1e308)
+    u = constant_control(spec, spec.build_tree(), 0.1)
+    u.at(2)[3, 0] = 1e305
+    return spec, u
+
+
+def _terminal_cost():
+    # every state finite, G x^2 overflows at the children of level-3 node 5
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[1.0], B=[[1.0]],
+                   G=[[1.0]], lo=-1e300, hi=1e300)
+    u = constant_control(spec, spec.build_tree(), 0.1)
+    u.at(3)[5, 0] = 1e160
+    return spec, u
+
+
+def _nan_control():
+    # a NaN passes the box test; the cost of its level and every state below are NaN
+    spec, u = _box_violation()
+    u.at(2)[1, 0] = np.nan
+    return spec, u
+
+
+@pytest.mark.parametrize("validate", [True, False])
+@pytest.mark.parametrize("case, error, text", [
+    (_box_violation, MfsmpError, "control violates admissible box at step 2 by 5.000e-01"),
+    (_state_after_running_cost, SimulationError, "non-finite state at level 3"),
+    (_terminal_cost, CostDomainError, "terminal cost undefined at node 10"),
+    (_nan_control, SimulationError, "non-finite state at level 3"),
+], ids=["box", "state-after-running-cost", "terminal-cost", "nan-control"])
+def test_streamed_cost_raises_as_the_stored_path(case, error, text, validate):
+    # a non-finite state wins over an undefined cost at an earlier level, as
+    # `simulate` raises before `cost` looks at any level
+    spec, u = case()
+    tree = spec.build_tree()
+    stored = _cost_outcome(spec, tree, u, validate, stored=True)
+    assert _cost_outcome(spec, tree, u, validate, stored=False) == stored
+    if error is MfsmpError and not validate:
+        assert type(stored) is float  # nothing checks the box
+    else:
+        assert stored[:2] == (error, text)
+
+
+def test_streamed_cost_holds_one_level():
+    # the trajectory's two leaf arrays are never held: the peak is the leaf
+    # level plus the lift or the terminal cost's temporaries (2.34 leaf
+    # arrays here, 3.84 when `cost` stored the trajectory)
+    spec = builtin("lq_meanfield", n=3, r=1, d=1, h=0.1, N=15, x0=[0.1, -0.2, 0.3],
+                   A_mean=np.eye(3) * 0.1, B=[[1.0], [0.5], [0.2]],
+                   sigma=[{"s0": [0.1, 0.2, 0.3], "C": np.eye(3) * 0.1}],
+                   Q=np.eye(3), Q_mean=np.eye(3) * 0.5, R=[[1.0]], G=np.eye(3),
+                   G_mean=np.eye(3) * 0.5, q=[0.1, 0.1, 0.1], g=[0.1, 0.2, 0.3], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 1)
+    leaf = tree.size(tree.n_levels - 1) * spec.n * 8
+    tracemalloc.start()
+    try:
+        cost(spec, tree, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7 * leaf
