@@ -8,10 +8,11 @@ recursion, because the diffusion terms have exactly zero conditional mean.
 `batch_cost` is the one batched cost: the finite differences and the
 gradient certificate's rows run through it as batch rows of one forward
 recursion, in chunks of `chunk_rows` rows, whose widest level array holds at
-most `CHUNK_BYTES` bytes.  The grid oracle runs the same recursion once per
-pair (prefix, level-N grid point) and finishes each candidate from those rows
-with the same level sums (`add_level`, `add_terminal`), so its costs are
-`batch_cost`'s to the bit.
+most `CHUNK_BYTES` bytes; a row that moves one control of the deepest level
+N only is not run but finished from the leaf level of another.  The grid
+oracle runs the same recursion once per pair (prefix, level-N grid point)
+and finishes each candidate from those rows with the same level sums
+(`add_level`, `add_terminal`), so its costs are `batch_cost`'s to the bit.
 """
 
 from dataclasses import dataclass
@@ -117,7 +118,8 @@ def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
     """Level-k cost values (..., m_k) of a state and mean from `forward_levels`:
     l(k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1, which
     reads no controls."""
-    xf, yf = _rows(x, mean)
+    # a lone batch row's mean is broadcast, as unbatched: LQ costs evaluate it once
+    xf, yf = _rows(x[0], mean[0]) if x.ndim > 2 and len(x) == 1 else _rows(x, mean)
     with np.errstate(over="ignore", invalid="ignore"):  # callers flag non-finite values
         if k <= tree.grid.n_steps:
             vals = spec.coeffs.l(k, xf, yf, controls[k].reshape(-1, spec.r))
@@ -134,29 +136,74 @@ def chunk_rows(spec, tree, dtype=float) -> int:
     return max(1, CHUNK_BYTES // widest)
 
 
-def batch_cost(spec, tree, n_rows, controls_of, dtype=float) -> np.ndarray:
+def batch_cost(spec, tree, n_rows, controls_of, dtype=float, moved=None) -> np.ndarray:
     """Cost J of `n_rows` batch rows, whose per-step controls (B, m_k, r),
     k = 0..N, `controls_of` builds for an array of B row indices.  The rows
-    run in chunks of `chunk_rows` rows.  Each row is summed level by level
-    with `add_level`; a row whose state or cost is not finite, where `cost`
-    raises or returns a non-finite J, is +inf."""
+    run in chunks of `chunk_rows` rows; a lone row of a longer chunk runs
+    twice, as numpy takes a one-row matrix product down BLAS's matrix-vector
+    path, whose rounding differs.  Each row is summed level by level with
+    `add_level`; a row whose state or cost is not finite, where `cost`
+    raises or returns a non-finite J, is +inf.  `moved`, level-N nodes (L,)
+    and controls (L, r) with N >= 1, appends the L rows that move row 0 at
+    one of them each, finished from row 0's level N and leaves."""
     chunk = chunk_rows(spec, tree, dtype)
-    costs = np.empty(n_rows, dtype)
+    costs, base = np.empty(n_rows + (0 if moved is None else len(moved[0])), dtype), None
     for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
-        costs[start:stop] = _chunk_cost(spec, tree, controls_of(np.arange(start, stop)))
+        idx = np.arange(start, min(start + chunk, n_rows))
+        lone = idx.size == 1 < chunk
+        values, kept = _chunk_cost(spec, tree, controls_of(np.repeat(idx, 1 + lone)),
+                                   moved is not None and start == 0)
+        costs[idx] = values[:idx.size]
+        base = base or kept
+    if moved is not None:
+        costs[n_rows:] = _deepest_costs(spec, tree, base, *moved, chunk)
     return costs
 
 
-def _chunk_cost(spec, tree, controls) -> np.ndarray:
-    """`batch_cost` of one chunk, given its per-step controls (B, m_k, r)."""
-    costs = 0.0
+def _chunk_cost(spec, tree, controls, keep=False):
+    """`batch_cost` of one chunk, given its per-step controls (B, m_k, r), and
+    with `keep` its row 0's cost of levels 0..N-1, level-N state, mean and
+    running costs and leaves (m_N, branch, n), else None."""
+    costs, n_steps, kept = 0.0, len(controls) - 1, None
     with np.errstate(over="ignore", invalid="ignore"):
         levels = forward_levels(spec, tree, controls)
-        for k, (x, mean) in zip(range(len(controls)), levels):
-            costs = add_level(costs, level_cost(spec, tree, controls, k, x, mean),
-                              tree.abs_prob[k])
-        return add_terminal(spec, tree, costs, *next(levels))
+        for k, (x, mean) in zip(range(n_steps + 1), levels):
+            vals = level_cost(spec, tree, controls, k, x, mean)
+            if keep and k == n_steps:
+                kept = [costs[0], x[0].copy(), mean[0], vals[0].copy()]
+            costs = add_level(costs, vals, tree.abs_prob[k])
+        x, mean = next(levels)
+        if keep:
+            kept.append(x[0].reshape(-1, tree.branch, spec.n).copy())
+        return add_terminal(spec, tree, costs, x, mean), kept
+
+
+def _deepest_costs(spec, tree, base, nodes, values, chunk) -> np.ndarray:
+    """`batch_cost`'s `moved` rows from the levels `base` that `_chunk_cost`
+    keeps: one evaluator call for the moved nodes, then each row's leaves."""
+    pre, x, mean, run, kids = base
+    n_steps, moves, c = tree.grid.n_steps, len(nodes), spec.coeffs
+    pick = np.repeat(np.arange(moves), 1 + (moves == 1))  # as in `batch_cost`
+    xf, yf = _rows(x[nodes[pick]][:, None], np.broadcast_to(mean, (pick.size, spec.n)))
+    uf = values[pick]
+    costs = np.empty(moves, kids.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moved_run = c.l(n_steps, xf, yf, uf)[:moves]
+        drift = c.f(n_steps, xf, yf, uf)[:moves, None]
+        # every node's children see the support in one order: they lift as the root's
+        moved_kids = tree.children(0, xf[:moves, None] + tree.grid.h * drift,
+                                   c.sigma(n_steps, xf, yf, uf)[:moves, None])
+        # chunk rows of row 0's level-N costs and leaves, each row's node moved and restored
+        running, leaves = (np.repeat(a[None], min(chunk, moves), axis=0) for a in (run, kids))
+        for start in range(0, moves, chunk):
+            rows = np.arange(start, min(start + chunk, moves))
+            at = (np.arange(rows.size), nodes[rows])
+            running[at], leaves[at] = moved_run[rows], moved_kids[rows]
+            sums = add_level(np.full(rows.size, pre), running[:rows.size], tree.abs_prob[n_steps])
+            xs = leaves[:rows.size].reshape(rows.size, -1, spec.n)
+            costs[rows] = add_terminal(spec, tree, sums, xs, level_mean(tree, n_steps + 1, xs))
+            running[at], leaves[at] = run[nodes[rows]], kids[nodes[rows]]
+    return costs
 
 
 def add_level(costs, vals, prob):

@@ -361,7 +361,8 @@ def adjoint_gradient(spec, tree, u, return_all: bool = False, traj=None):
     (g, traj, adj)."""
     if traj is None:
         traj = simulate(spec, tree, u)
-    p_last = -linearize_terminal(spec, tree, traj)
+    p_last = linearize_terminal(spec, tree, traj)
+    np.negative(p_last, out=p_last)  # a fresh sum: no second leaf array
     levels = backward_levels(tree, p_last, lambda k: linearize_step(spec, tree, traj, u, k))
     kept = []  # (p_k, q_k), k = N .. 0, for return_all
 
@@ -384,15 +385,12 @@ def fd_cost_gradient(spec, tree, u, step: float = FD_STEP) -> AdaptedProcess:
     Perturbed evaluations skip feasibility validation, so the base control
     should sit strictly inside its boxes.
 
-    Each level's +-step rows are `_central_derivatives` over its coordinates,
-    batch rows of one forward recursion.  Levels run one call each: a chunk
-    of a single row may round its matrix products differently from a longer
-    one, so a level's values do not depend on where other levels' rows end.
-    A coordinate whose difference is not finite is evaluated again by `cost`,
+    Each level's +-step rows are one `_central_derivatives` call.  A
+    coordinate whose difference is not finite is evaluated again by `cost`,
     +step before -step, so the first undefined row in the order level, node,
     coordinate raises what the unbatched evaluation raises.  This costs
-    2 r (control nodes) forward passes; `certify_gradient` is the check that
-    scales."""
+    2 r (control nodes above level N) forward passes and a leaf level per
+    deepest-level row; `certify_gradient` is the check that scales."""
     g = AdaptedProcess.zeros(tree, 0, tree.grid.n_steps, (spec.r,))
     for k in u.levels():
         m = tree.size(k)
@@ -464,13 +462,16 @@ def _least_control_prob(tree) -> float:
 def _moved_costs(spec, tree, u, rows, coords, moves, dtype=float) -> np.ndarray:
     """Cost of u + a e for each (a, c, d) in `rows`: e is the unit vector of
     coordinate coords[c] when c >= 0, else the direction moves[d] (per-level
-    arrays).  The rows run as batch rows of one forward recursion."""
-    amount, coord, direction = (np.array(col) for col in zip(*rows))
+    arrays).  The rows run as batch rows of one forward recursion, but a row
+    on one coordinate of the deepest control level N >= 2 is finished from
+    the leaves of u (`batch_cost`'s `moved`), added as a last row, run first;
+    at N = 1 that would save only the root's step."""
+    amount, coord, direction = (np.array(col) for col in zip(*rows, (0.0, -1, -1)))
     stacked = [np.stack([m[k] for m in moves]) for k in u.levels()] if moves else None
 
     def controls_of(idx):
         a, c, d = amount[idx], coord[idx], direction[idx]
-        on_coord, along = np.flatnonzero(c >= 0), np.flatnonzero(c < 0)
+        on_coord, along = np.flatnonzero(c >= 0), np.flatnonzero(d >= 0)
         level, node, i = coords[c[on_coord]].T
         controls = []
         for k in u.levels():
@@ -481,7 +482,19 @@ def _moved_costs(spec, tree, u, rows, coords, moves, dtype=float) -> np.ndarray:
                 uk[along] += a[along, None, None] * stacked[k][d[along]]
             controls.append(uk)
         return controls
-    return batch_cost(spec, tree, len(rows), controls_of, dtype)
+
+    n_steps, deepest = tree.grid.n_steps, coord >= 0
+    deepest[deepest] = (coords[coord[deepest], 0] == n_steps) & (n_steps > 1)
+    full, local, moved = np.flatnonzero(~deepest[:-1]), np.flatnonzero(deepest), None
+    if local.size:
+        full = np.append(len(rows), full)
+        node, i = coords[coord[local], 1:].T
+        moved = (node, u.at(n_steps)[node].astype(dtype))
+        moved[1][np.arange(local.size), i] += amount[local]
+    costs = np.empty(len(rows) + 1, dtype)
+    costs[np.append(full, local)] = batch_cost(spec, tree, full.size,
+                                               lambda idx: controls_of(full[idx]), dtype, moved)
+    return costs[:-1]
 
 
 def complex_step_derivatives(spec, tree, u, coords, moves):

@@ -465,10 +465,43 @@ def test_adjoint_gradient_holds_about_one_costate_level(return_all, bound):
     assert peak <= bound * leaf_bytes
 
 
-def _rows_per_chunk(monkeypatch, spec, tree, rows):
-    """Patch the chunk budget so a finite-difference chunk holds `rows` rows."""
+def test_terminal_costate_is_negated_in_place(monkeypatch):
+    # between `linearize_terminal` and the sweep the gradient allocates no
+    # leaf array (a negated copy took one): the fresh sum is negated in
+    # place, to the bits of its negation
+    spec = _deep_lq(10)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 4)
+    traj = simulate(spec, tree, u)
+    leaf_bytes = traj.at(tree.grid.n_steps + 1).nbytes
+    terminal, sweep, negated, held, peak = smp.linearize_terminal, smp.backward_levels, [], [], []
+
+    def linearized(*args):
+        out = terminal(*args)
+        negated.append(-out)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    def swept(tree, p, coefficients):
+        peak.append(tracemalloc.get_traced_memory()[1])
+        np.testing.assert_array_equal(p, negated[0])
+        return sweep(tree, p, coefficients)
+
+    monkeypatch.setattr(smp, "linearize_terminal", linearized)
+    monkeypatch.setattr(smp, "backward_levels", swept)
+    tracemalloc.start()
+    try:
+        adjoint_gradient(spec, tree, u, traj=traj)
+    finally:
+        tracemalloc.stop()
+    assert peak[0] - held[0] <= 0.1 * leaf_bytes
+
+
+def _rows_per_chunk(monkeypatch, spec, tree, rows, dtype=float):
+    """Patch the chunk budget so a batch chunk of `dtype` rows holds `rows` rows."""
     widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
-    monkeypatch.setattr(forward, "CHUNK_BYTES", rows * widest * np.dtype(float).itemsize)
+    monkeypatch.setattr(forward, "CHUNK_BYTES", rows * widest * np.dtype(dtype).itemsize)
 
 
 @pytest.mark.parametrize("rows", [None, 3])  # 3: +-step pairs straddle chunk edges
@@ -505,9 +538,13 @@ def _overflow_cases():
     # costs that never read the state, so only the state shows the overflow
     blind = dataclasses.replace(state, coeffs=dataclasses.replace(
         state.coeffs, l=lambda k, x, y, u: np.zeros(len(u)), phi=lambda x, y: np.zeros(len(x))))
+    # the same two at the deepest control level N = 3: a child of node 5
+    # overflows at the leaves, and the running cost of node 1 at level N
     return [(state, (2, 3, 1e305), SimulationError),
             (running, (1, 1, 1e160), CostDomainError),
-            (blind, (2, 3, 1e305), SimulationError)]
+            (blind, (2, 3, 1e305), SimulationError),
+            (state, (3, 5, 1e305), SimulationError),
+            (running, (3, 1, 1e160), CostDomainError)]
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -807,12 +844,17 @@ def test_certificate_catches_one_corrupted_deepest_node_outside_sample():
 
 
 def test_certificate_row_counts_do_not_grow_with_depth(monkeypatch):
-    counts = {}
+    # the moved rows of both routes: those of the forward passes, which run
+    # after the unmoved u when some row is finished from its leaf level, and
+    # the deepest-level rows finished so
+    counts, passes = {}, {}
 
-    def counting(spec, tree, n_rows, controls_of, dtype=float):
+    def counting(spec, tree, n_rows, controls_of, dtype=float, moved=None):
         key = (tree.grid.n_steps, np.dtype(dtype).kind)
-        counts[key] = counts.get(key, 0) + n_rows
-        return batch_cost(spec, tree, n_rows, controls_of, dtype)
+        full = n_rows - (moved is not None)
+        passes[key] = passes.get(key, 0) + full
+        counts[key] = counts.get(key, 0) + full + (0 if moved is None else len(moved[0]))
+        return batch_cost(spec, tree, n_rows, controls_of, dtype, moved)
 
     batch_cost = smp.batch_cost
     monkeypatch.setattr(smp, "batch_cost", counting)
@@ -824,34 +866,55 @@ def test_certificate_row_counts_do_not_grow_with_depth(monkeypatch):
     assert counts[(6, "c")] == counts[(12, "c")] == 49 + smp.CERT_DIRECTIONS
     assert counts[(6, "f")] == counts[(12, "f")] == 1 + smp.CERT_DIRECTIONS * len(
         smp.TAYLOR_MOVES)
+    coords = smp.certificate_sample(tree, spec.r)
+    assert passes[(12, "c")] == np.sum(coords[:, 0] < 12) + smp.CERT_DIRECTIONS
+    assert passes[(12, "f")] == counts[(12, "f")]
 
 
+MOVED_CASES = dict(FD_CASES, **{
+    "lq-binary-sampled": lambda: _deep_lq(6),
+    "random-lq": lambda: random_lq(4, steps_max=3),
+})
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_moved_costs_match_a_loop_per_row(dtype, monkeypatch):
-    # the coordinate and direction moves, applied by fancy indexing, against
-    # the same moves made one row at a time, in chunks of 3 real or 1 complex row
-    spec = random_lq(4, steps_max=3)
+@pytest.mark.parametrize("case", sorted(MOVED_CASES))
+def test_moved_costs_match_a_loop_per_row(case, dtype, chunk, monkeypatch):
+    # the coordinate and direction moves, applied by fancy indexing and the
+    # deepest-level rows finished from the leaf level of u, against the same
+    # moves made one row at a time, all rows run whole.  Each row set runs in
+    # chunks of 1 and 3 rows, so deepest-level rows straddle chunk edges;
+    # then each deepest-level row alone, and one with a move too large for
+    # the state or the cost
+    spec = MOVED_CASES[case]()
     tree = spec.build_tree()
-    _rows_per_chunk(monkeypatch, spec, tree, 3)
+    _rows_per_chunk(monkeypatch, spec, tree, chunk, dtype)
     u = random_control(spec, tree, 3)
     coords = smp.certificate_sample(tree, spec.r)
     moves = [[wk / tree.abs_prob[k][:, None] for k, wk in enumerate(w)]
              for w in smp.certificate_directions(spec, tree, u)]
     step = 1j * smp.CS_STEP if dtype is complex else 1e-3
-    rows = ([(step, c, -1) for c in range(len(coords))]
-            + [(s * step, -1, d) for d in range(len(moves)) for s in (1.0, -2.0)])
-    ref = []
-    for k in u.levels():
-        uk = np.repeat(u.at(k)[None].astype(dtype), len(rows), axis=0)
-        for b, (a, c, d) in enumerate(rows):
-            if c < 0:
-                uk[b] += a * moves[d][k]
-            elif coords[c, 0] == k:
-                uk[b, coords[c, 1], coords[c, 2]] += a
-        ref.append(uk)
-    expected = forward.batch_cost(spec, tree, len(rows), lambda idx: [c[idx] for c in ref], dtype)
-    got = smp._moved_costs(spec, tree, u, rows, coords, moves, dtype)
-    np.testing.assert_array_equal(got, expected)
+    deepest = np.flatnonzero(coords[:, 0] == tree.grid.n_steps).tolist()
+    row_sets = ([[(step, c, -1) for c in range(len(coords))]
+                 + [(s * step, -1, d) for d in range(len(moves)) for s in (1.0, -2.0)]]
+                + [[(step, c, -1)] for c in deepest]
+                + [[(step, deepest[0], -1), (1e305, deepest[-1], -1)]])
+    for rows in row_sets:
+        ref = []
+        for k in u.levels():
+            uk = np.repeat(u.at(k)[None].astype(dtype), len(rows), axis=0)
+            for b, (a, c, d) in enumerate(rows):
+                if c < 0:
+                    uk[b] += a * moves[d][k]
+                elif coords[c, 0] == k:
+                    uk[b, coords[c, 1], coords[c, 2]] += a
+            ref.append(uk)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = forward.batch_cost(spec, tree, len(rows), lambda idx: [c[idx] for c in ref],
+                                          dtype)
+            got = smp._moved_costs(spec, tree, u, rows, coords, moves, dtype)
+        np.testing.assert_array_equal(got, expected)
 
 
 def _real_only(spec, wrap):
