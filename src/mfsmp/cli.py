@@ -15,7 +15,9 @@ import hashlib
 import io
 import json
 import os
+import signal
 import sys
+import threading
 from functools import cache, partial
 from itertools import islice
 from operator import itemgetter
@@ -73,9 +75,10 @@ def _write_rows(out, header, tree, levels, fields) -> str | None:
     equal to `repr(float(v))`), objects as `%s`.  Each level is formatted
     column-wise and written in chunks of `CHUNK_ROWS` rows, node ids
     included, so no array spans a whole level and the whole text is never
-    held in memory.  A level's data is let go before the next is asked for,
-    so a source that makes its levels one at a time, as `forward_levels`
-    does, has one alive.
+    held in memory; `_write_level` may split a level's chunks between two
+    processes, with the same bytes.  A level's data is let go before the
+    next is asked for, so a source that makes its levels one at a time, as
+    `forward_levels` does, has one alive.
     """
     if out is None:
         buf = io.StringIO()
@@ -91,22 +94,89 @@ def _write_rows(out, header, tree, levels, fields) -> str | None:
 
 
 def _write_level(out, tree, k, fields) -> None:
-    """The rows of level k for `_write_rows`, `fields(rows)` laying out a chunk."""
-    size, first = tree.size(k), int(tree.global_id(k, 0))
-    for start in range(0, size, CHUNK_ROWS):
-        rows = slice(start, min(start + CHUNK_ROWS, size))
-        parts = [repr(float(tree.grid.time(k))), "%d"]
-        columns = [np.arange(first + rows.start, first + rows.stop)[:, None]]
-        for item in fields(rows):
-            if isinstance(item, str):
-                parts.append(item)
-                continue
-            item = item.reshape(len(columns[0]), -1)
-            parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
-            columns.append(item)
-        # casting to object turns each cell into a Python int, float or str
-        cells = np.concatenate(columns, axis=1, dtype=object)
-        out.write(((",".join(parts) + "\n") * len(cells)) % tuple(cells.ravel().tolist()))
+    """The rows of level k for `_write_rows`, `fields(rows)` laying out a chunk.
+    `repr` costs far more than writing, so with a second usable CPU a forked
+    child formats the odd chunks of a level of two or more from the data it
+    shares copy-on-write, while this process formats the even ones and
+    writes all in order; where no child runs (see `_fork_formatter`) or its
+    pipe ends early, this process formats the rest: the bytes are the same."""
+    size = tree.size(k)
+    chunks = [slice(start, min(start + CHUNK_ROWS, size)) for start in range(0, size, CHUNK_ROWS)]
+    text = partial(_chunk_text, tree, k, fields)
+    pid, pipe = _fork_formatter(text, chunks[1::2]) if len(chunks) > 1 else (0, None)
+    sent = iter(partial(_frame, pipe), None) if pipe else iter(())
+    try:
+        for i, rows in enumerate(chunks):
+            piece = next(sent, None) if i % 2 else None
+            out.write(text(rows) if piece is None else piece)
+    finally:
+        if pipe:  # the child may still be formatting if this process stopped early
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _chunk_text(tree, k, fields, rows) -> str:
+    """The text of the rows in the slice `rows` of level k."""
+    first = int(tree.global_id(k, 0))
+    parts = [repr(float(tree.grid.time(k))), "%d"]
+    columns = [np.arange(first + rows.start, first + rows.stop)[:, None]]
+    for item in fields(rows):
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        item = item.reshape(len(columns[0]), -1)
+        parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
+        columns.append(item)
+    # casting to object turns each cell into a Python int, float or str
+    cells = np.concatenate(columns, axis=1, dtype=object)
+    return ((",".join(parts) + "\n") * len(cells)) % tuple(cells.ravel().tolist())
+
+
+def _fork_formatter(text, chunks):
+    """(pid, pipe) of a forked child that sends `text(rows)` of each slice of
+    `chunks` in order to the binary stream `pipe`, as frames of an 8-byte
+    length and the UTF-8 text; (0, None) where one CPU is usable, another
+    thread runs (a fork copies only this one) or the pipe or fork fails.
+    The child only formats and ends by `os._exit`: it never flushes a stream
+    of this process."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
+        return 0, None
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return 0, None
+    try:  # 1 MiB holds about two chunks, so the child runs ahead
+        import fcntl  # POSIX, as is fork
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+    except (AttributeError, OSError):
+        pass
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return 0, None
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for rows in chunks:
+                    data = text(rows).encode()
+                    pipe.write(len(data).to_bytes(8, "little") + data)
+                    pipe.flush()
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _frame(pipe) -> str | None:
+    """The text of the next frame on `pipe`, or None at its end or a cut frame."""
+    size = int.from_bytes(head, "little") if len(head := pipe.read(8)) == 8 else -1
+    data = pipe.read(size) if size >= 0 else b""
+    return data.decode() if len(data) == size else None
 
 
 def write_trajectory_csv(spec, tree, traj, u, out=None) -> str | None:

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import io
 import json
 import os
@@ -709,6 +711,176 @@ def test_trajectory_writer_holds_no_level_wide_array(monkeypatch):
     assert peak < tree.size(tree.n_levels - 1) * np.dtype(np.int64).itemsize
 
 
+def _forks(mode, monkeypatch):
+    """Patch this process's usable CPUs and `os.fork` for `mode`, whatever
+    the machine has: "split" and "thread-alive" see two CPUs, "one-cpu" one,
+    and "fork-fails" two and a fork that raises.  Returns the list that each
+    fork attempt appends to."""
+    calls, fork = [], os.fork
+
+    def counted_fork():
+        calls.append(mode)
+        if mode == "fork-fails":
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if mode == "one-cpu" else {0, 1})
+    return calls
+
+
+@contextlib.contextmanager
+def _alive_thread(mode):
+    """A second thread that runs while the block does, in mode "thread-alive"."""
+    if mode != "thread-alive":
+        yield
+        return
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        done.set()
+        thread.join()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPLIT_MODES = ["one-cpu", "fork-fails", "thread-alive"]
+
+
+def _run_split_and_not(mode, run, split_levels, monkeypatch):
+    """`run()` with every level of two or more chunks split, then in `mode`,
+    where no level is: both results, after checking the fork attempts."""
+    with monkeypatch.context() as patch:
+        forks = _forks("split", patch)
+        split = run()
+    assert len(forks) == split_levels
+    _assert_no_child_left()
+    with monkeypatch.context() as patch, _alive_thread(mode):
+        forks = _forks(mode, patch)
+        alone = run()
+    assert len(forks) == (split_levels if mode == "fork-fails" else 0)
+    return split, alone
+
+
+@pytest.mark.parametrize("mode", SPLIT_MODES)
+def test_csv_bytes_do_not_depend_on_the_split(mode, tmp_path, monkeypatch):
+    # lq-d2-r2's levels have 1, 4, 16, 64 and 256 nodes: at 9 rows a chunk,
+    # 1, 1, 2, 8 and 29 chunks; each level of two or more forks one
+    # formatter, and the text, returned or written to a file, is that of one
+    # process
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 9)
+    spec = CSV_CASES["lq-d2-r2"]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 3)
+    traj = simulate(spec, tree, u)
+    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    writers = {
+        "trajectory": lambda **kw: write_trajectory_csv(spec, tree, traj, u, **kw),
+        "adjoint": lambda **kw: write_adjoint_csv(spec, tree, adj, **kw),
+        "control": lambda **kw: write_control_csv(spec, tree, u, **kw),
+    }
+
+    def run():
+        got = {}
+        for name, write in writers.items():
+            path = tmp_path / f"{name}.csv"
+            with open(path, "w") as stream:
+                assert write(out=stream) is None
+            got[name] = (write(), path.read_bytes())
+        return got
+
+    # levels 2-4 of the trajectory and adjoint, 2-3 of the control, twice
+    split, alone = _run_split_and_not(mode, run, 2 * (3 + 3 + 2), monkeypatch)
+    assert split == alone
+    assert split["trajectory"][0] == _reference_trajectory(spec, tree, traj, u)
+    assert split["adjoint"][0] == _reference_adjoint(spec, tree, adj)
+    assert split["control"][0] == _reference_control(spec, tree, u)
+    for text, written in split.values():
+        assert written == text.encode()
+
+
+@pytest.mark.parametrize("mode", SPLIT_MODES)
+def test_simulate_bytes_do_not_depend_on_the_split(mode, tmp_path, capsys, monkeypatch):
+    # trinomial levels of 1, 3, 9, 27, 81 and 243 nodes: 1, 1, 2, 6, 17 and
+    # 49 chunks of 5 rows; a failed fork is no output error (exit 0, not 2)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 5)
+    spec = CSV_CASES["trinomial"]()
+    tree = spec.build_tree()
+    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 4)))
+    out = tmp_path / "out"
+
+    def run():
+        assert main(["simulate", str(cfg), str(control), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["simulate", str(cfg), str(control)]) == 0
+        return printed, capsys.readouterr().out, (out / "trajectory.csv").read_bytes()
+
+    split, alone = _run_split_and_not(mode, run, 2 * 4, monkeypatch)
+    assert split == alone
+    assert split[0].startswith("simulate: J = ") and split[2] == split[1].encode()
+
+
+class _FailingStream:
+    """A text stream whose `calls`-th write raises `error`."""
+
+    def __init__(self, calls, error):
+        self.calls, self.error = calls, error
+
+    def write(self, text):
+        self.calls -= 1
+        if self.calls == 0:
+            raise self.error
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_a_failed_write_leaves_no_child(error, monkeypatch):
+    # the header and levels 0-3 are written (1, 1, 2 and 8 chunks), then the
+    # write fails in the middle of the 29-chunk leaf level
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 9)
+    forks = _forks("split", monkeypatch)
+    spec = CSV_CASES["lq-d2-r2"]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 3)
+    with pytest.raises(type(error)):
+        write_trajectory_csv(spec, tree, simulate(spec, tree, u), u,
+                             out=_FailingStream(1 + 1 + 1 + 2 + 8 + 5, error))
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
+def test_a_child_that_stops_early_leaves_its_chunks_to_the_parent(monkeypatch):
+    # each child sends its first chunk and exits: this process formats the
+    # rest of the level, and the bytes are the same
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 9)
+    spec = CSV_CASES["lq-d2-r2"]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 3)
+    traj = simulate(spec, tree, u)
+    expected = write_trajectory_csv(spec, tree, traj, u)
+    parent, chunk_text, sent = os.getpid(), cli._chunk_text, []
+
+    def first_chunk_only(*args):
+        if os.getpid() != parent:
+            if sent:
+                os._exit(0)
+            sent.append(1)
+        return chunk_text(*args)
+
+    monkeypatch.setattr(cli, "_chunk_text", first_chunk_only)
+    forks = _forks("split", monkeypatch)
+    assert write_trajectory_csv(spec, tree, traj, u) == expected
+    assert len(forks) == 3
+    _assert_no_child_left()
+
+
 def test_closed_stdout_pipe_ends_quietly(tmp_path):
     # a reader that closes after one line: simulate exits 141 (128 + SIGPIPE)
     # with nothing on stderr, neither a traceback nor an error at exit
@@ -723,6 +895,42 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     proc = subprocess.Popen([sys.executable, "-m", "mfsmp.cli", "simulate", str(cfg), str(control)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline().startswith(b"time,node_id,parent_id,prob,")
+    proc.stdout.close()
+    assert proc.communicate(timeout=60)[1] == b""
+    assert proc.returncode == 141
+
+
+def test_closed_stdout_pipe_in_a_split_level_ends_quietly(tmp_path):
+    # at 3 rows a chunk every level past the second is split; the reader
+    # closes after levels 0-5 (63 rows), while the writer is in a split level
+    # further down: exit 141, nothing on stderr, and no child left once
+    # `main` returns
+    spec = builtin("lq_meanfield", n=3, r=1, d=1, h=0.1, N=12, x0=[0.0, 0.0, 0.0])
+    tree = spec.build_tree()
+    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 4)))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    script = (
+        "import os, sys\n"
+        "from mfsmp import cli\n"
+        "cli.CHUNK_ROWS = 3\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "if len(forks) < 5:\n"
+        "    sys.stderr.write(f'{len(forks)} levels split\\n')\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    sys.stderr.write('a child is left\\n')\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "sys.exit(status)\n")
+    proc = subprocess.Popen([sys.executable, "-c", script, "simulate", str(cfg), str(control)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"time,node_id,parent_id,prob,")
+    assert [proc.stdout.readline().split(b",")[1] for _ in range(63)][-1] == b"62"
     proc.stdout.close()
     assert proc.communicate(timeout=60)[1] == b""
     assert proc.returncode == 141
