@@ -65,8 +65,8 @@ def constant_control(spec, tree, value) -> AdaptedProcess:
 
 
 def _rows(x, mean):
-    """State and level mean as evaluator rows: batch axes fold into the node
-    axis, and each batch row's mean is repeated over its nodes."""
+    """State and level mean as evaluator rows, for all but l and phi: batch axes
+    fold into the node axis, and each batch row's mean is repeated over its nodes."""
     if x.ndim == 2:
         return x, np.broadcast_to(mean, x.shape)
     n = x.shape[-1]
@@ -117,15 +117,13 @@ def level_mean(tree, k, x) -> np.ndarray:
 def level_cost(spec, tree, controls, k, x, mean) -> np.ndarray:
     """Level-k cost values (..., m_k) of a state and mean from `forward_levels`:
     l(k, x, Ex, u) for k <= N, the terminal phi(x, Ex) at k = N+1, which
-    reads no controls."""
-    # a lone batch row's mean is broadcast, as unbatched: LQ costs evaluate it once
-    xf, yf = _rows(x[0], mean[0]) if x.ndim > 2 and len(x) == 1 else _rows(x, mean)
+    reads no controls.  The costs take the level as it is, with the mean as
+    one (..., 1, n) row, so a row's mean terms are evaluated once."""
+    y = mean[..., None, :]
     with np.errstate(over="ignore", invalid="ignore"):  # callers flag non-finite values
         if k <= tree.grid.n_steps:
-            vals = spec.coeffs.l(k, xf, yf, controls[k].reshape(-1, spec.r))
-        else:
-            vals = spec.coeffs.phi(xf, yf)
-    return vals.reshape(x.shape[:-1])
+            return spec.coeffs.l(k, x, y, controls[k])
+        return spec.coeffs.phi(x, y)
 
 
 def chunk_rows(spec, tree, dtype=float) -> int:

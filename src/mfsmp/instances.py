@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .problem import AdmissibleSet, CoefficientSet, ProblemSpec, builtin
+from .problem import AdmissibleSet, CoefficientSet, ProblemSpec, _lin, builtin
 from .smp import SpikeVariation
 from .tree import AdaptedProcess, NoiseModel, TimeGrid
 
@@ -126,7 +126,7 @@ def smooth_nonlinear(seed):
         return np.zeros((x.shape[0], d, n, r))
 
     def l(k, x, y, u):
-        return 0.5 * ((x ** 2) @ qw + (u ** 2) @ rw)
+        return 0.5 * (_lin(x ** 2, qw) + _lin(u ** 2, rw))
 
     def l_x(k, x, y, u):
         return qw * x
@@ -138,7 +138,7 @@ def smooth_nonlinear(seed):
         return rw * u
 
     def phi(x, y):
-        return 0.5 * (x ** 2) @ gw
+        return 0.5 * _lin(x ** 2, gw)
 
     def phi_x(x, y):
         return gw * x

@@ -1,11 +1,12 @@
 """Problem definitions: coefficients with exact partials, admissible boxes, config I/O.
 
 Coefficient evaluators are vectorized over nodes: with m evaluation points,
-state x is (m, n), mean argument y is (m, n) (the level mean broadcast to rows,
-as `StateTrajectory.rows` and the batch recursion get them from `forward._rows`,
-or a genuine per-row batch), control u is (m, r), and k is the integer step
-0..N whose coefficients apply; the terminal cost phi takes no step.
-Returned shapes are
+state x is (m, n), mean argument y is (m, n) (the level mean broadcast to rows
+by `forward._rows`, or a genuine per-row batch), control u is (m, r), and k is
+the integer step 0..N whose coefficients apply; the terminal cost phi takes no
+step.  The costs l and phi also take whole batched levels, x (..., m, n) and
+u (..., m, r) with y broadcasting against x, as a level mean (..., 1, n) does,
+and return (..., m).  Returned shapes are
 
     f (m, n)          sigma (m, d, n)        l (m,)        phi (m,)
     f_x, f_y (m | 1, n, n)   f_u (m | 1, n, r)
@@ -46,12 +47,13 @@ class CoefficientSet:
     """Vectorized evaluators for the drift, diffusions, running and terminal cost:
     `f(k, x, y, u)` and its kin take the integer step k, `phi(x, y)` none.
 
-    Contract: f, sigma, l and phi are complex-safe.  Given complex x, y, u
-    they return complex values analytic in them: no `abs`, no comparison of
-    values, no cast to float.  The gradient certificate (`smp.certify_gradient`)
-    evaluates them at complex steps; where a cast drops an imaginary part
-    (`ComplexWarning`) or an evaluator raises `TypeError`, it falls back to
-    central differences.
+    Contract: l and phi take batched levels (module docstring) and give each
+    row the bits it gets alone.  f, sigma, l and phi are complex-safe: given
+    complex x, y, u they return complex values analytic in them, with no
+    `abs`, no comparison of values, no cast to float.  The gradient
+    certificate (`smp.certify_gradient`) evaluates them at complex steps;
+    where a cast drops an imaginary part (`ComplexWarning`) or an evaluator
+    raises `TypeError`, it falls back to central differences.
 
     The Jacobians f_x, f_y, f_u, sigma_x, sigma_y and sigma_u return either
     one array per node, (m, ...), or one block (1, ...) for every node of the
@@ -165,35 +167,23 @@ def project(spec: ProblemSpec, step: int, v):
     return spec.admissible.project(step, v)
 
 
-def _repeated(v):
-    """Whether the rows of v are one row in memory, as a level mean broadcast
-    over its nodes: `_lin` and `_quad` then evaluate that row once and give
-    its value read-only for every row, the same bits without a level-wide
-    temporary."""
-    return len(v) > 1 and v.strides[0] == 0
-
-
 def _lin(v, w):
-    """sum_j w_j v[:, j] per row of v (w_j numbers or per-row arrays), from
+    """sum_j w_j v[..., j] per row of v (w_j numbers or per-row arrays), from
     elementwise ufuncs only: unlike an einsum or matmul reduction, a row's bits
     do not depend on the batch it is evaluated in.  Complex-safe."""
-    if _repeated(v):
-        return np.broadcast_to(_lin(v[:1], w), v.shape[:1])
-    out = w[0] * v[:, 0]
+    out = w[0] * v[..., 0]
     for j in range(1, len(w)):
-        out += w[j] * v[:, j]
+        out += w[j] * v[..., j]
     return out
 
 
 def _quad(v, mat):
-    """v_m . (mat v_m) per row m of v, row-independent as `_lin`."""
-    if _repeated(v):
-        return np.broadcast_to(_quad(v[:1], mat), v.shape[:1])
-    out = None
-    for i, row in enumerate(mat):
-        term = _lin(v, row)
-        term *= v[:, i]
-        out = term if out is None else np.add(out, term, out=out)
+    """v_m . (mat v_m) per row m of v, row-independent as `_lin`.  No product is
+    in place: numpy rounds an in-place complex product of a one-element array
+    differently from the same product inside a longer one."""
+    out = _lin(v, mat[0]) * v[..., 0]
+    for i in range(1, len(mat)):
+        out += _lin(v, mat[i]) * v[..., i]
     return out
 
 
@@ -370,7 +360,7 @@ def _prodcons_coeffs(grid, delta_util, depreciation):
     sigma_x, sigma_y, sigma_u = _constant(0.5, 4), _constant(0.0, 4), _constant(0.0, 4)
 
     def l(k, x, y, u):
-        return -coef * _pospow(u[:, 0], expo)
+        return -coef * _pospow(u[..., 0], expo)
 
     def l_x(k, x, y, u):
         return np.zeros((x.shape[0], 1))
@@ -381,7 +371,7 @@ def _prodcons_coeffs(grid, delta_util, depreciation):
         return (-_pospow(u[:, 0], -1.0 / du)).reshape(-1, 1)
 
     def phi(x, y):
-        return -x[:, 0]
+        return -x[..., 0]
 
     def phi_x(x, y):
         return np.full((x.shape[0], 1), -1.0)
@@ -698,9 +688,9 @@ def serialize_problem(spec: ProblemSpec) -> str:
 
 def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
                   seed: int = 0) -> CheckReport:
-    """Sampled consistency check: output shapes, analytic partials against
-    central finite differences, and non-empty boxes.  This samples smoothness
-    near the initial state; it certifies nothing globally."""
+    """Sampled consistency check: output shapes, batched l and phi, analytic
+    partials against central finite differences, and non-empty boxes.  This
+    samples smoothness near the initial state; it certifies nothing globally."""
     report = CheckReport("spec-validation")
     rng = np.random.default_rng(seed)
     n, r, d = spec.n, spec.r, spec.d
@@ -732,13 +722,9 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
         for i in range(dim):
             shift = np.zeros(dim)
             shift[i] = SPEC_FD_STEP
-            if wrt == "x":
-                hi_v, lo_v = value_fn(x + shift, y, u), value_fn(x - shift, y, u)
-            elif wrt == "y":
-                hi_v, lo_v = value_fn(x, y + shift, u), value_fn(x, y - shift, u)
-            else:
-                hi_v, lo_v = value_fn(x, y, u + shift), value_fn(x, y, u + (-shift))
-            fd = (np.asarray(hi_v) - np.asarray(lo_v)) / (2.0 * SPEC_FD_STEP)
+            hi, lo, at = [x, y, u], [x, y, u], "xyu".index(wrt)
+            hi[at], lo[at] = hi[at] + shift, lo[at] - shift
+            fd = (np.asarray(value_fn(*hi)) - np.asarray(value_fn(*lo))) / (2.0 * SPEC_FD_STEP)
             try:
                 # a length-1 node axis broadcasts over the sampled rows
                 err = np.max(np.abs(fd - analytic[..., i]) / np.maximum(1.0, np.abs(fd)))
@@ -754,6 +740,19 @@ def validate_spec(spec: ProblemSpec, tol: float = 1e-6, n_points: int = 20,
                      getattr(c, f"{name}_{wrt}")(k, x, y, u), wrt, dim)
     for wrt in ("x", "y"):
         fd_check(f"phi_{wrt}", lambda a, b, v: c.phi(a, b), getattr(c, f"phi_{wrt}")(x, y), wrt, n)
+
+    # l and phi on a batched level: each node gets the bits it gets alone
+    xb, yb = (spec.x0 + rng.uniform(-0.5, 0.5, (3, rows, n)) * scale for rows in (m, 1))
+    ub = spec.admissible.sample(rng, 0, np.zeros((3, m, r)))
+    for name, fn in (("l", lambda a, b, v: c.l(k, a, b, v)), ("phi", lambda a, b, v: c.phi(a, b))):
+        try:
+            batched = fn(xb, yb, ub)
+            alone = [[fn(xb[j, i:i + 1], yb[j], ub[j, i:i + 1])[0] for i in range(m)]
+                     for j in range(3)]
+            ok = np.shape(batched) == (3, m) and np.array_equal(batched, alone, equal_nan=True)
+        except (TypeError, ValueError, IndexError):
+            ok = False
+        report.add(f"batch[{name}]", 0.0 if ok else 1.0, 0.0)
 
     report.add("boxes nonempty",
                0.0 if np.all(spec.admissible.lo <= spec.admissible.hi) else 1.0, 0.0)

@@ -234,11 +234,14 @@ def suite_prodcons(trials=None, fault=None) -> CheckReport:
 
 def suite_validation(trials=6, fault=None) -> CheckReport:
     report = CheckReport("spec-validation")
-    for seed in range(trials or 6):
-        spec = random_lq(seed) if seed % 2 else random_prodcons(seed)
+    seeds = list(range(trials or 6))
+    # smooth_nonlinear's evaluators are written in code, outside the config families
+    for seed, spec in zip(seeds * 2, [random_lq(s) if s % 2 else random_prodcons(s) for s in seeds]
+                          + [smooth_nonlinear(s) for s in seeds]):
         sub = validate_spec(spec, tol=1e-6)
         worst = max((res.value for res in sub.residuals), default=0.0)
-        report.add(f"derivative/shape residual #{seed} ({spec.family})", worst, 1e-6)
+        family = spec.family or "smooth_nonlinear"
+        report.add(f"derivative/shape residual #{seed} ({family})", worst, 1e-6)
     spec = e1_problem()
     sub = validate_spec(spec)
     report.add("benchmark instance validation", 0.0 if sub.passed else 1.0, 0.0)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mfsmp.errors import ConfigError, MfsmpError
 from mfsmp.forward import constant_control, cost
-from mfsmp.instances import e1_problem, random_control, random_lq, random_prodcons
+from mfsmp.instances import (e1_problem, random_control, random_lq, random_prodcons,
+                             smooth_nonlinear)
 from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, project,
                            serialize_problem, to_config, validate_spec)
 
@@ -271,32 +272,91 @@ def test_validate_spec_names_a_wrong_block_shape():
         assert set(failed) <= {f"shape[{name}]", f"fd[{name}]"}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, "random_lq(9)"])
+def test_validate_spec_names_a_cost_that_takes_rows_only():
+    # l and phi take batched levels, states (B, m, n) with a mean (B, 1, n),
+    # and give every node the bits it gets alone: a cost written for
+    # (rows, n) only, or one that reads its mean off the rows it is given,
+    # fails by name
+    spec = random_lq(5)
+    n, r, l, phi = spec.n, spec.r, spec.coeffs.l, spec.coeffs.phi
+
+    def flat(k, x, y, u):  # the right values, but only as (rows,)
+        return l(k, x.reshape(-1, n), np.broadcast_to(y, x.shape).reshape(-1, n),
+                 u.reshape(-1, r))
+
+    for name, fn, alone in (("l", lambda k, x, y, u: np.zeros(len(u)), False),
+                            ("l", flat, True),
+                            ("phi", lambda x, y: phi(x, x.mean(axis=-2, keepdims=True)), False)):
+        broken = dataclasses.replace(spec.coeffs, **{name: fn})
+        report = validate_spec(dataclasses.replace(spec, coeffs=broken))
+        failed = [res.label for res in report.residuals if not res.ok]
+        assert f"batch[{name}]" in failed
+        assert failed == [f"batch[{name}]"] or not alone
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, "random_lq(9)", "tables", "prodcons",
+                               "smooth_nonlinear"])
 def test_lq_costs_of_a_row_do_not_depend_on_the_batch(n):
-    # l and phi give each row the same bits alone and inside a 5- or 64-row
-    # call, as the oracle's and the certificate's batch rows need
+    # l and phi give each row the same bits alone and inside a 5-, 64- or
+    # 1,000-row call, real or complex: as rows (m, n) with a mean per row, and
+    # as a batched level (B, m, n) with one mean row (B, 1, n) per batch row,
+    # as the oracle's and the certificate's batch rows need
     rng = np.random.default_rng(17)
+    k = 0
     if n == "random_lq(9)":
         spec = random_lq(9)
+    elif n == "prodcons":
+        spec = random_prodcons(4)
+    elif n == "smooth_nonlinear":
+        spec = smooth_nonlinear(0)  # n = 2
     else:
+        dim = 3 if n == "tables" else n
+
         def mat():
-            return rng.uniform(-1.0, 1.0, (n, n)).tolist()
+            return rng.uniform(-1.0, 1.0, (dim, dim)).tolist()
 
         def vec():
-            return rng.uniform(-1.0, 1.0, n).tolist()
+            return rng.uniform(-1.0, 1.0, dim).tolist()
 
-        spec = builtin("lq_meanfield", n=n, r=n, d=1, h=0.5, N=0, x0=[0.0] * n,
-                       Q=mat(), Q_mean=mat(), R=mat(), q=vec(), q_mean=vec(), r_lin=vec(),
-                       l0=0.3, G=mat(), G_mean=mat(), g=vec(), g_mean=vec(), phi0=-0.2)
+        params = dict(Q=mat(), Q_mean=mat(), R=mat(), q=vec(), q_mean=vec(), r_lin=vec(),
+                      l0=0.3, G=mat(), G_mean=mat(), g=vec(), g_mean=vec(), phi0=-0.2)
+        if n == "tables":
+            k = 1  # a step whose running-cost tables differ from step 0's
+            for key in ("Q", "Q_mean", "R"):
+                params[key] = {"per_step": [mat(), mat(), mat()]}
+            spec = parse_problem(json.dumps({
+                "dims": {"n": dim, "r": dim, "d": 1}, "grid": {"t0": 0.0, "h": 0.5, "N": 2},
+                "noise": {"kind": "binary"}, "x0": [0.0] * dim, "tables": params,
+                "admissible": [{"t": "all", "lo": ["-inf"] * dim, "hi": ["inf"] * dim}],
+                "direction": "minimize"}))
+        else:
+            spec = builtin("lq_meanfield", n=n, r=n, d=1, h=0.5, N=0, x0=[0.0] * n, **params)
     c = spec.coeffs
-    for size in (5, 64):
-        x, y = rng.normal(size=(2, size, spec.n))
-        u = rng.normal(size=(size, spec.r))
-        running, terminal = c.l(0, x, y, u), c.phi(x, y)
-        for m in range(size):
-            one = slice(m, m + 1)
-            assert c.l(0, x[one], y[one], u[one])[0] == running[m]
-            assert c.phi(x[one], y[one])[0] == terminal[m]
+
+    def draw(size, dim, dtype):
+        # positive real parts keep prodcons' utility in its domain
+        v = rng.uniform(0.1, 1.0, (size, dim))
+        return v + 1j * rng.uniform(-1e-3, 1e-3, v.shape) if dtype is complex else v
+
+    for dtype in (float, complex):
+        for size in (5, 64, 1000):
+            x, y = draw(size, spec.n, dtype), draw(size, spec.n, dtype)
+            u = draw(size, spec.r, dtype)
+            running, terminal = c.l(k, x, y, u), c.phi(x, y)
+            for m in range(size):
+                one = slice(m, m + 1)
+                assert c.l(k, x[one], y[one], u[one])[0] == running[m]
+                assert c.phi(x[one], y[one])[0] == terminal[m]
+            # the same states and controls as a level of B batch rows
+            batch = int(np.gcd(size, 8))
+            xb, yb = x.reshape(batch, -1, spec.n), y[:batch, None]
+            ub = u.reshape(batch, -1, spec.r)
+            running, terminal = c.l(k, xb, yb, ub), c.phi(xb, yb)
+            assert running.shape == terminal.shape == xb.shape[:-1]
+            for b, m in np.ndindex(running.shape):
+                one = slice(m, m + 1)
+                assert c.l(k, xb[b, one], yb[b], ub[b, one])[0] == running[b, m]
+                assert c.phi(xb[b, one], yb[b])[0] == terminal[b, m]
 
 
 def test_project_examples():

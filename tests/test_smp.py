@@ -537,7 +537,8 @@ def _overflow_cases():
                       R=[[1.0]], Q=[[1.0]], lo=-1e300, hi=1e300)
     # costs that never read the state, so only the state shows the overflow
     blind = dataclasses.replace(state, coeffs=dataclasses.replace(
-        state.coeffs, l=lambda k, x, y, u: np.zeros(len(u)), phi=lambda x, y: np.zeros(len(x))))
+        state.coeffs, l=lambda k, x, y, u: np.zeros(u.shape[:-1]),
+        phi=lambda x, y: np.zeros(x.shape[:-1])))
     # the same two at the deepest control level N = 3: a child of node 5
     # overflows at the leaves, and the running cost of node 1 at level N
     return [(state, (2, 3, 1e305), SimulationError),
@@ -1065,7 +1066,7 @@ def _capped_cost(spec, limit):
     """The spec with its running cost undefined where the control reaches `limit`."""
     l = spec.coeffs.l
     return dataclasses.replace(spec, coeffs=dataclasses.replace(
-        spec.coeffs, l=lambda k, x, y, v: np.where(np.real(v[:, 0]) < limit, l(k, x, y, v),
+        spec.coeffs, l=lambda k, x, y, v: np.where(np.real(v[..., 0]) < limit, l(k, x, y, v),
                                                    np.nan)))
 
 
