@@ -18,8 +18,8 @@ import os
 import signal
 import sys
 import threading
+import warnings
 from functools import cache, partial
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -40,12 +40,16 @@ from .tree import AdaptedProcess
 from .instances import random_spike
 
 
-# rows per chunk: bounds the text held in memory while a CSV is written or read
+# rows per chunk: bounds the text held in memory while a CSV is written
 CHUNK_ROWS = 4096
-# characters per block of lines a control CSV is read and split in; blocks
+# characters per block of lines a control CSV is read, split and parsed in
+# (one `np.loadtxt` call a block and level: about 1,000 rows at r = 1); blocks
 # of 256K characters left the heap too fragmented for the gradient that ran
 # after `mfsmp simulate` in the same process (+6.5 MB peak RSS on wide-tree)
 READ_CHARS = 1 << 15
+# the ASCII separators: numpy's number parse strips them as whitespace,
+# Python's float and int refuse them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 # printf conversion per numpy dtype kind; any other kind (object) is "%s"
 _CONVERSIONS = {"i": "%d", "f": "%r"}
 
@@ -242,9 +246,10 @@ def _blocks(source):
 
 def _lines(blocks):
     """The non-blank lines of the text that `blocks` make up, as those of its
-    `.strip()`: the first without its leading, the last without its trailing
-    whitespace.  Each block's last line waits for the next line, so the
-    text's last line is known when it is given."""
+    `.strip()`, in non-empty lists of about a block each: the first line
+    without its leading, the last without its trailing whitespace.  A
+    block's last line goes with the next block's lines, so the text's last
+    line is known when it is given."""
     last = None
     for block in blocks:
         lines = list(filter(str.strip, block.split("\n")))
@@ -253,26 +258,29 @@ def _lines(blocks):
         if last is None:
             lines[0] = lines[0].lstrip()
         else:
-            yield last
+            lines.insert(0, last)
         last = lines.pop()
-        yield from lines
+        if lines:
+            yield lines
     if last is not None:
-        yield last.rstrip()
+        yield [last.rstrip()]
 
 
 def read_control_csv(spec, tree, text) -> AdaptedProcess:
     """The control of a CSV in the format `write_control_csv` writes: `text`
     is a str or a text stream, such as the open file the CLI passes, which
     is read twice from its start, once to count the rows and once to parse
-    them, a block of `READ_CHARS` characters at a time.  Rows go `CHUNK_ROWS`
-    at a time into one preallocated array per level.  The checks, and which
-    one wins when several fail, are those of a per-line parse of
-    `text.strip()`, after a stream's decode error: the header, the row
-    count, then level by level each row's field count, node id and numbers,
-    and the level's values finite."""
-    lines = _lines(_blocks(text))
-    header = next(lines, "").split(",")
-    rows = sum(1 for _ in lines)  # a stream is read to its end before any check
+    them, a block of `READ_CHARS` characters at a time.  The rows of a block
+    that fall in one level go through `_read_rows` into one preallocated
+    array per level.  The checks, and which one wins when several fail, are
+    those of a per-line parse of `text.strip()`, after a stream's decode
+    error: the header, the row count, then level by level each row's field
+    count, node id and numbers, and the level's values finite."""
+    blocks = _lines(_blocks(text))
+    lines = next(blocks, [""])
+    header = lines[0].split(",")
+    # a stream is read to its end before any check
+    rows = len(lines) - 1 + sum(map(len, blocks))
     if header == [""]:
         raise ConfigError("control CSV is empty")
     expected = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]
@@ -282,34 +290,73 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
     expected_rows = sum(map(len, levels))
     if rows != expected_rows:
         raise ConfigError(f"control CSV has {rows} rows, tree needs {expected_rows}")
-    lines = _lines(_blocks(text))
-    next(lines)  # the header, checked above
+    blocks = _lines(_blocks(text))
+    lines = next(blocks)[1:]  # after the header, checked above
     for k, level in enumerate(levels):
         first = int(tree.global_id(k, 0))
-        try:
-            for start in range(0, len(level), CHUNK_ROWS):
-                values = []
-                part = islice(lines, min(CHUNK_ROWS, len(level) - start))
-                for node, line in enumerate(part, start):
-                    parts = line.split(",")
-                    if len(parts) != 2 + spec.r:
-                        raise ConfigError(f"control CSV row has {len(parts)} fields, expected "
-                                          f"{2 + spec.r}, at level {k}, node {node}")
-                    if int(parts[1]) != first + node:
-                        raise ConfigError(
-                            f"control CSV node ids out of order at level {k}, node {node}")
-                    values.extend(map(float, parts[2:]))
-                level[start:node + 1] = np.reshape(values, (-1, spec.r))
-        except ConfigError:
-            raise  # a ValueError, but one of the reader's own
-        except ValueError as exc:
-            raise ConfigError(
-                f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
+        start = 0
+        while start < len(level):
+            lines = lines or next(blocks)
+            part, lines = lines[:len(level) - start], lines[len(level) - start:]
+            _read_rows(part, level, start, k, first)
+            start += len(part)
         # a NaN would pass the box check, so the reader rejects it here
         if not np.isfinite(level).all():
             node = int(np.flatnonzero(~np.isfinite(level).all(axis=1))[0])
             raise ConfigError(f"control CSV value is not finite at level {k}, node {node}")
     return AdaptedProcess(tree, 0, levels)
+
+
+def _read_rows(lines, level, start, k, first) -> None:
+    """The rows `lines` of level k, nodes `start`, `start + 1`, ..., into
+    `level`: parsed in C by one `np.loadtxt` call when it takes every line
+    as a time, an int64 id `first + node` and r values, else by
+    `_parse_rows`, which decides every error.  numpy's float parse is
+    CPython's, so the values are the same bits.  The structured row makes
+    numpy check the field count and read the id strictly as an integer, and
+    `comments=None` keeps a `#` in a field.  numpy is not asked outside
+    ASCII, where it reads an id digit of any script as a wrong number, or at
+    `_SEPARATORS`; Python takes more (`1_0.5`, a time that is not a number)."""
+    stop = start + len(lines)
+    text = "\n".join(lines)
+    if text.isascii() and not any(map(text.__contains__, _SEPARATORS)):
+        try:
+            with warnings.catch_warnings():
+                # numpy 1.23 to 1.26 read an id of `40.0` as 40 and only warn
+                warnings.simplefilter("error")
+                table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=1, dtype=[
+                    ("t", "f8"), ("id", "i8"), ("u", "f8", (level.shape[1],))])
+        except (ValueError, Warning):
+            pass
+        else:
+            if (table.shape == (len(lines),)
+                    and (table["id"] == np.arange(first + start, first + stop)).all()):
+                level[start:stop] = table["u"]
+                return
+    _parse_rows(lines, level, start, k, first)
+
+
+def _parse_rows(lines, level, start, k, first) -> None:
+    """`_read_rows` line by line: each row's field count, node id and
+    numbers in turn, the first that fails raising a ConfigError that names
+    its level and node."""
+    width = 2 + level.shape[1]
+    values = []
+    try:
+        for node, line in enumerate(lines, start):
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ConfigError(f"control CSV row has {len(parts)} fields, expected "
+                                  f"{width}, at level {k}, node {node}")
+            if int(parts[1]) != first + node:
+                raise ConfigError(f"control CSV node ids out of order at level {k}, node {node}")
+            values.extend(map(float, parts[2:]))
+    except ConfigError:
+        raise  # a ValueError, but one of the reader's own
+    except ValueError as exc:
+        raise ConfigError(
+            f"control CSV field is not a number at level {k}, node {node}: {exc}") from exc
+    level[start:start + len(lines)] = np.reshape(values, (-1, level.shape[1]))
 
 
 def _out_dir(path) -> Path:

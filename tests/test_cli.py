@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfsmp import cli, forward
 from mfsmp.adjoint import linearize, solve_adjoint
@@ -273,6 +275,20 @@ READER_CASES = {
     "header beats the row count": [lambda lines: lines.__setitem__(0, "time,node_id,u_1"),
                                    lambda lines: lines.pop()],
     "empty": [lambda lines: lines.clear(), lambda lines: lines.append(" \n\t ")],
+    # where numpy's parse and Python's differ: the time is never read, and
+    # numpy refuses what Python may take
+    "time not a number or empty": [_set_field(40, 0, "abc"), _set_field(41, 0, "")],
+    "a comment mark in a value": [_set_field(40, 3, "0.5#x")],
+    "a quoted value": [_set_field(40, 3, '"0.5"')],
+    "Arabic-Indic digits": [_set_field(40, 1, "\u0664\u0660"), _set_field(41, 2, "\u0660.\u0665")],
+    "numbers numpy reads as Python": [_set_field(40, 2, "-0.0"), _set_field(40, 3, "5e-324"),
+                                      _set_field(41, 2, "1E-1"), _set_field(41, 3, "+.5")],
+    "value overflows to infinity": [_set_field(40, 2, "1e400")],
+    "value Infinity": [_set_field(40, 3, "Infinity")],
+    "carriage return inside a row": [_edit_row(40, lambda line: line.replace(",", "\r,"))],
+    "NUL byte in a value": [_set_field(40, 3, "0.5\x00")],
+    "space inside an id": [_set_field(40, 1, "4 0")],
+    "ASCII separator after a value": [_set_field(40, 2, "0.25\x1c")],
 }
 
 
@@ -298,7 +314,9 @@ def test_control_reader_matches_per_line_reference(case, read_chars, chunk_rows,
     assert got == _outcome(_reference_read_control, spec, tree, text)
     assert (got[0] == "ok") == (case in ("valid", "blank lines", "leading and trailing whitespace",
                                          "indented header", "python number forms",
-                                         "windows line ends"))
+                                         "windows line ends", "time not a number or empty",
+                                         "Arabic-Indic digits", "numbers numpy reads as Python",
+                                         "carriage return inside a row"))
 
 
 @pytest.mark.parametrize("read_chars, chunk_rows", [(None, None), (64, 5)])
@@ -321,6 +339,95 @@ def test_control_reader_row_errors_read_as_themselves(read_chars, chunk_rows, mo
         with pytest.raises(ConfigError) as info:
             read_control_csv(spec, tree, "\n".join(edited))
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("row, field, value, message", [
+    (462, 1, "\u01fe", "level 8, node 207"),  # numpy reads this id as 462
+    (300, 2, "0.25\x1d", "level 8, node 45"),  # numpy strips the separator
+])
+def test_control_reader_refuses_what_only_numpy_takes(row, field, value, message):
+    # binary N = 9: data row 462 is node 207 of level 8, whose ids start at 255
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.5, N=9, x0=[0.0])
+    tree = spec.build_tree()
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 2)).split("\n")
+    _set_field(row, field, value)(lines)
+    text = "\n".join(lines)
+    got = _outcome(read_control_csv, spec, tree, text)
+    assert got == _outcome(_reference_read_control, spec, tree, text)
+    assert got[0] == "error" and f"not a number at {message}" in got[1]
+
+
+def _refuse_per_line(lines, level, start, k, first):
+    raise AssertionError(f"per-line parse of level {k} from node {start}")
+
+
+@pytest.mark.parametrize("read_chars", [None, 512])
+def test_valid_control_is_read_without_the_per_line_parser(read_chars, monkeypatch):
+    # every block of a valid control goes through `np.loadtxt`: a fallback
+    # taken always would pass every other reader test
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.1, N=15, x0=[0.0])
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 5)
+    text = write_control_csv(spec, tree, u)
+    monkeypatch.setattr(cli, "_parse_rows", _refuse_per_line)
+    if read_chars is not None:
+        monkeypatch.setattr(cli, "READ_CHARS", read_chars)
+    again = read_control_csv(spec, tree, text)
+    for k in u.levels():
+        assert again.at(k).tobytes() == u.at(k).tobytes()
+
+
+def test_a_bad_row_sends_only_its_block_to_the_per_line_parser(monkeypatch):
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.1, N=15, x0=[0.0])
+    tree = spec.build_tree()
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 5)).split("\n")
+    read_rows, parse_rows = cli._read_rows, cli._parse_rows
+    parts = []
+
+    def record(lines, level, start, k, first):
+        parts.append((k, start, len(lines)))
+        read_rows(lines, level, start, k, first)
+    monkeypatch.setattr(cli, "_read_rows", record)
+    read_control_csv(spec, tree, "\n".join(lines))
+    monkeypatch.setattr(cli, "_read_rows", read_rows)
+    # the second block of the deepest control level; the blocks before the
+    # edited row do not move
+    k, start, size = next(part for part in parts if part[0] == 15 and part[1] > 0)
+    node = start + size // 2
+    _set_field(int(tree.global_id(k, node)), 3, "abc")(lines)
+    calls = []
+
+    def count(lines, level, start, k, first):
+        calls.append((k, start))
+        parse_rows(lines, level, start, k, first)
+    monkeypatch.setattr(cli, "_parse_rows", count)
+    with pytest.raises(ConfigError, match=f"not a number at level 15, node {node}: "):
+        read_control_csv(spec, tree, "\n".join(lines))
+    assert calls == [(k, start)]
+
+
+# float texts as `repr`, `%.17e`, `%.17g`, with an upper-case E and with a leading +
+FLOAT_TEXTS = [repr, "%.17e".__mod__, "%.17g".__mod__, lambda v: repr(v).upper(),
+               lambda v: repr(v) if repr(v).startswith("-") else "+" + repr(v)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False)
+                          | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                             sys.float_info.max, -sys.float_info.max]),
+                          st.sampled_from(FLOAT_TEXTS)),
+                min_size=14, max_size=14))
+def test_c_path_reads_each_float_text_as_python_does(values):
+    # binary N = 2, r = 2: seven rows of two values, all read by `np.loadtxt`
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.5, N=2, x0=[0.0])
+    tree = spec.build_tree()
+    texts = [text(v) for v, text in values]
+    rows = [f"0.5,{i},{texts[2 * i]},{texts[2 * i + 1]}" for i in range(7)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_parse_rows", _refuse_per_line)
+        u = read_control_csv(spec, tree, "\n".join(["time,node_id,u_1,u_2"] + rows))
+    got = np.concatenate([u.at(k) for k in u.levels()]).ravel()
+    assert got.tobytes() == np.array([float(text) for text in texts]).tobytes()
 
 
 def _file_outcome(spec, tree, path):
