@@ -15,11 +15,11 @@ import hashlib
 import io
 import json
 import os
-import signal
+import re
 import sys
-import threading
 import warnings
 from functools import cache, partial
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -47,11 +47,12 @@ CHUNK_ROWS = 4096
 # of 256K characters left the heap too fragmented for the gradient that ran
 # after `mfsmp simulate` in the same process (+6.5 MB peak RSS on wide-tree)
 READ_CHARS = 1 << 15
+# a line end and a whitespace character (a line end too): where a blank line
+# may start, other than at a block's ends
+_BLANK = re.compile(r"\n\s")
 # the ASCII separators: numpy's number parse strips them as whitespace,
 # Python's float and int refuse them
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
-# printf conversion per numpy dtype kind; any other kind (object) is "%s"
-_CONVERSIONS = {"i": "%d", "f": "%r"}
 
 
 def _fmt(value) -> str:
@@ -73,16 +74,14 @@ def _write_rows(out, header, tree, levels, fields) -> str | None:
 
     `levels` gives each level's data in turn, and `fields(k, data, rows)`
     lays out the rest of the level-k rows in the slice `rows` as a list
-    whose items are either a string free of `%`, written verbatim in every
-    row, or an array with one row per node of the slice whose columns become
-    fields: integers as `%d`, floats as their shortest round-trip repr (`%r`,
-    equal to `repr(float(v))`), objects as `%s`.  Each level is formatted
-    column-wise and written in chunks of `CHUNK_ROWS` rows, node ids
-    included, so no array spans a whole level and the whole text is never
-    held in memory; `_write_level` may split a level's chunks between two
-    processes, with the same bytes.  A level's data is let go before the
-    next is asked for, so a source that makes its levels one at a time, as
-    `forward_levels` does, has one alive.
+    whose items are either a string, written verbatim in every row, an
+    object array of one string per node, or an int64 or float64 array with
+    one row per node of the slice whose columns become fields (see
+    `_row_texts`).  Each level is formatted column-wise and written in
+    chunks of `CHUNK_ROWS` rows, node ids included, so no array spans a
+    whole level and the whole text is never held in memory.  A level's data
+    is let go before the next is asked for, so a source that makes its
+    levels one at a time, as `forward_levels` does, has one alive.
     """
     if out is None:
         buf = io.StringIO()
@@ -98,89 +97,48 @@ def _write_rows(out, header, tree, levels, fields) -> str | None:
 
 
 def _write_level(out, tree, k, fields) -> None:
-    """The rows of level k for `_write_rows`, `fields(rows)` laying out a chunk.
-    `repr` costs far more than writing, so with a second usable CPU a forked
-    child formats the odd chunks of a level of two or more from the data it
-    shares copy-on-write, while this process formats the even ones and
-    writes all in order; where no child runs (see `_fork_formatter`) or its
-    pipe ends early, this process formats the rest: the bytes are the same."""
+    """The rows of level k for `_write_rows`, a chunk of `CHUNK_ROWS` at a
+    time, `fields(rows)` laying out the chunk of the slice `rows`."""
     size = tree.size(k)
-    chunks = [slice(start, min(start + CHUNK_ROWS, size)) for start in range(0, size, CHUNK_ROWS)]
-    text = partial(_chunk_text, tree, k, fields)
-    pid, pipe = _fork_formatter(text, chunks[1::2]) if len(chunks) > 1 else (0, None)
-    sent = iter(partial(_frame, pipe), None) if pipe else iter(())
-    try:
-        for i, rows in enumerate(chunks):
-            piece = next(sent, None) if i % 2 else None
-            out.write(text(rows) if piece is None else piece)
-    finally:
-        if pipe:  # the child may still be formatting if this process stopped early
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    for start in range(0, size, CHUNK_ROWS):
+        out.write(_chunk_text(tree, k, fields, slice(start, min(start + CHUNK_ROWS, size))))
 
 
 def _chunk_text(tree, k, fields, rows) -> str:
     """The text of the rows in the slice `rows` of level k."""
     first = int(tree.global_id(k, 0))
-    parts = [repr(float(tree.grid.time(k))), "%d"]
-    columns = [np.arange(first + rows.start, first + rows.stop)[:, None]]
+    columns = [repeat(repr(float(tree.grid.time(k)))),
+               _row_texts(np.arange(first + rows.start, first + rows.stop))]
     for item in fields(rows):
-        if isinstance(item, str):
-            parts.append(item)
-            continue
-        item = item.reshape(len(columns[0]), -1)
-        parts += [_CONVERSIONS.get(item.dtype.kind, "%s")] * item.shape[1]
-        columns.append(item)
-    # casting to object turns each cell into a Python int, float or str
-    cells = np.concatenate(columns, axis=1, dtype=object)
-    return ((",".join(parts) + "\n") * len(cells)) % tuple(cells.ravel().tolist())
+        columns.append(repeat(item) if isinstance(item, str)
+                       else item.tolist() if item.dtype == object else _row_texts(item))
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
-def _fork_formatter(text, chunks):
-    """(pid, pipe) of a forked child that sends `text(rows)` of each slice of
-    `chunks` in order to the binary stream `pipe`, as frames of an 8-byte
-    length and the UTF-8 text; (0, None) where one CPU is usable, another
-    thread runs (a fork copies only this one) or the pipe or fork fails.
-    The child only formats and ends by `os._exit`: it never flushes a stream
-    of this process."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
-        return 0, None
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return 0, None
-    try:  # 1 MiB holds about two chunks, so the child runs ahead
-        import fcntl  # POSIX, as is fork
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-    except (AttributeError, OSError):
-        pass
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return 0, None
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for rows in chunks:
-                    data = text(rows).encode()
-                    pipe.write(len(data).to_bytes(8, "little") + data)
-                    pipe.flush()
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
-def _frame(pipe) -> str | None:
-    """The text of the next frame on `pipe`, or None at its end or a cut frame."""
-    size = int.from_bytes(head, "little") if len(head := pipe.read(8)) == 8 else -1
-    data = pipe.read(size) if size >= 0 else b""
-    return data.decode() if len(data) == size else None
+def _row_texts(block) -> list:
+    """The text of each row of the integer or float array `block`, its
+    further axes flattened: the cells joined by commas, integers as `%d`
+    and floats as `repr(float(v))`, their shortest round-trip text.
+    orjson prints the whole block in C, with the digits `repr` gives, but
+    in a notation of its own where `repr` writes an exponent (0 < |v| <
+    1e-4 or |v| >= 1e16) and as `null` where v is not finite: `repr`
+    redoes those cells alone."""
+    import orjson  # loaded with the first CSV, not with the package
+    block = block.reshape(len(block), -1)
+    block = block.astype(np.float64 if block.dtype.kind == "f" else np.int64, copy=False)
+    flat = np.ascontiguousarray(block[:, 0] if block.shape[1] == 1 else block)
+    text = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    rows = text[1:-1].split(",") if flat.ndim == 1 else text[2:-2].split("],[")
+    if block.dtype.kind == "f":
+        size = np.abs(block)
+        redo = ~((size >= 1e-4) & (size < 1e16) | (block == 0.0))
+        bad = np.flatnonzero(redo.any(axis=1)).tolist()
+        if bad:  # the cells of the rows that hold one to redo, row after row
+            cells = np.array(",".join([rows[i] for i in bad]).split(","), dtype=object)
+            cells[redo[bad].ravel()] = list(map(repr, block[redo].tolist()))
+            for i, row in zip(bad, map(",".join, cells.reshape(len(bad), -1).tolist())):
+                rows[i] = row
+    return rows
 
 
 def write_trajectory_csv(spec, tree, traj, u, out=None) -> str | None:
@@ -266,6 +224,24 @@ def _lines(blocks):
         yield [last.rstrip()]
 
 
+def _head(blocks):
+    """(header, rows): the first line of the text that `blocks` make up that
+    is not blank, as `_lines` gives it, and the number of such lines after
+    it.  Past the header, a block is split into lines only where one of them
+    may be blank; the others are counted."""
+    header, rows = "", -1
+    for block in blocks:
+        if rows >= 0 and block and not (block[0].isspace() or block[-1] == "\n"
+                                        or _BLANK.search(block)):
+            rows += block.count("\n") + 1
+            continue
+        lines = list(filter(str.strip, block.split("\n")))
+        if rows < 0 and lines:
+            header = lines[0].lstrip()
+        rows += len(lines)
+    return header.rstrip() if rows == 0 else header, max(rows, 0)
+
+
 def read_control_csv(spec, tree, text) -> AdaptedProcess:
     """The control of a CSV in the format `write_control_csv` writes: `text`
     is a str or a text stream, such as the open file the CLI passes, which
@@ -276,11 +252,9 @@ def read_control_csv(spec, tree, text) -> AdaptedProcess:
     those of a per-line parse of `text.strip()`, after a stream's decode
     error: the header, the row count, then level by level each row's field
     count, node id and numbers, and the level's values finite."""
-    blocks = _lines(_blocks(text))
-    lines = next(blocks, [""])
-    header = lines[0].split(",")
     # a stream is read to its end before any check
-    rows = len(lines) - 1 + sum(map(len, blocks))
+    header, rows = _head(_blocks(text))
+    header = header.split(",")
     if header == [""]:
         raise ConfigError("control CSV is empty")
     expected = ["time", "node_id"] + [f"u_{i + 1}" for i in range(spec.r)]

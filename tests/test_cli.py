@@ -1,5 +1,3 @@
-import contextlib
-import errno
 import io
 import json
 import os
@@ -317,6 +315,29 @@ def test_control_reader_matches_per_line_reference(case, read_chars, chunk_rows,
                                          "windows line ends", "time not a number or empty",
                                          "Arabic-Indic digits", "numbers numpy reads as Python",
                                          "carriage return inside a row"))
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+@pytest.mark.parametrize("rows", [6, 7, 8])
+def test_control_row_count_sees_blank_lines_at_every_block_boundary(line_end, rows, monkeypatch):
+    # binary N = 2 needs 7 rows: blank and whitespace-only lines before the
+    # header and before, between and after the rows, read in blocks of every
+    # size from one character up, so a block starts and ends at each line;
+    # the values, or the row-count error, are those of the per-line parse
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.5, N=2, x0=[0.0])
+    tree = spec.build_tree()
+    lines = write_control_csv(spec, tree, random_control(spec, tree, 2)).split("\n")[:-1]
+    lines = (lines + lines[-1:])[:1 + rows]
+    blanks = ["", " ", "\t", "\r", "\x1c", "\u3000", " \t "]
+    mixed = [part for i, line in enumerate(lines[1:]) for part in (blanks[i % len(blanks)], line)]
+    # the header's line end stays "\n": a header line ending in "\r" is refused
+    text = " \n\t\n" + lines[0] + "\n" + line_end.join(mixed + ["", " "]) + line_end
+    expected = _outcome(_reference_read_control, spec, tree, text)
+    assert expected[0] == ("ok" if rows == 7 else "error")
+    for read_chars in range(1, len(text) + 2):
+        monkeypatch.setattr(cli, "READ_CHARS", read_chars)
+        assert _outcome(read_control_csv, spec, tree, text) == expected
+        assert _outcome(read_control_csv, spec, tree, io.StringIO(text)) == expected
 
 
 @pytest.mark.parametrize("read_chars, chunk_rows", [(None, None), (64, 5)])
@@ -775,10 +796,12 @@ def test_solve_checks_equal_check_of_written_control(case, tmp_path):
     assert (chk / "checks.json").read_bytes() == (out / "checks.json").read_bytes()
 
 
-@pytest.mark.parametrize("chunk_rows", [None, 7])
-def test_csv_writers_return_or_stream_reference_text(chunk_rows, monkeypatch):
-    if chunk_rows is not None:
-        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+@pytest.mark.parametrize("chunk_rows", [1, 5, 7, 9, 4096])
+def test_csv_writers_return_or_stream_reference_text(chunk_rows, tmp_path, monkeypatch):
+    # lq-d2-r2's levels have 1, 4, 16, 64 and 256 nodes: chunks of one row,
+    # chunk boundaries inside levels, and one chunk a level; the text is the
+    # same returned, written to a stream and written to a file
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
     spec = CSV_CASES["lq-d2-r2"]()
     tree = spec.build_tree()
     u = random_control(spec, tree, 3)
@@ -795,6 +818,54 @@ def test_csv_writers_return_or_stream_reference_text(chunk_rows, monkeypatch):
         stream = io.StringIO()
         assert write(out=stream) is None
         assert stream.getvalue() == reference
+        with open(tmp_path / "out.csv", "w") as stream:
+            assert write(out=stream) is None
+        assert (tmp_path / "out.csv").read_bytes() == reference.encode()
+
+
+# every float64 bit pattern, and the values where `repr`'s notation and
+# orjson's part: ±0, subnormals, ±max, non-finite, and each side of 1e-4,
+# 1e-5 and 1e16
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+               sys.float_info.max, -sys.float_info.max, float("nan"), float("inf"),
+               float("-inf")] + [
+    sign * float(np.nextafter(edge, toward)) for edge in (1e-4, 1e-5, 1e16)
+    for toward in (0.0, edge, np.inf) for sign in (1.0, -1.0)]
+FLOAT64 = (st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+           | st.floats() | st.sampled_from(EDGE_FLOATS))
+
+
+def _blocks_of(cells):
+    """Lists of 1 to 12 rows of 1 to 4 cells drawn from `cells`."""
+    return st.integers(1, 4).flatmap(lambda width: st.lists(
+        st.lists(cells, min_size=width, max_size=width), min_size=1, max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks_of(FLOAT64), _blocks_of(st.integers(-2**63, 2**63 - 1)))
+def test_row_texts_are_repr_and_d_cell_by_cell(floats, ints):
+    assert cli._row_texts(np.array(floats)) == [",".join(map(repr, row)) for row in floats]
+    assert cli._row_texts(np.array(ints)) == [",".join(map("%d".__mod__, row)) for row in ints]
+
+
+def test_row_texts_of_narrower_dtypes_are_those_of_their_python_values():
+    # a float32 cell is the repr of its float64 value, not its own shortest text
+    block = np.array([[0.1, -2.5e-6], [3e20, float("nan")]], dtype=np.float32)
+    assert cli._row_texts(block) == [",".join(map(repr, row)) for row in block.tolist()]
+    assert cli._row_texts(np.array([[7, -8]], dtype=np.int32)) == ["7,-8"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(FLOAT64, min_size=14, max_size=14), st.sampled_from([1, 3, 4096]))
+def test_control_csv_of_any_values_is_the_reference_text(values, chunk_rows):
+    # binary N = 2, r = 2: seven rows of two values, in chunks of 1, 3 or all
+    spec = builtin("lq_meanfield", n=1, r=2, d=1, h=0.5, N=2, x0=[0.0])
+    tree = spec.build_tree()
+    flat = np.array(values).reshape(7, 2)
+    u = AdaptedProcess(tree, 0, [flat[:1], flat[1:3], flat[3:]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+        assert write_control_csv(spec, tree, u) == _reference_control(spec, tree, u)
 
 
 def test_trajectory_writer_holds_no_level_wide_array(monkeypatch):
@@ -818,123 +889,6 @@ def test_trajectory_writer_holds_no_level_wide_array(monkeypatch):
     assert peak < tree.size(tree.n_levels - 1) * np.dtype(np.int64).itemsize
 
 
-def _forks(mode, monkeypatch):
-    """Patch this process's usable CPUs and `os.fork` for `mode`, whatever
-    the machine has: "split" and "thread-alive" see two CPUs, "one-cpu" one,
-    and "fork-fails" two and a fork that raises.  Returns the list that each
-    fork attempt appends to."""
-    calls, fork = [], os.fork
-
-    def counted_fork():
-        calls.append(mode)
-        if mode == "fork-fails":
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if mode == "one-cpu" else {0, 1})
-    return calls
-
-
-@contextlib.contextmanager
-def _alive_thread(mode):
-    """A second thread that runs while the block does, in mode "thread-alive"."""
-    if mode != "thread-alive":
-        yield
-        return
-    done = threading.Event()
-    thread = threading.Thread(target=done.wait)
-    thread.start()
-    try:
-        yield
-    finally:
-        done.set()
-        thread.join()
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-SPLIT_MODES = ["one-cpu", "fork-fails", "thread-alive"]
-
-
-def _run_split_and_not(mode, run, split_levels, monkeypatch):
-    """`run()` with every level of two or more chunks split, then in `mode`,
-    where no level is: both results, after checking the fork attempts."""
-    with monkeypatch.context() as patch:
-        forks = _forks("split", patch)
-        split = run()
-    assert len(forks) == split_levels
-    _assert_no_child_left()
-    with monkeypatch.context() as patch, _alive_thread(mode):
-        forks = _forks(mode, patch)
-        alone = run()
-    assert len(forks) == (split_levels if mode == "fork-fails" else 0)
-    return split, alone
-
-
-@pytest.mark.parametrize("mode", SPLIT_MODES)
-def test_csv_bytes_do_not_depend_on_the_split(mode, tmp_path, monkeypatch):
-    # lq-d2-r2's levels have 1, 4, 16, 64 and 256 nodes: at 9 rows a chunk,
-    # 1, 1, 2, 8 and 29 chunks; each level of two or more forks one
-    # formatter, and the text, returned or written to a file, is that of one
-    # process
-    monkeypatch.setattr(cli, "CHUNK_ROWS", 9)
-    spec = CSV_CASES["lq-d2-r2"]()
-    tree = spec.build_tree()
-    u = random_control(spec, tree, 3)
-    traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
-    writers = {
-        "trajectory": lambda **kw: write_trajectory_csv(spec, tree, traj, u, **kw),
-        "adjoint": lambda **kw: write_adjoint_csv(spec, tree, adj, **kw),
-        "control": lambda **kw: write_control_csv(spec, tree, u, **kw),
-    }
-
-    def run():
-        got = {}
-        for name, write in writers.items():
-            path = tmp_path / f"{name}.csv"
-            with open(path, "w") as stream:
-                assert write(out=stream) is None
-            got[name] = (write(), path.read_bytes())
-        return got
-
-    # levels 2-4 of the trajectory and adjoint, 2-3 of the control, twice
-    split, alone = _run_split_and_not(mode, run, 2 * (3 + 3 + 2), monkeypatch)
-    assert split == alone
-    assert split["trajectory"][0] == _reference_trajectory(spec, tree, traj, u)
-    assert split["adjoint"][0] == _reference_adjoint(spec, tree, adj)
-    assert split["control"][0] == _reference_control(spec, tree, u)
-    for text, written in split.values():
-        assert written == text.encode()
-
-
-@pytest.mark.parametrize("mode", SPLIT_MODES)
-def test_simulate_bytes_do_not_depend_on_the_split(mode, tmp_path, capsys, monkeypatch):
-    # trinomial levels of 1, 3, 9, 27, 81 and 243 nodes: 1, 1, 2, 6, 17 and
-    # 49 chunks of 5 rows; a failed fork is no output error (exit 0, not 2)
-    monkeypatch.setattr(cli, "CHUNK_ROWS", 5)
-    spec = CSV_CASES["trinomial"]()
-    tree = spec.build_tree()
-    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
-    cfg.write_text(serialize_problem(spec))
-    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 4)))
-    out = tmp_path / "out"
-
-    def run():
-        assert main(["simulate", str(cfg), str(control), "--out", str(out)]) == 0
-        printed = capsys.readouterr().out
-        assert main(["simulate", str(cfg), str(control)]) == 0
-        return printed, capsys.readouterr().out, (out / "trajectory.csv").read_bytes()
-
-    split, alone = _run_split_and_not(mode, run, 2 * 4, monkeypatch)
-    assert split == alone
-    assert split[0].startswith("simulate: J = ") and split[2] == split[1].encode()
-
-
 class _FailingStream:
     """A text stream whose `calls`-th write raises `error`."""
 
@@ -947,45 +901,23 @@ class _FailingStream:
             raise self.error
 
 
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
 @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
-def test_a_failed_write_leaves_no_child(error, monkeypatch):
+def test_a_failed_write_raises_its_error(error, monkeypatch):
     # the header and levels 0-3 are written (1, 1, 2 and 8 chunks), then the
-    # write fails in the middle of the 29-chunk leaf level
+    # write fails in the middle of the 29-chunk leaf level; nothing forks
     monkeypatch.setattr(cli, "CHUNK_ROWS", 9)
-    forks = _forks("split", monkeypatch)
+    monkeypatch.setattr(os, "fork", _no_fork)
     spec = CSV_CASES["lq-d2-r2"]()
     tree = spec.build_tree()
     u = random_control(spec, tree, 3)
+    stream = _FailingStream(1 + 1 + 1 + 2 + 8 + 5, error)
     with pytest.raises(type(error)):
-        write_trajectory_csv(spec, tree, simulate(spec, tree, u), u,
-                             out=_FailingStream(1 + 1 + 1 + 2 + 8 + 5, error))
-    assert len(forks) == 3
-    _assert_no_child_left()
-
-
-def test_a_child_that_stops_early_leaves_its_chunks_to_the_parent(monkeypatch):
-    # each child sends its first chunk and exits: this process formats the
-    # rest of the level, and the bytes are the same
-    monkeypatch.setattr(cli, "CHUNK_ROWS", 9)
-    spec = CSV_CASES["lq-d2-r2"]()
-    tree = spec.build_tree()
-    u = random_control(spec, tree, 3)
-    traj = simulate(spec, tree, u)
-    expected = write_trajectory_csv(spec, tree, traj, u)
-    parent, chunk_text, sent = os.getpid(), cli._chunk_text, []
-
-    def first_chunk_only(*args):
-        if os.getpid() != parent:
-            if sent:
-                os._exit(0)
-            sent.append(1)
-        return chunk_text(*args)
-
-    monkeypatch.setattr(cli, "_chunk_text", first_chunk_only)
-    forks = _forks("split", monkeypatch)
-    assert write_trajectory_csv(spec, tree, traj, u) == expected
-    assert len(forks) == 3
-    _assert_no_child_left()
+        write_trajectory_csv(spec, tree, simulate(spec, tree, u), u, out=stream)
+    assert stream.calls == 0
 
 
 def test_closed_stdout_pipe_ends_quietly(tmp_path):
@@ -1002,42 +934,6 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     proc = subprocess.Popen([sys.executable, "-m", "mfsmp.cli", "simulate", str(cfg), str(control)],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline().startswith(b"time,node_id,parent_id,prob,")
-    proc.stdout.close()
-    assert proc.communicate(timeout=60)[1] == b""
-    assert proc.returncode == 141
-
-
-def test_closed_stdout_pipe_in_a_split_level_ends_quietly(tmp_path):
-    # at 3 rows a chunk every level past the second is split; the reader
-    # closes after levels 0-5 (63 rows), while the writer is in a split level
-    # further down: exit 141, nothing on stderr, and no child left once
-    # `main` returns
-    spec = builtin("lq_meanfield", n=3, r=1, d=1, h=0.1, N=12, x0=[0.0, 0.0, 0.0])
-    tree = spec.build_tree()
-    cfg, control = tmp_path / "cfg.json", tmp_path / "u.csv"
-    cfg.write_text(serialize_problem(spec))
-    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 4)))
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    script = (
-        "import os, sys\n"
-        "from mfsmp import cli\n"
-        "cli.CHUNK_ROWS = 3\n"
-        "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "fork, forks = os.fork, []\n"
-        "os.fork = lambda: forks.append(1) or fork()\n"
-        "status = cli.main(sys.argv[1:])\n"
-        "if len(forks) < 5:\n"
-        "    sys.stderr.write(f'{len(forks)} levels split\\n')\n"
-        "try:\n"
-        "    os.waitpid(-1, os.WNOHANG)\n"
-        "    sys.stderr.write('a child is left\\n')\n"
-        "except ChildProcessError:\n"
-        "    pass\n"
-        "sys.exit(status)\n")
-    proc = subprocess.Popen([sys.executable, "-c", script, "simulate", str(cfg), str(control)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline().startswith(b"time,node_id,parent_id,prob,")
-    assert [proc.stdout.readline().split(b",")[1] for _ in range(63)][-1] == b"62"
     proc.stdout.close()
     assert proc.communicate(timeout=60)[1] == b""
     assert proc.returncode == 141
