@@ -9,9 +9,9 @@ for cross-checking.
 
 __version__ = "0.1.0"
 
-from .adjoint import (AdjointSolution, LinearSystemData, closed_form_costate,
-                      integrability_report, linearize, propagate, solve_adjoint,
-                      solve_linear_forward, variation_of_constants)
+from .adjoint import (AdjointSolution, StepCoefficients, closed_form_costate,
+                      forward_linear_levels, integrability_report, linearize, propagate,
+                      solve_adjoint, solve_linear_forward, variation_of_constants)
 from .errors import (ConfigError, CostDomainError, MfsmpError, SimulationError,
                      TreeSizeError)
 from .forward import StateTrajectory, check_feasible, constant_control, cost, simulate

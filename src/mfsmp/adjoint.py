@@ -1,4 +1,4 @@
-"""Linearization and exact backward solves for the mean-field adjoint system.
+"""Linearization and exact linear solves for the mean-field adjoint system.
 
 Conventions.  The linear one-step system on the tree, level k to k+1, is
 
@@ -6,9 +6,11 @@ Conventions.  The linear one-step system on the tree, level k to k+1, is
     Phi_k z = (I + A) z + A1 E z + sum_j (B_j z + B1_j E z) w^j(k)
 
 with A = h * (drift x-gradient), A1 = h * (drift mean-gradient) and B_j / B1_j
-the diffusion gradients, all evaluated at step k, and forcing (c, e_j) passed
-to `solve_linear_forward`.  `apply_transition` is Phi_k, `transition_local` its
-kernel.  `apply_transition_adjoint` is its transpose Phi*_k in the
+the diffusion gradients, all evaluated at step k and read from a step source
+k -> `StepCoefficients` (`linearize_step`, or the list `linearize` stores);
+the terminal gradient and the forcing (c, e_j) are arguments of their own.
+`forward_linear_levels` sweeps the system forward, `apply_transition` is
+Phi_k and `apply_transition_adjoint` its transpose Phi*_k in the
 probability-weighted pairing <z, v>_k = sum_m pi_m z_m . v_m of level k:
 
     Phi*_k v = (I + A^T) E{v | F_k} + E[A1^T E{v | F_k}]
@@ -33,35 +35,10 @@ from .report import CheckReport
 from .tree import AdaptedProcess, cond_expect, cond_expect_noise, expect
 
 
-# the coefficients of one step: the Jacobian blocks as `LinearSystemData`
-# lists them and the backward forcing
+# the coefficients of one step: the Jacobian blocks drift_x, drift_mean (m_k | 1, n, n)
+# and diff_x, diff_mean (m_k | 1, d, n, n), a length-1 node axis where they are the
+# same at every node, and the backward forcing running (m_k, n)
 StepCoefficients = namedtuple("StepCoefficients", "drift_x drift_mean diff_x diff_mean running")
-
-
-@dataclass(eq=False)
-class LinearSystemData:
-    """Node-indexed coefficients of the linear pair over steps 0..N.  The
-    Jacobian blocks of a step hold one array per node or, where they are the
-    same at every node, one block with a length-1 node axis."""
-
-    drift_x: list       # per step: (m_k | 1, n, n)
-    drift_mean: list    # per step: (m_k | 1, n, n)
-    diff_x: list        # per step: (m_k | 1, d, n, n)
-    diff_mean: list     # per step: (m_k | 1, d, n, n)
-    running: list       # per step: (m_k, n)  backward forcing
-    terminal: np.ndarray  # (m_{N+1}, n)
-
-    @property
-    def n_steps(self):
-        return len(self.drift_x) - 1
-
-    @property
-    def n(self):
-        return self.terminal.shape[1]
-
-    def step(self, k) -> StepCoefficients:
-        return StepCoefficients(self.drift_x[k], self.drift_mean[k], self.diff_x[k],
-                                self.diff_mean[k], self.running[k])
 
 
 @dataclass(eq=False)
@@ -92,10 +69,11 @@ def linearize_terminal(spec, tree, traj) -> np.ndarray:
     return np.asarray(c.phi_x(xT, yT)) + mean
 
 
-def linearize(spec, tree, traj, u) -> LinearSystemData:
-    """`linearize_step` at every step and `linearize_terminal`, stored."""
-    steps = [linearize_step(spec, tree, traj, u, k) for k in range(tree.grid.n_steps + 1)]
-    return LinearSystemData(*map(list, zip(*steps)), linearize_terminal(spec, tree, traj))
+def linearize(spec, tree, traj, u):
+    """(steps, terminal): the `linearize_step` of every step, stored as a
+    list whose `__getitem__` is a step source, and `linearize_terminal`."""
+    return ([linearize_step(spec, tree, traj, u, k) for k in range(tree.grid.n_steps + 1)],
+            linearize_terminal(spec, tree, traj))
 
 
 def backward_levels(tree, p, coefficients):
@@ -114,6 +92,29 @@ def backward_levels(tree, p, coefficients):
         yield k, p, qk, ep
 
 
+def forward_linear_levels(tree, z, k, coefficients, forcing=None):
+    """The forward recursion z_{j+1} = Phi_j z_j from the level-k values z,
+    with `coefficients(j)` the step-j `StepCoefficients` and, when given,
+    the step-j forcing `forcing(j)` = (c_j, e_j) lifted onto level j+1:
+    yields (j, z_j, step_j) for j = k .. N, then (N+1, z_{N+1}, None).
+    The step's coefficients are dropped once read, so a consumer that keeps
+    no level holds about one."""
+    for j in range(k, tree.grid.n_steps + 1):
+        step = coefficients(j)
+        yield j, z, step
+        zbar = expect(tree, z, j)
+        base = (z
+                + np.einsum("mij,mj->mi", step.drift_x, z)
+                + np.einsum("mij,j->mi", step.drift_mean, zbar))
+        diff = (np.einsum("mjab,mb->mja", step.diff_x, z)
+                + np.einsum("mjab,b->mja", step.diff_mean, zbar))
+        del step
+        z = tree.children(j, base, diff)
+        if forcing is not None:
+            z += tree.children(j, *forcing(j))
+    yield tree.grid.n_steps + 1, z, None
+
+
 def adjoint_solution(tree, p_last, levels) -> AdjointSolution:
     """p and q of the leaf costate p_last and the (p_k, q_k), k = N .. 0, of
     a `backward_levels` sweep."""
@@ -121,14 +122,14 @@ def adjoint_solution(tree, p_last, levels) -> AdjointSolution:
     return AdjointSolution(AdaptedProcess(tree, 0, [*p, p_last]), AdaptedProcess(tree, 0, q))
 
 
-def solve_adjoint(data: LinearSystemData, tree) -> AdjointSolution:
-    """`backward_levels` over stored coefficients from p(T) = -terminal."""
-    n_steps = tree.grid.n_steps
-    if data.n_steps != n_steps or data.terminal.shape[0] != tree.size(n_steps + 1):
-        raise MfsmpError("linear system data does not match the tree shape")
-    p_last = -data.terminal
+def solve_adjoint(coefficients, tree, terminal) -> AdjointSolution:
+    """`backward_levels` over the step source `coefficients` from
+    p(T) = -terminal, every level stored."""
+    p_last = -np.asarray(terminal, dtype=float)
+    if p_last.shape[0] != tree.size(tree.grid.n_steps + 1):
+        raise MfsmpError("the terminal gradient does not match the leaf level")
     return adjoint_solution(tree, p_last, [(p, q) for _, p, q, _ in
-                                           backward_levels(tree, p_last, data.step)])
+                                           backward_levels(tree, p_last, coefficients)])
 
 
 def q_definition_residual(adj: AdjointSolution, tree) -> float:
@@ -142,23 +143,18 @@ def q_definition_residual(adj: AdjointSolution, tree) -> float:
     return worst
 
 
-def apply_transition(data: LinearSystemData, tree, k: int, z) -> np.ndarray:
+def _checked_level(coefficients, tree, k, level, values):
+    """`values` as floats, checked to be level-`level` values of step k's state size."""
+    values = np.asarray(values, dtype=float)
+    shape = (tree.size(level), coefficients(k).drift_x.shape[-1])
+    if values.shape != shape:
+        raise MfsmpError(f"expected level-{level} values of shape {shape}")
+    return values
+
+
+def apply_transition(coefficients, tree, k: int, z) -> np.ndarray:
     """One-step transition of the homogeneous linear system: level k -> k+1."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (tree.size(k), data.n):
-        raise MfsmpError(f"expected level-{k} values of shape ({tree.size(k)}, {data.n})")
-    return transition_local(data.step(k), tree, k, z)
-
-
-def transition_local(step, tree, k, z):
-    """Phi_k z with the step-k `StepCoefficients` `step`: level k -> k+1."""
-    zbar = expect(tree, z, k)
-    base = (z
-            + np.einsum("mij,mj->mi", step.drift_x, z)
-            + np.einsum("mij,j->mi", step.drift_mean, zbar))
-    diff = (np.einsum("mjab,mb->mja", step.diff_x, z)
-            + np.einsum("mjab,b->mja", step.diff_mean, zbar))
-    return tree.children(k, base, diff)
+    return propagate(coefficients, tree, _checked_level(coefficients, tree, k, k, z), k, k + 1)
 
 
 def _transpose_local(step, tree, k, ep, qk):
@@ -177,59 +173,48 @@ def _transpose_local(step, tree, k, ep, qk):
             + mean_drift + mean_diff)
 
 
-def apply_transition_adjoint(data: LinearSystemData, tree, k: int, v) -> np.ndarray:
+def apply_transition_adjoint(coefficients, tree, k: int, v) -> np.ndarray:
     """Transpose of `apply_transition` at step k in the probability-weighted
     pairing, <apply_transition(z), v>_{k+1} = <z, apply_transition_adjoint(v)>_k:
     level k+1 -> k."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (tree.size(k + 1), data.n):
-        raise MfsmpError(f"expected level-{k + 1} values of shape ({tree.size(k + 1)}, {data.n})")
-    return _transpose_local(data.step(k), tree, k, cond_expect(tree, v, k + 1),
+    v = _checked_level(coefficients, tree, k, k + 1, v)
+    return _transpose_local(coefficients(k), tree, k, cond_expect(tree, v, k + 1),
                             cond_expect_noise(tree, v, k + 1))
 
 
-def propagate(data: LinearSystemData, tree, z, k_from: int, k_to: int) -> np.ndarray:
+def propagate(coefficients, tree, z, k_from: int, k_to: int) -> np.ndarray:
     """Iterated transition from level k_from to k_to; identity when equal and
     the zero process when k_to < k_from (the composition convention)."""
-    z = np.asarray(z, dtype=float)
+    z = np.array(z, dtype=float)
     if k_to < k_from:
-        return np.zeros((tree.size(k_to), data.n))
-    out = z.copy()
-    for k in range(k_from, k_to):
-        out = apply_transition(data, tree, k, out)
-    return out
+        return np.zeros((tree.size(k_to), z.shape[-1]))
+    return next(out for k, out, _ in forward_linear_levels(tree, z, k_from, coefficients)
+                if k == k_to)
 
 
-def solve_linear_forward(data: LinearSystemData, tree, z0, drift_force,
-                         diff_force) -> AdaptedProcess:
-    """Direct recursion, every level stored, with the step-k forcing c + sum_j e_j w^j
-    (c, e the arguments' k-th entries) lifted onto level k+1; the spike response streams."""
-    n_steps = tree.grid.n_steps
-    z = AdaptedProcess.zeros(tree, 0, n_steps + 1, (data.n,))
-    z.set_level(0, np.broadcast_to(np.asarray(z0, dtype=float), (1, data.n)))
-    for k in range(n_steps + 1):
-        z.set_level(k + 1, apply_transition(data, tree, k, z.at(k))
-                    + tree.children(k, drift_force[k], diff_force[k]))
-    return z
+def solve_linear_forward(coefficients, tree, z0, drift_force, diff_force) -> AdaptedProcess:
+    """`forward_linear_levels` from z0 at the root, every level stored, with
+    the step-k forcing c + sum_j e_j w^j (c, e the arguments' k-th entries)
+    lifted onto level k+1."""
+    z0 = np.broadcast_to(np.asarray(z0, dtype=float), (1, np.shape(z0)[-1]))
+    levels = forward_linear_levels(tree, z0, 0, coefficients,
+                                   lambda k: (drift_force[k], diff_force[k]))
+    return AdaptedProcess(tree, 0, [z for _, z, _ in levels])
 
 
-def variation_of_constants(data: LinearSystemData, tree, z0, drift_force,
-                           diff_force) -> AdaptedProcess:
+def variation_of_constants(coefficients, tree, z0, drift_force, diff_force) -> AdaptedProcess:
     """Representation-formula solution: transition chain applied to the initial
     value plus chains applied to each step's lifted forcing, passed as arguments."""
     n_steps = tree.grid.n_steps
-    z0 = np.broadcast_to(np.asarray(z0, dtype=float), (1, data.n))
-    out = AdaptedProcess.zeros(tree, 0, n_steps + 1, (data.n,))
-    for level in range(n_steps + 2):
-        total = propagate(data, tree, z0, 0, level)
-        for k in range(min(level, n_steps + 1)):
-            lifted = tree.children(k, drift_force[k], diff_force[k])
-            total = total + propagate(data, tree, lifted, k + 1, level)
-        out.set_level(level, total)
-    return out
+    z0 = np.broadcast_to(np.asarray(z0, dtype=float), (1, np.shape(z0)[-1]))
+    return AdaptedProcess(tree, 0, [
+        sum((propagate(coefficients, tree, tree.children(k, drift_force[k], diff_force[k]),
+                       k + 1, level) for k in range(min(level, n_steps + 1))),
+            propagate(coefficients, tree, z0, 0, level))
+        for level in range(n_steps + 2)])
 
 
-def closed_form_costate(data: LinearSystemData, tree) -> AdaptedProcess:
+def closed_form_costate(coefficients, tree, terminal) -> AdaptedProcess:
     """Costate via the transition-chain representation
 
         p_k = -(Phi*_k ... Phi*_N terminal + sum_{s=k..N} Phi*_k ... Phi*_{s-1} running_s)
@@ -241,16 +226,13 @@ def closed_form_costate(data: LinearSystemData, tree) -> AdaptedProcess:
 
     def chain(v, s, level):
         for k in range(s - 1, level - 1, -1):
-            v = apply_transition_adjoint(data, tree, k, v)
+            v = apply_transition_adjoint(coefficients, tree, k, v)
         return v
 
-    p = AdaptedProcess.zeros(tree, 0, n_steps + 1, (data.n,))
-    for level in range(n_steps + 2):
-        total = chain(data.terminal, n_steps + 1, level)
-        for s in range(level, n_steps + 1):
-            total = total + chain(data.running[s], s, level)
-        p.set_level(level, -total)
-    return p
+    return AdaptedProcess(tree, 0, [
+        -sum((chain(coefficients(s).running, s, level) for s in range(level, n_steps + 1)),
+             chain(terminal, n_steps + 1, level))
+        for level in range(n_steps + 2)])
 
 
 def integrability_report(adj: AdjointSolution, tree) -> CheckReport:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 check/test failure (for `solve`: its solution fails
 the first-order check, with every output written), 2 usage or configuration
-error, or an output that cannot be written (found before any work is done),
+error, an unwritable output or a missing CSV writer (found before any work),
 141 (128 + SIGPIPE, as a shell reports) when standard output closes before
 all is written, as in `mfsmp simulate ... | head`: the command ends quietly.
 All outputs are deterministic for identical inputs (stable float repr, sorted
@@ -12,6 +12,7 @@ byte.
 
 import argparse
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -636,6 +637,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
+        # looked up, not imported: `_row_texts` imports it with the first CSV
+        if args.fn in (cmd_solve, cmd_simulate) and importlib.util.find_spec("orjson") is None:
+            raise ConfigError("the CSV writer needs the orjson package, which is not installed")
         return args.fn(args)
     except BrokenPipeError:  # stdout's reader has gone: flush to devnull at exit
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -116,27 +116,28 @@ def _operator_instance(seed):
     tree = spec.build_tree()
     u = random_control(spec, tree, 50_000 + seed)
     traj = simulate(spec, tree, u)
-    data = linearize(spec, tree, traj, u)
+    steps, terminal = linearize(spec, tree, traj, u)
+    coefficients = steps.__getitem__
     n_steps = tree.grid.n_steps
 
     z0 = rng.uniform(-1.0, 1.0, (1, spec.n))
-    full = propagate(data, tree, z0, 0, n_steps + 1)
+    full = propagate(coefficients, tree, z0, 0, n_steps + 1)
     semi = 0.0
     for k in range(1, n_steps + 1):
-        split = propagate(data, tree, propagate(data, tree, z0, 0, k), k, n_steps + 1)
+        split = propagate(coefficients, tree, propagate(coefficients, tree, z0, 0, k), k, n_steps + 1)
         semi = max(semi, float(np.max(np.abs(full - split))))
 
     forcing = ([rng.uniform(-0.5, 0.5, (tree.size(k), spec.n)) for k in range(n_steps + 1)],
                [rng.uniform(-0.5, 0.5, (tree.size(k), spec.d, spec.n))
                 for k in range(n_steps + 1)])
     z_init = rng.uniform(-1.0, 1.0, spec.n)
-    direct = solve_linear_forward(data, tree, z_init, *forcing)
-    rep = variation_of_constants(data, tree, z_init, *forcing)
+    direct = solve_linear_forward(coefficients, tree, z_init, *forcing)
+    rep = variation_of_constants(coefficients, tree, z_init, *forcing)
     rep_res = max(float(np.max(np.abs(direct.at(k) - rep.at(k))))
                   for k in range(n_steps + 2))
 
-    adj = solve_adjoint(data, tree)
-    closed = closed_form_costate(data, tree)
+    adj = solve_adjoint(coefficients, tree, terminal)
+    closed = closed_form_costate(coefficients, tree, terminal)
     closed_res = max(float(np.max(np.abs(adj.p.at(k) - closed.at(k))))
                      for k in range(n_steps + 2))
     return mean_field, semi, rep_res, closed_res

@@ -21,8 +21,8 @@ import warnings
 
 import numpy as np
 
-from .adjoint import (adjoint_solution, backward_levels, linearize_step, linearize_terminal,
-                      transition_local)
+from .adjoint import (adjoint_solution, backward_levels, forward_linear_levels, linearize_step,
+                      linearize_terminal)
 from .errors import MfsmpError
 from .forward import batch_cost, cost, simulate
 from .report import CheckReport
@@ -138,21 +138,17 @@ def necessary_check(spec, u, g, tol: float = 1e-6) -> CheckReport:
 
 
 def _spike_levels(spec, tree, traj, u, spike: SpikeVariation):
-    """The spike response xi, zero up to the spike step s, swept forward from its
-    forcing h f_u bump + sum_j sigma_u bump w^j lifted onto level s+1 (the exact
-    derivative of the forward map): yields (k, xi_k, running_k), k = s+1 .. N, then
-    (N+1, xi_{N+1}, None), dropping each step's coefficients as `backward_levels` does."""
+    """The spike response xi, zero up to the spike step s, swept forward by
+    `forward_linear_levels` from its forcing h f_u bump + sum_j sigma_u bump w^j
+    lifted onto level s+1 (the exact derivative of the forward map), with
+    coefficients `linearize_step` makes a step at a time: yields
+    (k, xi_k, step_k), k = s+1 .. N, then (N+1, xi_{N+1}, None)."""
     c, s = spec.coeffs, spike.step
     x, y = traj.rows(s)
     bump = spike.scale * np.broadcast_to(spike.delta, (tree.size(s), spec.r))
     xi = tree.children(s, tree.grid.h * np.einsum("mia,ma->mi", c.f_u(s, x, y, u.at(s)), bump),
                        np.einsum("mjia,ma->mji", c.sigma_u(s, x, y, u.at(s)), bump))
-    for k in range(s + 1, tree.grid.n_steps + 1):
-        step = linearize_step(spec, tree, traj, u, k)
-        yield k, xi, step.running
-        xi = transition_local(step, tree, k, xi)
-        del step
-    yield tree.grid.n_steps + 1, xi, None
+    return forward_linear_levels(tree, xi, s + 1, lambda k: linearize_step(spec, tree, traj, u, k))
 
 
 def variational_state(spec, tree, traj, u, spike: SpikeVariation) -> AdaptedProcess:
@@ -175,9 +171,9 @@ def duality_residual(spec, tree, traj, adj, u, spike: SpikeVariation) -> float:
     """
     kT = tree.grid.n_steps + 1
     run_term = 0
-    for k, xi, running in _spike_levels(spec, tree, traj, u, spike):
-        if k < kT:
-            run_term += float(expect(tree, np.einsum("mi,mi->m", running, xi), k))
+    for k, xi, step in _spike_levels(spec, tree, traj, u, spike):
+        if step is not None:
+            run_term += float(expect(tree, np.einsum("mi,mi->m", step.running, xi), k))
     lhs = float(expect(tree, np.einsum("mi,mi->m", adj.p.at(kT), xi), kT))
     state_part, _ = _hamiltonian_gradient_parts(spec, tree, traj, u, spike.step,
                                                 conditional_costate(tree, adj, spike.step),

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfsmp.adjoint import (LinearSystemData, _transpose_local, apply_transition,
+from mfsmp.adjoint import (StepCoefficients, _transpose_local, apply_transition,
                            apply_transition_adjoint, closed_form_costate, integrability_report,
                            linearize, propagate, q_definition_residual, solve_adjoint,
                            solve_linear_forward, variation_of_constants)
 from mfsmp.errors import MfsmpError
-from mfsmp.forward import constant_control, simulate
+from mfsmp.forward import constant_control, forward_levels, simulate
 from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
                              smooth_nonlinear)
 from mfsmp.problem import builtin, parse_problem, to_config
-from mfsmp.smp import CERT_DIRECTIONS, adjoint_gradient, certify_gradient, duality_residual
+from mfsmp.smp import (CERT_DIRECTIONS, CS_STEP, adjoint_gradient, certify_gradient,
+                       duality_residual)
 from mfsmp.tree import (NoiseModel, TimeGrid, build_tree, cond_expect, cond_expect_noise,
                         expect)
 
@@ -24,26 +25,21 @@ def _solved(spec, u_value):
     tree = spec.build_tree()
     u = constant_control(spec, tree, u_value)
     traj = simulate(spec, tree, u)
-    data = linearize(spec, tree, traj, u)
-    return tree, u, traj, data
+    steps, terminal = linearize(spec, tree, traj, u)
+    return tree, traj, steps, terminal
 
 
-def _zero_data(tree, n=1, d=1, rng=None, diag=None):
-    steps = tree.grid.n_steps + 1
-    data = LinearSystemData(
-        drift_x=[np.zeros((tree.size(k), n, n)) for k in range(steps)],
-        drift_mean=[np.zeros((tree.size(k), n, n)) for k in range(steps)],
-        diff_x=[np.zeros((tree.size(k), d, n, n)) for k in range(steps)],
-        diff_mean=[np.zeros((tree.size(k), d, n, n)) for k in range(steps)],
-        running=[np.zeros((tree.size(k), n)) for k in range(steps)],
-        terminal=np.zeros((tree.size(steps), n)))
-    return data
+def _zero_steps(tree, n=1, d=1):
+    """Zero coefficients of every step, per-node arrays, as a list."""
+    return [StepCoefficients(np.zeros((m, n, n)), np.zeros((m, n, n)), np.zeros((m, d, n, n)),
+                             np.zeros((m, d, n, n)), np.zeros((m, n)))
+            for m in tree.level_sizes[:-1]]
 
 
-def _transition_matrix(data, tree, k):
+def _transition_matrix(step, tree, k):
     """Dense matrix of the step-k transition on stacked level vectors, the
     reference for the matrix-free operators."""
-    n = data.n
+    n = step.drift_x.shape[-1]
     m0, m1 = tree.size(k), tree.size(k + 1)
     par = np.arange(m1) // tree.branch
     inc = tree.increments(k + 1)
@@ -52,10 +48,10 @@ def _transition_matrix(data, tree, k):
         # a step-constant block has a length-1 node axis: every node reads it
         return np.broadcast_to(a, (m0,) + a.shape[1:])[par]
 
-    local = (np.eye(n)[None] + parent_rows(data.drift_x[k])
-             + np.einsum("cj,cjab->cab", inc, parent_rows(data.diff_x[k])))
-    mean_part = (parent_rows(data.drift_mean[k])
-                 + np.einsum("cj,cjab->cab", inc, parent_rows(data.diff_mean[k])))
+    local = (np.eye(n)[None] + parent_rows(step.drift_x)
+             + np.einsum("cj,cjab->cab", inc, parent_rows(step.diff_x)))
+    mean_part = (parent_rows(step.drift_mean)
+                 + np.einsum("cj,cjab->cab", inc, parent_rows(step.diff_mean)))
     mat = np.zeros((m1, n, m0, n))
     mat[np.arange(m1), :, par, :] = local
     mat += mean_part[:, :, None, :] * tree.abs_prob[k][None, None, :, None]
@@ -63,36 +59,37 @@ def _transition_matrix(data, tree, k):
 
 
 def _operator_case(name):
-    """Linear data on a small tree: random blocks without expectation
+    """Step coefficients on a small tree: random blocks without expectation
     coupling for the noise laws, a linearized mean-field LQ for the last."""
     rng = np.random.default_rng(len(name))
     if name == "mixed blocks":
         # per-node arrays at step 0 beside the step-constant blocks of step 1,
         # and beside the block of another Jacobian at step 0
-        tree, data = _operator_case("mean-field")
-        data.drift_x[0] = rng.uniform(-0.5, 0.5, (tree.size(0), data.n, data.n))
-        d = data.diff_x[0].shape[1]
-        data.diff_mean[0] = rng.uniform(-0.5, 0.5, (tree.size(0), d, data.n, data.n))
-        data.drift_x[1] = rng.uniform(-0.5, 0.5, (tree.size(1), data.n, data.n))
-        assert [a.shape[0] for a in data.diff_x] == [1, 1]
-        assert [a.shape[0] for a in data.diff_mean] == [tree.size(0), 1]
-        return tree, data
+        tree, steps = _operator_case("mean-field")
+        n, d = steps[0].drift_x.shape[-1], steps[0].diff_x.shape[1]
+        steps[0] = steps[0]._replace(
+            drift_x=rng.uniform(-0.5, 0.5, (tree.size(0), n, n)),
+            diff_mean=rng.uniform(-0.5, 0.5, (tree.size(0), d, n, n)))
+        steps[1] = steps[1]._replace(drift_x=rng.uniform(-0.5, 0.5, (tree.size(1), n, n)))
+        assert [s.diff_x.shape[0] for s in steps] == [1, 1]
+        assert [s.diff_mean.shape[0] for s in steps] == [tree.size(0), 1]
+        return tree, steps
     if name == "mean-field":
         spec = random_lq(11, n_max=2, steps_max=3, mean_field=True)
         tree = spec.build_tree()
         u = random_control(spec, tree, 12)
-        data = linearize(spec, tree, simulate(spec, tree, u), u)
-        assert any(np.any(a != 0.0) for a in data.drift_mean)
-        return tree, data
+        steps, _ = linearize(spec, tree, simulate(spec, tree, u), u)
+        assert any(np.any(s.drift_mean != 0.0) for s in steps)
+        return tree, steps
     noise = {"binary d=1": NoiseModel.binary(1, 0.5), "binary d=2": NoiseModel.binary(2, 0.5),
              "trinomial": NoiseModel.trinomial(1, 0.5, 0.2)}[name]
     tree = build_tree(TimeGrid(0.0, 0.5, 2), noise)
     n, d = 2, noise.dim
-    data = _zero_data(tree, n=n, d=d)
+    steps = _zero_steps(tree, n=n, d=d)
     for k in range(3):
-        data.drift_x[k] = rng.uniform(-0.5, 0.5, (tree.size(k), n, n))
-        data.diff_x[k] = rng.uniform(-0.5, 0.5, (tree.size(k), d, n, n))
-    return tree, data
+        steps[k] = steps[k]._replace(drift_x=rng.uniform(-0.5, 0.5, (tree.size(k), n, n)),
+                                     diff_x=rng.uniform(-0.5, 0.5, (tree.size(k), d, n, n)))
+    return tree, steps
 
 
 OPERATOR_CASES = ["binary d=1", "binary d=2", "trinomial", "mean-field", "mixed blocks"]
@@ -100,18 +97,17 @@ OPERATOR_CASES = ["binary d=1", "binary d=2", "trinomial", "mean-field", "mixed 
 
 def test_linearize_e1_values(e1):
     spec, _ = e1
-    tree, u, traj, data = _solved(spec, 0.0)
-    assert all(np.all(a == 0.0) for a in data.drift_x)
-    assert all(np.all(b == 0.0) for b in data.diff_x)
-    assert all(np.all(r == 0.0) for r in data.running)
-    np.testing.assert_allclose(data.terminal, 2.0 * traj.at(1))
+    tree, traj, steps, terminal = _solved(spec, 0.0)
+    assert all(np.all(s.drift_x == 0.0) and np.all(s.diff_x == 0.0) and np.all(s.running == 0.0)
+               for s in steps)
+    np.testing.assert_allclose(terminal, 2.0 * traj.at(1))
 
 
 def test_linearize_mean_field_terminal_is_level_constant():
     spec = builtin("lq_meanfield", n=1, r=1, d=1, h=1.0, N=0, x0=[0.0],
                    B=[[1.0]], G_mean=[[2.0]], lo=-5.0, hi=5.0)
-    tree, u, traj, data = _solved(spec, 0.7)
-    np.testing.assert_allclose(data.terminal, 1.4, atol=1e-15)
+    _, _, _, terminal = _solved(spec, 0.7)
+    np.testing.assert_allclose(terminal, 1.4, atol=1e-15)
 
 
 def test_lq_linearization_bytes_do_not_grow_with_the_tree():
@@ -124,26 +120,23 @@ def test_lq_linearization_bytes_do_not_grow_with_the_tree():
                        B=[[1.0], [0.5]], sigma=[{"C": [[0.2, 0.0], [0.0, 0.1]],
                                                  "C_mean": [[0.0, 0.1], [0.1, 0.0]]}],
                        R=[[1.0]], G=[[1.0, 0.0], [0.0, 1.0]])
-        tree, u, traj, data = _solved(spec, 0.1)
-        per_step |= {sum(arrays[k].nbytes for arrays in (data.drift_x, data.drift_mean,
-                                                         data.diff_x, data.diff_mean))
-                     for k in range(n_steps + 1)}
+        _, _, steps, _ = _solved(spec, 0.1)
+        per_step |= {sum(a.nbytes for a in step[:4]) for step in steps}
     assert per_step == {4 * 8 * (2 * 2)}
 
 
 def test_linearize_zero_problem_zero_data():
     spec = builtin("lq_meanfield", n=2, r=1, d=1, h=0.5, N=1, x0=[0.0, 0.0],
                    lo=-1.0, hi=1.0)
-    tree, u, traj, data = _solved(spec, 0.2)
-    for arrays in (data.drift_x, data.drift_mean, data.diff_x, data.diff_mean, data.running):
-        assert all(np.all(a == 0.0) for a in arrays)
-    assert np.all(data.terminal == 0.0)
+    _, _, steps, terminal = _solved(spec, 0.2)
+    assert all(np.all(a == 0.0) for step in steps for a in step)
+    assert np.all(terminal == 0.0)
 
 
 def test_solve_adjoint_e1_hand_values(e1):
     spec, _ = e1
-    tree, u, traj, data = _solved(spec, 0.0)
-    adj = solve_adjoint(data, tree)
+    tree, traj, steps, terminal = _solved(spec, 0.0)
+    adj = solve_adjoint(steps.__getitem__, tree, terminal)
     np.testing.assert_allclose(adj.p.at(1), -2.0 * traj.at(1))
     np.testing.assert_allclose(adj.q.at(0), [[[-2.0]]])
     np.testing.assert_allclose(adj.p.at(0), [[0.0]])
@@ -152,46 +145,53 @@ def test_solve_adjoint_e1_hand_values(e1):
 
 def test_solve_adjoint_zero_terminal_gives_zero():
     tree = build_tree(TimeGrid(0.0, 0.5, 2), NoiseModel.binary(1, 0.5))
-    adj = solve_adjoint(_zero_data(tree), tree)
+    adj = solve_adjoint(_zero_steps(tree).__getitem__, tree, np.zeros((tree.size(3), 1)))
     for k in range(4):
         assert np.all(adj.p.at(k) == 0.0)
     report = integrability_report(adj, tree)
     assert report.passed and all(r.value == 0.0 for r in report.residuals)
 
 
+def test_solve_adjoint_rejects_a_terminal_off_the_leaves():
+    tree = build_tree(TimeGrid(0.0, 0.5, 2), NoiseModel.binary(1, 0.5))
+    with pytest.raises(MfsmpError, match="leaf level"):
+        solve_adjoint(_zero_steps(tree).__getitem__, tree, np.zeros((tree.size(2), 1)))
+
+
 def test_transition_copies_identity_and_scales():
     tree = build_tree(TimeGrid(0.0, 1.0, 1), NoiseModel.binary(1, 1.0))
-    data = _zero_data(tree)
+    steps = _zero_steps(tree)
     z = np.array([[1.5], [-0.5]])
-    np.testing.assert_array_equal(apply_transition(data, tree, 1, z),
+    np.testing.assert_array_equal(apply_transition(steps.__getitem__, tree, 1, z),
                                   np.repeat(z, 2, axis=0))
-    data.drift_x[1] = np.broadcast_to(np.eye(1), (2, 1, 1)).copy()
-    np.testing.assert_array_equal(apply_transition(data, tree, 1, z),
+    steps[1] = steps[1]._replace(drift_x=np.ones((2, 1, 1)))
+    np.testing.assert_array_equal(apply_transition(steps.__getitem__, tree, 1, z),
                                   2.0 * np.repeat(z, 2, axis=0))
 
 
 def test_transition_mean_coupling_adds_level_mean():
     tree = build_tree(TimeGrid(0.0, 1.0, 1), NoiseModel.binary(1, 1.0))
-    data = _zero_data(tree)
-    data.drift_mean[1] = np.broadcast_to(np.eye(1), (2, 1, 1)).copy()
+    steps = _zero_steps(tree)
+    steps[1] = steps[1]._replace(drift_mean=np.ones((2, 1, 1)))
     z = np.array([[3.0], [1.0]])  # level mean 2
-    out = apply_transition(data, tree, 1, z)
+    out = apply_transition(steps.__getitem__, tree, 1, z)
     np.testing.assert_allclose(out, np.repeat(z + 2.0, 2, axis=0))
 
 
 def test_propagate_conventions():
     tree = build_tree(TimeGrid(0.0, 1.0, 1), NoiseModel.binary(1, 1.0))
-    data = _zero_data(tree)
+    steps = _zero_steps(tree)
     z = np.array([[0.7]])
-    np.testing.assert_array_equal(propagate(data, tree, z, 0, 0), z)
-    assert np.all(propagate(data, tree, np.zeros((2, 1)), 1, 0) == 0.0)
+    np.testing.assert_array_equal(propagate(steps.__getitem__, tree, z, 0, 0), z)
+    assert np.all(propagate(steps.__getitem__, tree, np.zeros((2, 1)), 1, 0) == 0.0)
     # two applications compose
     rng = np.random.default_rng(0)
     for k in range(2):
-        data.drift_x[k] = rng.uniform(-0.4, 0.4, (tree.size(k), 1, 1))
-        data.diff_x[k] = rng.uniform(-0.4, 0.4, (tree.size(k), 1, 1, 1))
-    twice = apply_transition(data, tree, 1, apply_transition(data, tree, 0, z))
-    np.testing.assert_allclose(propagate(data, tree, z, 0, 2), twice, atol=1e-13)
+        steps[k] = steps[k]._replace(drift_x=rng.uniform(-0.4, 0.4, (tree.size(k), 1, 1)),
+                                     diff_x=rng.uniform(-0.4, 0.4, (tree.size(k), 1, 1, 1)))
+    at = steps.__getitem__
+    twice = apply_transition(at, tree, 1, apply_transition(at, tree, 0, z))
+    np.testing.assert_allclose(propagate(at, tree, z, 0, 2), twice, atol=1e-13)
 
 
 def test_semigroup_property_random():
@@ -199,19 +199,19 @@ def test_semigroup_property_random():
     tree = spec.build_tree()
     u = random_control(spec, tree, 14)
     traj = simulate(spec, tree, u)
-    data = linearize(spec, tree, traj, u)
+    at = linearize(spec, tree, traj, u)[0].__getitem__
     rng = np.random.default_rng(15)
     z = rng.uniform(-1.0, 1.0, (1, spec.n))
     last = tree.grid.n_steps + 1
-    full = propagate(data, tree, z, 0, last)
+    full = propagate(at, tree, z, 0, last)
     for k in range(1, last):
-        split = propagate(data, tree, propagate(data, tree, z, 0, k), k, last)
+        split = propagate(at, tree, propagate(at, tree, z, 0, k), k, last)
         np.testing.assert_allclose(full, split, atol=1e-12)
 
 
 def test_variation_of_constants_zero_forcing_zero_start():
     tree = build_tree(TimeGrid(0.0, 1.0, 2), NoiseModel.binary(1, 1.0))
-    rep = variation_of_constants(_zero_data(tree), tree, np.zeros(1),
+    rep = variation_of_constants(_zero_steps(tree).__getitem__, tree, np.zeros(1),
                                  [np.zeros((tree.size(k), 1)) for k in range(3)],
                                  [np.zeros((tree.size(k), 1, 1)) for k in range(3)])
     assert all(np.all(rep.at(k) == 0.0) for k in range(4))
@@ -220,7 +220,7 @@ def test_variation_of_constants_zero_forcing_zero_start():
 def test_variation_of_constants_constant_forcing():
     # zero coefficients with constant forcing c accumulate k * c
     tree = build_tree(TimeGrid(0.0, 1.0, 2), NoiseModel.binary(1, 1.0))
-    rep = variation_of_constants(_zero_data(tree), tree, np.array([0.5]),
+    rep = variation_of_constants(_zero_steps(tree).__getitem__, tree, np.array([0.5]),
                                  [np.full((tree.size(k), 1), 0.3) for k in range(3)],
                                  [np.zeros((tree.size(k), 1, 1)) for k in range(3)])
     for k in range(4):
@@ -233,24 +233,22 @@ def test_representation_matches_recursion_random():
         tree = spec.build_tree()
         u = random_control(spec, tree, 30 + seed)
         traj = simulate(spec, tree, u)
-        data = linearize(spec, tree, traj, u)
+        at = linearize(spec, tree, traj, u)[0].__getitem__
         rng = np.random.default_rng(60 + seed)
         steps = tree.grid.n_steps + 1
         forcing = ([rng.uniform(-0.5, 0.5, (tree.size(k), spec.n)) for k in range(steps)],
                    [rng.uniform(-0.5, 0.5, (tree.size(k), spec.d, spec.n))
                     for k in range(steps)])
         z0 = rng.uniform(-1.0, 1.0, spec.n)
-        direct = solve_linear_forward(data, tree, z0, *forcing)
-        rep = variation_of_constants(data, tree, z0, *forcing)
+        direct = solve_linear_forward(at, tree, z0, *forcing)
+        rep = variation_of_constants(at, tree, z0, *forcing)
         for k in range(steps + 1):
             np.testing.assert_allclose(rep.at(k), direct.at(k), atol=1e-12)
 
 
 def test_closed_form_constant_terminal():
     tree = build_tree(TimeGrid(0.0, 1.0, 2), NoiseModel.binary(1, 1.0))
-    data = _zero_data(tree)
-    data.terminal = np.full((tree.size(3), 1), 0.8)
-    p = closed_form_costate(data, tree)
+    p = closed_form_costate(_zero_steps(tree).__getitem__, tree, np.full((tree.size(3), 1), 0.8))
     for k in range(4):
         np.testing.assert_allclose(p.at(k), -0.8, atol=1e-14)
 
@@ -259,18 +257,16 @@ def test_closed_form_single_step_hand_oracle():
     # one step, scalar, no mean field: costate = -(E[(1 + a + b w) h1 | root] + v0)
     tree = build_tree(TimeGrid(0.0, 1.0, 0), NoiseModel.binary(1, 1.0))
     a, b, v0 = 0.3, 0.2, 0.7
-    data = _zero_data(tree)
-    data.drift_x[0][:] = a
-    data.diff_x[0][:] = b
-    data.running[0][:] = v0
+    steps = [_zero_steps(tree)[0]._replace(drift_x=np.full((1, 1, 1), a),
+                                           diff_x=np.full((1, 1, 1, 1), b),
+                                           running=np.full((1, 1), v0))]
     h1 = np.array([[1.5], [-0.4]])
-    data.terminal = h1
     w = tree.increments(1)[:, 0]
     cond = tree.support_prob
     expected_root = -(np.sum(cond * (1.0 + a + b * w) * h1[:, 0]) + v0)
-    p = closed_form_costate(data, tree)
+    p = closed_form_costate(steps.__getitem__, tree, h1)
     assert p.at(0)[0, 0] == pytest.approx(expected_root, abs=1e-12)
-    adj = solve_adjoint(data, tree)
+    adj = solve_adjoint(steps.__getitem__, tree, h1)
     assert adj.p.at(0)[0, 0] == pytest.approx(expected_root, abs=1e-12)
 
 
@@ -281,17 +277,17 @@ def test_closed_form_matches_backward(mean_field):
         tree = spec.build_tree()
         u = random_control(spec, tree, 90 + seed)
         traj = simulate(spec, tree, u)
-        data = linearize(spec, tree, traj, u)
-        adj = solve_adjoint(data, tree)
-        closed = closed_form_costate(data, tree)
+        steps, terminal = linearize(spec, tree, traj, u)
+        adj = solve_adjoint(steps.__getitem__, tree, terminal)
+        closed = closed_form_costate(steps.__getitem__, tree, terminal)
         for k in range(tree.grid.n_steps + 2):
             np.testing.assert_allclose(closed.at(k), adj.p.at(k), atol=1e-10)
 
 
 def test_integrability_values(e1):
     spec, _ = e1
-    tree, u, traj, data = _solved(spec, 0.0)
-    adj = solve_adjoint(data, tree)
+    tree, _, steps, terminal = _solved(spec, 0.0)
+    adj = solve_adjoint(steps.__getitem__, tree, terminal)
     report = integrability_report(adj, tree)
     assert report.passed
     values = {r.label: r.value for r in report.residuals}
@@ -302,8 +298,8 @@ def test_integrability_values(e1):
 def test_integrability_prodcons_terminal_unit():
     spec = builtin("prodcons", delta_util=0.5, depreciation=0.5, h=0.5, N=5, x0=1.0,
                    v_floor=0.25)
-    tree, u, traj, data = _solved(spec, 0.5)
-    adj = solve_adjoint(data, tree)
+    tree, _, steps, terminal = _solved(spec, 0.5)
+    adj = solve_adjoint(steps.__getitem__, tree, terminal)
     report = integrability_report(adj, tree)
     values = {r.label: r.value for r in report.residuals}
     assert values["E|p|^2 @level 6"] == pytest.approx(1.0)
@@ -311,42 +307,51 @@ def test_integrability_prodcons_terminal_unit():
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_dense_chain_matches_propagate(case):
-    tree, data = _operator_case(case)
+    tree, steps = _operator_case(case)
+    n = steps[0].drift_x.shape[-1]
     last = tree.grid.n_steps + 1
     rng = np.random.default_rng(23)
     for k_from in range(last):
-        chain = np.eye(tree.size(k_from) * data.n)
-        z = rng.uniform(-1.0, 1.0, (tree.size(k_from), data.n))
+        chain = np.eye(tree.size(k_from) * n)
+        z = rng.uniform(-1.0, 1.0, (tree.size(k_from), n))
         for k_to in range(k_from + 1, last + 1):
-            chain = _transition_matrix(data, tree, k_to - 1) @ chain
+            chain = _transition_matrix(steps[k_to - 1], tree, k_to - 1) @ chain
             np.testing.assert_allclose(
-                (chain @ z.ravel()).reshape(-1, data.n),
-                propagate(data, tree, z, k_from, k_to), rtol=0.0, atol=1e-12)
+                (chain @ z.ravel()).reshape(-1, n),
+                propagate(steps.__getitem__, tree, z, k_from, k_to), rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
 def test_transition_adjoint_is_weighted_transpose(case):
     # <Phi z, v>_{k+1} = <z, Phi* v>_k, and Phi* = W_k^-1 M^T W_{k+1} for the
     # dense matrix M of the transition and diagonal node weights W
-    tree, data = _operator_case(case)
+    tree, steps = _operator_case(case)
+    n = steps[0].drift_x.shape[-1]
     rng = np.random.default_rng(24)
     for k in range(tree.grid.n_steps + 1):
-        z = rng.uniform(-1.0, 1.0, (tree.size(k), data.n))
-        v = rng.uniform(-1.0, 1.0, (tree.size(k + 1), data.n))
-        adj = apply_transition_adjoint(data, tree, k, v)
-        lhs = np.sum(tree.abs_prob[k + 1][:, None] * apply_transition(data, tree, k, z) * v)
+        z = rng.uniform(-1.0, 1.0, (tree.size(k), n))
+        v = rng.uniform(-1.0, 1.0, (tree.size(k + 1), n))
+        adj = apply_transition_adjoint(steps.__getitem__, tree, k, v)
+        lhs = np.sum(tree.abs_prob[k + 1][:, None]
+                     * apply_transition(steps.__getitem__, tree, k, z) * v)
         rhs = np.sum(tree.abs_prob[k][:, None] * z * adj)
         assert abs(lhs - rhs) <= 1e-12
-        w_from = np.repeat(tree.abs_prob[k], data.n)
-        w_to = np.repeat(tree.abs_prob[k + 1], data.n)
-        dense = (_transition_matrix(data, tree, k).T @ (w_to * v.ravel())) / w_from
+        w_from = np.repeat(tree.abs_prob[k], n)
+        w_to = np.repeat(tree.abs_prob[k + 1], n)
+        dense = (_transition_matrix(steps[k], tree, k).T @ (w_to * v.ravel())) / w_from
         np.testing.assert_allclose(adj.ravel(), dense, rtol=0.0, atol=1e-12)
+
+
+def test_transition_rejects_wrong_level():
+    tree = build_tree(TimeGrid(0.0, 1.0, 1), NoiseModel.binary(1, 1.0))
+    with pytest.raises(MfsmpError, match="level-0 values"):
+        apply_transition(_zero_steps(tree).__getitem__, tree, 0, np.zeros((2, 1)))
 
 
 def test_transition_adjoint_rejects_wrong_level():
     tree = build_tree(TimeGrid(0.0, 1.0, 1), NoiseModel.binary(1, 1.0))
     with pytest.raises(MfsmpError, match="level-1 values"):
-        apply_transition_adjoint(_zero_data(tree), tree, 0, np.zeros((1, 1)))
+        apply_transition_adjoint(_zero_steps(tree).__getitem__, tree, 0, np.zeros((1, 1)))
 
 
 def test_mean_field_contributions_level_constant():
@@ -356,14 +361,12 @@ def test_mean_field_contributions_level_constant():
     tree = spec.build_tree()
     u = random_control(spec, tree, 32)
     traj = simulate(spec, tree, u)
-    data = linearize(spec, tree, traj, u)
-    adj_full = solve_adjoint(data, tree)
-    stripped = LinearSystemData(
-        data.drift_x, [np.zeros_like(a) for a in data.drift_mean],
-        data.diff_x, [np.zeros_like(b) for b in data.diff_mean],
-        data.running, data.terminal)
+    steps, terminal = linearize(spec, tree, traj, u)
+    adj_full = solve_adjoint(steps.__getitem__, tree, terminal)
+    stripped = [s._replace(drift_mean=np.zeros_like(s.drift_mean),
+                           diff_mean=np.zeros_like(s.diff_mean)) for s in steps]
     k = tree.grid.n_steps
-    adj_plain = solve_adjoint(stripped, tree)
+    adj_plain = solve_adjoint(stripped.__getitem__, tree, terminal)
     diff = adj_full.p.at(k) - adj_plain.p.at(k)
     np.testing.assert_allclose(diff, np.broadcast_to(diff[0], diff.shape), atol=1e-12)
 
@@ -373,7 +376,8 @@ def test_prodcons_duality_residual_smoke():
     tree = spec.build_tree()
     u = random_control(spec, tree, 42)
     traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    steps, terminal = linearize(spec, tree, traj, u)
+    adj = solve_adjoint(steps.__getitem__, tree, terminal)
     assert q_definition_residual(adj, tree) <= 1e-14
 
 
@@ -424,15 +428,15 @@ LQ_D2 = dict(
     R=[[2.0]], G=[[1.0, 0.0], [0.0, 1.0]], G_mean=[[0.2, 0.0], [0.0, 0.2]], lo=-1.0, hi=1.0)
 
 
-def _einsum_transpose_local(data, tree, k, ep, qk):
+def _einsum_transpose_local(step, tree, k, ep, qk):
     """`_transpose_local` with each mean-field term as one three-operand
     einsum over the level, the reference for the level-reduced form."""
     w = tree.abs_prob[k]
     return (ep
-            + np.einsum("mij,mi->mj", data.drift_x[k], ep)
-            + np.einsum("mjab,mja->mb", data.diff_x[k], qk)
-            + np.einsum("m,mij,mi->j", w, data.drift_mean[k], ep)
-            + np.einsum("m,mjab,mja->b", w, data.diff_mean[k], qk))
+            + np.einsum("mij,mi->mj", step.drift_x, ep)
+            + np.einsum("mjab,mja->mb", step.diff_x, qk)
+            + np.einsum("m,mij,mi->j", w, step.drift_mean, ep)
+            + np.einsum("m,mjab,mja->b", w, step.diff_mean, qk))
 
 
 @pytest.mark.parametrize("case", ["lq step blocks", "smooth-nonlinear per node"])
@@ -443,22 +447,20 @@ def test_transpose_local_means_match_three_operand_einsum(case):
         spec = _smooth_nonlinear(3, "binary", 2)
     tree = spec.build_tree()
     u = random_control(spec, tree, 5)
-    data = linearize(spec, tree, simulate(spec, tree, u), u)
+    steps, _ = linearize(spec, tree, simulate(spec, tree, u), u)
     per_node = case != "lq step blocks"
-    assert all((a.shape[0] > 1) == per_node for a in data.drift_mean[1:] + data.diff_mean[1:])
-    assert spec.d == 2 and all(np.any(a != 0.0) for a in data.drift_mean + data.diff_mean)
-    magnitudes = dataclasses.replace(data, **{
-        name: [np.abs(a) for a in getattr(data, name)]
-        for name in ("drift_x", "drift_mean", "diff_x", "diff_mean")})
+    assert all((a.shape[0] > 1) == per_node for s in steps[1:] for a in (s.drift_mean, s.diff_mean))
+    assert spec.d == 2 and all(np.any(a != 0.0) for s in steps for a in (s.drift_mean, s.diff_mean))
     rng = np.random.default_rng(6)
     for k in range(tree.grid.n_steps + 1):
         v = rng.uniform(-1.0, 1.0, (tree.size(k + 1), spec.n))
         ep, qk = cond_expect(tree, v, k + 1), cond_expect_noise(tree, v, k + 1)
         # relative to the sum of the terms' magnitudes, which no
         # cancellation in the level sums can shrink
-        scale = _einsum_transpose_local(magnitudes, tree, k, np.abs(ep), np.abs(qk))
-        gap = np.abs(_transpose_local(data.step(k), tree, k, ep, qk)
-                     - _einsum_transpose_local(data, tree, k, ep, qk))
+        scale = _einsum_transpose_local(StepCoefficients(*map(np.abs, steps[k])), tree, k,
+                                        np.abs(ep), np.abs(qk))
+        gap = np.abs(_transpose_local(steps[k], tree, k, ep, qk)
+                     - _einsum_transpose_local(steps[k], tree, k, ep, qk))
         assert np.all(gap <= 1e-15 * scale)
 
 
@@ -515,17 +517,18 @@ def test_duality_and_transition_transpose_properties(family, kind, d, seed):
     tree = spec.build_tree()
     u = random_control(spec, tree, seed + 1)
     traj = simulate(spec, tree, u)
-    data = linearize(spec, tree, traj, u)
-    adj = solve_adjoint(data, tree)
+    steps, terminal = linearize(spec, tree, traj, u)
+    adj = solve_adjoint(steps.__getitem__, tree, terminal)
     spike = random_spike(spec, tree, u, seed + 2, 0.05)
     assert duality_residual(spec, tree, traj, adj, u, spike) <= 1e-10
     rng = np.random.default_rng(seed + 3)
     for k in range(tree.grid.n_steps + 1):
         z = rng.uniform(-1.0, 1.0, (tree.size(k), spec.n))
         v = rng.uniform(-1.0, 1.0, (tree.size(k + 1), spec.n))
-        phi_z = apply_transition(data, tree, k, z)
+        phi_z = apply_transition(steps.__getitem__, tree, k, z)
         lhs = float(expect(tree, np.sum(phi_z * v, axis=1), k + 1))
-        rhs = float(expect(tree, np.sum(z * apply_transition_adjoint(data, tree, k, v), axis=1), k))
+        phi_star_v = apply_transition_adjoint(steps.__getitem__, tree, k, v)
+        rhs = float(expect(tree, np.sum(z * phi_star_v, axis=1), k))
         # relative to the Cauchy-Schwarz bound of the pairing
         bound = np.sqrt(float(expect(tree, np.sum(phi_z ** 2, axis=1), k + 1))
                         * float(expect(tree, np.sum(v ** 2, axis=1), k + 1)))
@@ -544,3 +547,31 @@ def test_taylor_remainder_is_second_order_properties(family, kind, d, seed):
     taylor = [r for r in report.residuals if r.label.startswith("Taylor remainder")]
     assert len(taylor) == CERT_DIRECTIONS
     assert all(r.value <= r.tol for r in taylor), [(r.label, r.value) for r in taylor]
+
+
+@pytest.mark.parametrize("make", [lambda: _property_spec("lq_meanfield", "trinomial", 2, 7),
+                                  lambda: smooth_nonlinear(2)], ids=["lq", "smooth-nonlinear"])
+def test_forced_forward_recursion_is_the_tangent_along_a_direction(make):
+    # forced at every step by (h f_u v_k, sigma_u v_k), the linear recursion
+    # is the derivative of the state along a direction v non-zero at every
+    # step: Im x(u + i tau v) / tau level by level
+    spec = make()
+    if spec.family == "lq_meanfield":
+        assert (spec.d, spec.noise.kind) == (2, "trinomial")
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 8)
+    traj = simulate(spec, tree, u)
+    rng = np.random.default_rng(9)
+    v = [rng.uniform(-1.0, 1.0, u.at(k).shape) for k in u.levels()]
+    c, h = spec.coeffs, tree.grid.h
+    drift = [h * np.einsum("mia,ma->mi", c.f_u(k, *traj.rows(k), u.at(k)), v[k])
+             for k in u.levels()]
+    diff = [np.einsum("mjia,ma->mji", c.sigma_u(k, *traj.rows(k), u.at(k)), v[k])
+            for k in u.levels()]
+    steps, _ = linearize(spec, tree, traj, u)
+    tangent = solve_linear_forward(steps.__getitem__, tree, np.zeros(spec.n), drift, diff)
+    moved = [u.at(k) + 1j * CS_STEP * v[k] for k in u.levels()]
+    for k, (x, _) in enumerate(forward_levels(spec, tree, moved)):
+        ref = x.imag / CS_STEP
+        assert np.any(ref != 0.0) or k == 0
+        assert np.max(np.abs(tangent.at(k) - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref))), k

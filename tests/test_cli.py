@@ -583,6 +583,26 @@ def test_unwritable_output_file_exits_2_with_one_error_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["solve", "CONFIG", "--out", "OUT"],
+                                     ["simulate", "CONFIG", "CONTROL", "--out", "OUT"],
+                                     ["simulate", "CONFIG", "CONTROL"]],
+                         ids=["solve", "simulate", "simulate-stdout"])
+def test_missing_csv_writer_exits_2_before_any_work(command, tmp_path, capsys, monkeypatch):
+    # without orjson, the commands that write CSV stop at start-up with one
+    # error line: no optimizer run, no output and no traceback
+    spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=2, x0=[0.0], lo=-1.0, hi=1.0)
+    tree = spec.build_tree()
+    cfg, control, out = tmp_path / "cfg.json", tmp_path / "control.csv", tmp_path / "out"
+    cfg.write_text(serialize_problem(spec))
+    control.write_text(write_control_csv(spec, tree, random_control(spec, tree, 1)))
+    names = {"CONFIG": str(cfg), "CONTROL": str(control), "OUT": str(out)}
+    monkeypatch.setitem(sys.modules, "orjson", None)  # `import orjson` raises
+    assert main([names.get(a, a) for a in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the CSV writer needs the orjson package, which is not installed\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_check_and_simulate_test_feasibility_once(tmp_path, capsys, monkeypatch):
     spec = builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=3, x0=[0.0], lo=-1.0, hi=1.0)
     tree = spec.build_tree()
@@ -772,7 +792,8 @@ def test_solve_csvs_match_per_node_reference(case, chunk_rows, tmp_path, monkeyp
     tree = spec.build_tree()
     u = read_control_csv(spec, tree, (out / "control.csv").read_text())
     traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    steps, terminal = linearize(spec, tree, traj, u)
+    adj = solve_adjoint(steps.__getitem__, tree, terminal)
     expected = {
         "trajectory.csv": _reference_trajectory(spec, tree, traj, u),
         "adjoint.csv": _reference_adjoint(spec, tree, adj),
@@ -806,7 +827,8 @@ def test_csv_writers_return_or_stream_reference_text(chunk_rows, tmp_path, monke
     tree = spec.build_tree()
     u = random_control(spec, tree, 3)
     traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    steps, terminal = linearize(spec, tree, traj, u)
+    adj = solve_adjoint(steps.__getitem__, tree, terminal)
     writers = [
         (lambda **kw: write_trajectory_csv(spec, tree, traj, u, **kw),
          _reference_trajectory(spec, tree, traj, u)),

@@ -22,16 +22,20 @@ from mfsmp.smp import (SpikeVariation, _hamiltonian_gradient_parts, adjoint_grad
 from mfsmp.tree import AdaptedProcess, expect
 
 
+def _stored_adjoint(spec, tree, traj, u):
+    steps, terminal = linearize(spec, tree, traj, u)
+    return solve_adjoint(steps.__getitem__, tree, terminal)
+
+
 def _solved(spec, tree, u):
     traj = simulate(spec, tree, u)
-    adj = solve_adjoint(linearize(spec, tree, traj, u), tree)
-    return traj, adj
+    return traj, _stored_adjoint(spec, tree, traj, u)
 
 
 def _stored_spike_system(spec, tree, traj, u, spike):
     """The spike response's linear system stored whole: every step's
-    coefficients from `linearize`, and forward forcing that is the spike's
-    h f_u bump, sigma_u bump at its step and zero at every other step."""
+    coefficients from `linearize` as a list, and forward forcing that is the
+    spike's h f_u bump, sigma_u bump at its step and zero at every other step."""
     steps = range(tree.grid.n_steps + 1)
     drift = [np.zeros((tree.size(k), spec.n)) for k in steps]
     diff = [np.zeros((tree.size(k), spec.d, spec.n)) for k in steps]
@@ -40,7 +44,7 @@ def _stored_spike_system(spec, tree, traj, u, spike):
     bump = spike.scale * np.broadcast_to(spike.delta, (tree.size(k), spec.r))
     drift[k] = tree.grid.h * np.einsum("mia,ma->mi", spec.coeffs.f_u(k, x, y, u.at(k)), bump)
     diff[k] = np.einsum("mjia,ma->mji", spec.coeffs.sigma_u(k, x, y, u.at(k)), bump)
-    return linearize(spec, tree, traj, u), drift, diff
+    return linearize(spec, tree, traj, u)[0], drift, diff
 
 
 def test_hamiltonian_e1_closed_form(e1):
@@ -390,7 +394,7 @@ def test_gradient_sweep_matches_stored_adjoint_bitwise(case, per_node):
     u = random_control(spec, tree, 8)
     g, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
     ref_traj = simulate(spec, tree, u)
-    ref = solve_adjoint(linearize(spec, tree, ref_traj, u), tree)
+    ref = _stored_adjoint(spec, tree, ref_traj, u)
     assert all(_same_bits(adj.p.at(k), ref.p.at(k)) for k in range(tree.grid.n_levels))
     g_alone = adjoint_gradient(spec, tree, u)
     for k in u.levels():
@@ -438,12 +442,8 @@ def test_necessary_check_reads_g_as_the_hamiltonian_gradient(case):
         assert res.value == value
 
 
-@pytest.mark.parametrize("return_all, bound", [(False, 3.5), (True, 4.0)])
-def test_adjoint_gradient_holds_about_one_costate_level(return_all, bound):
-    # the sweep keeps no level of p or q unless asked, makes the coefficients
-    # a step at a time and drops each E{p|F} once its g_k is made: at N = 14
-    # its peak is about 2.6 leaf state arrays, 3.7 with the p and q it
-    # returns (3.3), where the stored linearization and costate took 6.6
+def _memory_lq():
+    """Mean-field LQ at N = 14, n = 3, with every coupling on, and a control."""
     n = 3
     spec = builtin("lq_meanfield", n=n, r=1, d=1, h=0.1, N=14, x0=[0.3, -0.2, 0.1],
                    A=0.2 * np.eye(n), A_mean=0.1 * np.eye(n), B=np.ones((n, 1)),
@@ -451,18 +451,45 @@ def test_adjoint_gradient_holds_about_one_costate_level(return_all, bound):
                    Q=np.eye(n), Q_mean=0.3 * np.eye(n), R=[[1.0]], q=[0.1] * n,
                    G=np.eye(n), G_mean=0.2 * np.eye(n), g=[0.2] * n)
     tree = spec.build_tree()
-    u = random_control(spec, tree, 4)
-    traj = simulate(spec, tree, u)
-    leaf_bytes = traj.at(tree.grid.n_steps + 1).nbytes
+    return spec, tree, random_control(spec, tree, 4)
+
+
+def _traced_peak(run):
+    """The tracemalloc peak of `run()` above what was held when it began."""
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        adjoint_gradient(spec, tree, u, return_all=return_all, traj=traj)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("return_all, bound", [(False, 3.5), (True, 4.0)])
+def test_adjoint_gradient_holds_about_one_costate_level(return_all, bound):
+    # the sweep keeps no level of p or q unless asked, makes the coefficients
+    # a step at a time and drops each E{p|F} once its g_k is made: at N = 14
+    # its peak is about 2.6 leaf state arrays, 3.7 with the p and q it
+    # returns (3.3), where the stored linearization and costate took 6.6
+    spec, tree, u = _memory_lq()
+    traj = simulate(spec, tree, u)
+    leaf_bytes = traj.at(tree.grid.n_steps + 1).nbytes
+    peak = _traced_peak(lambda: adjoint_gradient(spec, tree, u, return_all=return_all, traj=traj))
     assert peak <= bound * leaf_bytes
+
+
+def test_duality_residual_holds_about_one_response_level():
+    # a spike at the root streams its response through every level with
+    # coefficients made a step at a time, one level of xi held: its peak is
+    # about 3.1 leaf state arrays at N = 14, where storing the response and
+    # the coefficients of every step takes 4.1
+    spec, tree, u = _memory_lq()
+    _, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
+    spike = random_spike(spec, tree, u, 5, 0.05, step=0)
+    leaf_bytes = traj.at(tree.grid.n_steps + 1).nbytes
+    peak = _traced_peak(lambda: duality_residual(spec, tree, traj, adj, u, spike))
+    assert peak <= 3.5 * leaf_bytes
 
 
 def test_terminal_costate_is_negated_in_place(monkeypatch):
@@ -600,11 +627,11 @@ def test_literal_mean_drift_convention_breaks_duality():
     traj = simulate(spec, tree, u)
     # spike at the first step so the response crosses the mean-coupled drift
     spike = random_spike(spec, tree, u, 4, 0.05, step=0)
-    adj_default = solve_adjoint(linearize(spec, tree, traj, u), tree)
+    adj_default = _stored_adjoint(spec, tree, traj, u)
     assert duality_residual(spec, tree, traj, adj_default, u, spike) <= 1e-12
-    literal = linearize(spec, tree, traj, u)
-    literal.drift_mean = [a / tree.grid.h for a in literal.drift_mean]
-    adj_literal = solve_adjoint(literal, tree)
+    steps, terminal = linearize(spec, tree, traj, u)
+    literal = [s._replace(drift_mean=s.drift_mean / tree.grid.h) for s in steps]
+    adj_literal = solve_adjoint(literal.__getitem__, tree, terminal)
     assert duality_residual(spec, tree, traj, adj_literal, u, spike) > 1e-6
 
 
@@ -620,9 +647,9 @@ def test_literal_variational_drift_differs():
     xi = variational_state(spec, tree, traj, u, spike)
     # the h-free variant: drift blocks and drift forcing without the step factor
     (literal, drift, diff), h = _stored_spike_system(spec, tree, traj, u, spike), tree.grid.h
-    literal.drift_x = [a / h for a in literal.drift_x]
-    literal.drift_mean = [a / h for a in literal.drift_mean]
-    xi_lit = solve_linear_forward(literal, tree, np.zeros(spec.n), [c / h for c in drift], diff)
+    literal = [s._replace(drift_x=s.drift_x / h, drift_mean=s.drift_mean / h) for s in literal]
+    xi_lit = solve_linear_forward(literal.__getitem__, tree, np.zeros(spec.n),
+                                  [c / h for c in drift], diff)
     gap = max(float(np.max(np.abs(xi.at(k) - xi_lit.at(k))))
               for k in range(tree.grid.n_steps + 2))
     assert gap > 1e-6
@@ -642,15 +669,15 @@ def test_streamed_spike_response_matches_stored_system_bit_for_bit(make, where):
     u = random_control(spec, tree, 11)
     _, traj, adj = adjoint_gradient(spec, tree, u, return_all=True)
     spike = random_spike(spec, tree, u, 12, 0.05, step=step)
-    data, drift, diff = _stored_spike_system(spec, tree, traj, u, spike)
-    xi = solve_linear_forward(data, tree, np.zeros(spec.n), drift, diff)
+    steps, drift, diff = _stored_spike_system(spec, tree, traj, u, spike)
+    xi = solve_linear_forward(steps.__getitem__, tree, np.zeros(spec.n), drift, diff)
     streamed = variational_state(spec, tree, traj, u, spike)
     assert all(np.array_equal(streamed.at(k), xi.at(k)) for k in range(n_steps + 2))
     assert np.any(xi.at(n_steps + 1) != 0.0)
 
     kT = n_steps + 1
     lhs = float(expect(tree, np.einsum("mi,mi->m", adj.p.at(kT), xi.at(kT)), kT))
-    run_term = sum(float(expect(tree, np.einsum("mi,mi->m", data.running[k], xi.at(k)), k))
+    run_term = sum(float(expect(tree, np.einsum("mi,mi->m", steps[k].running, xi.at(k)), k))
                    for k in range(n_steps + 1))
     state_part, _ = _hamiltonian_gradient_parts(spec, tree, traj, u, step,
                                                 conditional_costate(tree, adj, step),
