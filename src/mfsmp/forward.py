@@ -11,8 +11,8 @@ recursion, in chunks of `chunk_rows` rows, whose widest level array holds at
 most `CHUNK_BYTES` bytes; a row that moves one control of the deepest level
 N only is not run but finished from the leaf level of another.  The grid
 oracle runs the same recursion once per pair (prefix, level-N grid point)
-and finishes each candidate from those rows with the same level sums
-(`add_level`, `add_terminal`), so its costs are `batch_cost`'s to the bit.
+and finishes each candidate from those rows with the same level sums and
+the same `forward_step`, so its costs are `batch_cost`'s to the bit.
 """
 
 from dataclasses import dataclass
@@ -84,29 +84,40 @@ def forward_levels(spec, tree: ScenarioTree, controls):
     that lets go of each level holds one at a time.  Overflow is carried on
     as inf/NaN.  The states take the controls' dtype: complex controls (a
     complex step) give complex states, with complex-safe coefficients."""
-    n, d, h, c = spec.n, spec.d, tree.grid.h, spec.coeffs
-    x = np.broadcast_to(spec.x0, controls[0].shape[:-2] + (1, n))
+    x = np.broadcast_to(spec.x0, controls[0].shape[:-2] + (1, spec.n))
     for k, uk in enumerate(controls):
         mean = level_mean(tree, k, x)
         yield x, mean
-        xf, yf = _rows(x, mean)
-        uf = uk.reshape(-1, spec.r)
         with np.errstate(over="ignore", invalid="ignore"):
-            drift = c.f(k, xf, yf, uf).reshape(x.shape)
-            diff = c.sigma(k, xf, yf, uf).reshape(x.shape[:-1] + (d, n))
-            del xf, yf, uf, mean
-            # a fresh h * drift takes the sum: an evaluator's output may be
-            # an array it keeps, so it is never written into; a real drift
-            # under complex states widens the sum, which then is not in place
-            base = h * drift
-            del drift
-            base = np.add(x, base, out=base if base.dtype == np.result_type(x, base) else None)
-            del x
+            base, diff = forward_step(spec, tree, k, x, mean, uk)
+            del x, mean
             x = tree.children(k, base, diff)
             # nothing of the step outlives it: the consumer works on the
             # child level with only that level alive here
             del base, diff
     yield x, level_mean(tree, len(controls), x)
+
+
+def forward_step(spec, tree, k, x, mean, uk):
+    """The input of the step-k lift `tree.children` of states x (..., m, n),
+    level mean (..., n) and controls uk (..., m, r): the base x + h f and the
+    diffusions sigma (..., m, d, n).  A batch folding into one evaluator row
+    runs as two, the copy dropped, as BLAS rounds a one-row matrix product
+    otherwise; an unbatched level runs as given.  Callers silence overflow."""
+    xf, yf = _rows(x, mean)
+    uf = uk.reshape(-1, spec.r)
+    rows = len(xf)
+    if x.ndim > 2 and rows == 1:
+        xf, yf, uf = (np.repeat(a, 2, axis=0) for a in (xf, yf, uf))
+    drift = spec.coeffs.f(k, xf, yf, uf)[:rows].reshape(x.shape)
+    diff = spec.coeffs.sigma(k, xf, yf, uf)[:rows].reshape(x.shape[:-1] + (spec.d, spec.n))
+    del xf, yf, uf
+    # a fresh h * drift takes the sum: an evaluator's output may be an array
+    # it keeps, so it is never written into; a real drift under complex
+    # states widens the sum, which then is not in place
+    base = tree.grid.h * drift
+    del drift
+    return np.add(x, base, out=base if base.dtype == np.result_type(x, base) else None), diff
 
 
 def level_mean(tree, k, x) -> np.ndarray:
@@ -137,10 +148,8 @@ def chunk_rows(spec, tree, dtype=float) -> int:
 def batch_cost(spec, tree, n_rows, controls_of, dtype=float, moved=None) -> np.ndarray:
     """Cost J of `n_rows` batch rows, whose per-step controls (B, m_k, r),
     k = 0..N, `controls_of` builds for an array of B row indices.  The rows
-    run in chunks of `chunk_rows` rows; a lone row of a longer chunk runs
-    twice, as numpy takes a one-row matrix product down BLAS's matrix-vector
-    path, whose rounding differs.  Each row is summed level by level with
-    `add_level`; a row whose state or cost is not finite, where `cost`
+    run in chunks of `chunk_rows` rows.  Each row is summed level by level
+    with `add_level`; a row whose state or cost is not finite, where `cost`
     raises or returns a non-finite J, is +inf.  `moved`, level-N nodes (L,)
     and controls (L, r) with N >= 1, appends the L rows that move row 0 at
     one of them each, finished from row 0's level N and leaves."""
@@ -148,10 +157,8 @@ def batch_cost(spec, tree, n_rows, controls_of, dtype=float, moved=None) -> np.n
     costs, base = np.empty(n_rows + (0 if moved is None else len(moved[0])), dtype), None
     for start in range(0, n_rows, chunk):
         idx = np.arange(start, min(start + chunk, n_rows))
-        lone = idx.size == 1 < chunk
-        values, kept = _chunk_cost(spec, tree, controls_of(np.repeat(idx, 1 + lone)),
-                                   moved is not None and start == 0)
-        costs[idx] = values[:idx.size]
+        costs[idx], kept = _chunk_cost(spec, tree, controls_of(idx),
+                                       moved is not None and start == 0)
         base = base or kept
     if moved is not None:
         costs[n_rows:] = _deepest_costs(spec, tree, base, *moved, chunk)
@@ -178,19 +185,15 @@ def _chunk_cost(spec, tree, controls, keep=False):
 
 def _deepest_costs(spec, tree, base, nodes, values, chunk) -> np.ndarray:
     """`batch_cost`'s `moved` rows from the levels `base` that `_chunk_cost`
-    keeps: one evaluator call for the moved nodes, then each row's leaves."""
+    keeps: the moved nodes as one-node batch rows, then each row's leaves."""
     pre, x, mean, run, kids = base
-    n_steps, moves, c = tree.grid.n_steps, len(nodes), spec.coeffs
-    pick = np.repeat(np.arange(moves), 1 + (moves == 1))  # as in `batch_cost`
-    xf, yf = _rows(x[nodes[pick]][:, None], np.broadcast_to(mean, (pick.size, spec.n)))
-    uf = values[pick]
+    n_steps, moves = tree.grid.n_steps, len(nodes)
+    at_x, at_mean, at_u = x[nodes][:, None], np.broadcast_to(mean, (moves, spec.n)), values[:, None]
     costs = np.empty(moves, kids.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        moved_run = c.l(n_steps, xf, yf, uf)[:moves]
-        drift = c.f(n_steps, xf, yf, uf)[:moves, None]
+        moved_run = spec.coeffs.l(n_steps, at_x, at_mean[:, None], at_u)[:, 0]
         # every node's children see the support in one order: they lift as the root's
-        moved_kids = tree.children(0, xf[:moves, None] + tree.grid.h * drift,
-                                   c.sigma(n_steps, xf, yf, uf)[:moves, None])
+        moved_kids = tree.children(0, *forward_step(spec, tree, n_steps, at_x, at_mean, at_u))
         # chunk rows of row 0's level-N costs and leaves, each row's node moved and restored
         running, leaves = (np.repeat(a[None], min(chunk, moves), axis=0) for a in (run, kids))
         for start in range(0, moves, chunk):

@@ -161,9 +161,8 @@ def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7):
     the best candidate with its exact cost; a tie goes to the lowest candidate
     index.  Refuses unbounded boxes and combinatorial sizes beyond `comb_cap`.
 
-    The candidates' costs are `forward.batch_cost`'s, bit for bit (as there,
-    a forward run of one row may round its matrix products differently), but
-    the forward recursion does not run once per candidate.  A candidate's states
+    The candidates' costs are `forward.batch_cost`'s, bit for bit, but the
+    forward recursion does not run once per candidate.  A candidate's states
     up to level N depend only on its prefix, its controls before level N, and
     a level-N node's running cost and children only on the prefix and that
     node's own control.  So the recursion runs once per table row, a pair

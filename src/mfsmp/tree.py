@@ -4,8 +4,8 @@ A tree realizes the noise lattice of a discrete-time system on times
 t_k = t0 + k*h, k = 0..N+1.  Edges from level k to k+1 carry the step-k noise
 increment (a point of the joint finite support) and its conditional
 probability, so every expectation and conditional expectation is an exact
-finite sum.  Increments are indexed by the step k = 0..N and stored on the
-child level k+1 they generate.
+finite sum.  The step-k increments sit on level k+1, and every node's
+children carry the support in one order, so the tree stores only the support.
 """
 
 from dataclasses import dataclass
@@ -139,10 +139,6 @@ class ScenarioTree:
         self.branch = noise.branch_count
         self.level_sizes = [a.size for a in abs_prob]
         self._offsets = np.concatenate([[0], np.cumsum(self.level_sizes)])
-        # the support tiled over the deepest level: every level's edge
-        # increments are a prefix of it, since the tiling has period B
-        self._edge_increments = np.tile(support, (self.level_sizes[-1] // self.branch, 1))
-        self._edge_increments.flags.writeable = False
 
     @property
     def n_levels(self) -> int:
@@ -160,34 +156,39 @@ class ScenarioTree:
 
     def increments(self, level: int) -> np.ndarray:
         """The step `level - 1` noise increment on the incoming edge of each
-        level-`level` node, (m_level, d); a read-only view."""
+        level-`level` node, (m_level, d); a read-only copy built on demand."""
         self._check_level(level, lo=1)
-        return self._edge_increments[:self.level_sizes[level]]
+        inc = np.tile(self.support, (self.level_sizes[level - 1], 1))
+        inc.flags.writeable = False
+        return inc
 
     def children(self, level: int, base, diff) -> np.ndarray:
         """Lift `base` (..., m, n) and `diff` (..., m, d, n) of level `level`,
         leading axes a batch, to the children: child c of node i gets
         base[i] + sum_j w^j_c diff[i, j], w_c the increment on its edge.  Its
         transpose is (cond_expect, cond_expect_noise) of the child values.
-        The child level is made in one array, in the order and rounding of
-        fresh repeats: the noise terms in component order, then the base."""
-        inc = self.increments(level + 1)  # MfsmpError unless 0 <= level <= N
-        noise = np.repeat(diff[..., 0, :], self.branch, axis=-2)
-        noise *= inc[:, 0, None]
-        for j in range(1, inc.shape[1]):
-            term = np.repeat(diff[..., j, :], self.branch, axis=-2)
-            term *= inc[:, j, None]
+        The child level is one (..., m, B, n) array: noise terms in order, then the base."""
+        self._check_level(level + 1, lo=1)  # children of levels 0..N only
+        self._check_level(level, nodes=base.shape[-2])
+        # every node's children carry the support in one order
+        shape = diff.shape[:-3] + (-1, self.branch, diff.shape[-1])  # (..., m, B, n)
+        noise = np.repeat(diff[..., 0, :], self.branch, axis=-2).reshape(shape)
+        noise *= self.support[:, 0, None]
+        for j in range(1, self.noise.dim):
+            term = np.repeat(diff[..., j, :], self.branch, axis=-2).reshape(shape)
+            term *= self.support[:, j, None]
             noise += term
             del term
         # cast after the products, which stay real under a complex base over a real diff
         noise = noise.astype(np.result_type(base, noise), copy=False)
-        lifted = noise.reshape(noise.shape[:-2] + (-1, self.branch, noise.shape[-1]))
-        lifted += base[..., None, :]
-        return noise
+        noise += base[..., None, :]
+        return noise.reshape(noise.shape[:-3] + (-1, noise.shape[-1]))
 
-    def _check_level(self, level, lo=0):
+    def _check_level(self, level, lo=0, nodes=None):
         if not lo <= level < self.n_levels:
             raise MfsmpError(f"level {level} outside tree range 0..{self.n_levels - 1}")
+        if nodes is not None and nodes != self.size(level):
+            raise MfsmpError(f"level {level}: expected {self.size(level)} node values, got {nodes}")
 
 
 def build_tree(grid: TimeGrid, noise: NoiseModel, node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
@@ -224,15 +225,10 @@ class AdaptedProcess:
         arrays = [np.asarray(a, dtype=float) for a in arrays]
         if not arrays:
             raise MfsmpError("adapted process needs at least one level")
-        last = first_level + len(arrays) - 1
-        tree._check_level(first_level)
-        tree._check_level(last)
         shape = arrays[0].shape[1:]
         for off, a in enumerate(arrays):
             k = first_level + off
-            if a.shape[0] != tree.size(k):
-                raise MfsmpError(
-                    f"level {k}: expected {tree.size(k)} node values, got {a.shape[0]}")
+            tree._check_level(k, nodes=a.shape[0])
             if a.shape[1:] != shape:
                 raise MfsmpError(f"level {k}: value shape {a.shape[1:]} differs from {shape}")
         self.tree = tree
@@ -286,9 +282,7 @@ def _level_values(tree, proc, level):
     if isinstance(proc, AdaptedProcess):
         return proc.at(level)
     values = np.asarray(proc, dtype=float)
-    if values.shape[0] != tree.size(level):
-        raise MfsmpError(
-            f"level {level}: expected {tree.size(level)} node values, got {values.shape[0]}")
+    tree._check_level(level, nodes=values.shape[0])
     return values
 
 
@@ -312,10 +306,11 @@ def cond_expect(tree, proc, level, node=None):
 def cond_expect_noise(tree, proc, level):
     """E{v w^j | parent} for each noise component j, with w the increment on
     each level-`level` node's incoming edge; shape (m_parent, d) + value shape."""
+    tree._check_level(level, lo=1)
     values = _level_values(tree, proc, level)
-    inc = tree.increments(level)
-    return cond_expect(tree, values[:, None] * inc.reshape(inc.shape + (1,) * (values.ndim - 1)),
-                       level)
+    shaped = values.reshape((-1, tree.branch, 1) + values.shape[1:])
+    support = tree.support.reshape(tree.support.shape + (1,) * (values.ndim - 1))
+    return np.einsum("mb...,b->m...", shaped * support, tree.support_prob)  # as `cond_expect`
 
 
 def expect(tree, proc, level):

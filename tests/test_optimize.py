@@ -233,11 +233,15 @@ ORACLE_CASES = {
 }
 
 
+@pytest.mark.parametrize("rows", [None, 2, 5])  # small chunks: some table windows hold one row
 @pytest.mark.parametrize("case", ORACLE_CASES)
-def test_brute_force_costs_are_batch_cost_bit_for_bit(case, monkeypatch):
+def test_brute_force_costs_are_batch_cost_bit_for_bit(case, rows, monkeypatch):
     make, points = ORACLE_CASES[case]
     spec = make()
     tree = spec.build_tree()
+    expected = _reference_grid_costs(spec, tree, points)
+    if rows is not None:
+        _rows_per_chunk(monkeypatch, spec, tree, rows)
     opt_module, seen = _optimize_module(), []
     grid_costs = opt_module._grid_costs
 
@@ -248,7 +252,6 @@ def test_brute_force_costs_are_batch_cost_bit_for_bit(case, monkeypatch):
 
     monkeypatch.setattr(opt_module, "_grid_costs", spy)
     _, j_val = brute_force(spec, tree, points)
-    expected = _reference_grid_costs(spec, tree, points)
     np.testing.assert_array_equal(seen[0], expected)
     assert j_val == expected.min()
     if case == "prodcons":  # undefined candidates are +inf, not the minimum

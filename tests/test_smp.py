@@ -945,6 +945,34 @@ def test_moved_costs_match_a_loop_per_row(case, dtype, chunk, monkeypatch):
         np.testing.assert_array_equal(got, expected)
 
 
+CHUNK_FAMILIES = {"random-lq": random_lq, "smooth-nonlinear": smooth_nonlinear,
+                  "random-prodcons": random_prodcons}
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("case", [f"{family}-{seed}" for family in CHUNK_FAMILIES
+                                  for seed in range(4)])
+def test_moved_costs_do_not_depend_on_the_chunk_budget(case, dtype, monkeypatch):
+    # a row's cost is the same bits whichever rows share its chunk: in
+    # chunks of 1 row, the root's one-row products are evaluated as two rows
+    family, seed = case.rsplit("-", 1)
+    spec = CHUNK_FAMILIES[family](int(seed))
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 5)
+    coords = smp.certificate_sample(tree, spec.r)
+    moves = [[wk / tree.abs_prob[k][:, None] for k, wk in enumerate(w)]
+             for w in smp.certificate_directions(spec, tree, u)]
+    step = 1j * smp.CS_STEP if dtype is complex else 1e-3
+    rows = ([(s * step, c, -1) for c in range(len(coords)) for s in (1.0, -1.0)]
+            + [(s * step, -1, d) for d in range(len(moves)) for s in (1.0, -1.0)])
+    expected = smp._moved_costs(spec, tree, u, rows, coords, moves, dtype)
+    for chunk in (1, 2, 3):
+        _rows_per_chunk(monkeypatch, spec, tree, chunk, dtype)
+        assert forward.chunk_rows(spec, tree, dtype) == chunk
+        got = smp._moved_costs(spec, tree, u, rows, coords, moves, dtype)
+        np.testing.assert_array_equal(got, expected, err_msg=f"{chunk} rows per chunk")
+
+
 def _real_only(spec, wrap):
     """The spec with its running cost passed through `wrap`, which is not complex-safe."""
     l = spec.coeffs.l

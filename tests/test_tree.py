@@ -184,17 +184,16 @@ def test_children_batch_axis_matches_rows(lattice):
 
 
 def test_tree_stores_support_not_tiled_levels():
-    # the tree holds path probabilities, the B-point support and one array of
-    # edge increments for the deepest level; per-level tiled copies of the
-    # increments, parents or edge probabilities would exceed this bound
+    # the tree holds path probabilities and the B-point support; edge
+    # increments tiled over any level, parents or edge probabilities would
+    # exceed this bound
     tree = build_tree(TimeGrid(0.0, 0.25, 7), NoiseModel.binary(2, 0.25))
     held = 0
     for value in vars(tree).values():
         for item in (value if isinstance(value, (list, tuple)) else (value,)):
             if isinstance(item, np.ndarray):
                 held += item.nbytes
-    d = tree.noise.dim
-    assert held <= 8 * (tree.n_nodes + tree.size(tree.n_levels - 1) * d) + 4096
+    assert held <= 8 * tree.n_nodes + 4096
     assert not tree.increments(3).flags.writeable
 
 
@@ -206,6 +205,16 @@ def test_children_rejects_levels_outside_the_steps():
     for level in (-1, n_steps + 1):
         with pytest.raises(MfsmpError, match="outside tree range"):
             tree.children(level, np.zeros((2, 1)), np.zeros((2, 1, 1)))
+
+
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["rows", "batch"])
+def test_children_rejects_a_base_of_another_level(batch):
+    # level 1 of a binary tree has 2 nodes: a base of 1 or 4 nodes would lift
+    # without error, as no array of the lift has the level's size
+    tree = build_tree(TimeGrid(0.0, 0.5, 2), NoiseModel.binary(1, 0.5))
+    for m in (1, 4):
+        with pytest.raises(MfsmpError, match="level 1: expected 2 node values, got " + str(m)):
+            tree.children(1, np.zeros(batch + (m, 1)), np.zeros(batch + (m, 1, 1)))
 
 
 LIFT_NOISES = {
