@@ -16,9 +16,8 @@ from .errors import (ConfigError, CostDomainError, MfsmpError, SimulationError,
                      TreeSizeError)
 from .forward import StateTrajectory, check_feasible, constant_control, cost, simulate
 from .optimize import OptimizeResult, OptimizerOptions, brute_force, optimize
-from .problem import (AdmissibleSet, CoefficientSet, ProblemSpec, builtin,
-                      parse_problem, project, serialize_problem, to_config,
-                      validate_spec)
+from .problem import (AdmissibleSet, CoefficientSet, ProblemSpec, builtin, parse_problem,
+                      serialize_problem, to_config, validate_spec)
 from .report import CheckReport, Residual
 from .smp import (SpikeVariation, adjoint_gradient, certify_gradient, duality_residual,
                   hamiltonian, hamiltonian_gradient, necessary_check, rate_check, rate_ratios,

@@ -5,16 +5,22 @@ so it must be available before any child state is computed.  On a finite tree
 the simulated level means coincide (to roundoff) with the deterministic mean
 recursion, because the diffusion terms have exactly zero conditional mean.
 
-`batch_cost` is the one batched cost: the finite differences and the
-gradient certificate's rows run through it as batch rows of one forward
-recursion, in chunks of `chunk_rows` rows, whose widest level array holds at
-most `CHUNK_BYTES` bytes; a row that moves one control of the deepest level
-N only is not run but finished from the leaf level of another.  The grid
-oracle runs the same recursion once per pair (prefix, level-N grid point)
-and finishes each candidate from those rows with the same level sums and
-the same `forward_step`, so its costs are `batch_cost`'s to the bit.
+The mean-field cost couples the nodes of a level through its mean, so every
+batched cost is finished from a level-N table that only `level_table` builds:
+per batch row, the cost of levels 0..N-1, the level-N states, mean and
+running costs, each level-N node's children and the leaf mean.  A level-N
+control moves only its node's running cost and children, and through them
+the leaf mean and phi, so a row that differs from a table row at level N
+alone needs no forward pass.  `batch_cost`, the one batched cost of the
+finite differences and the gradient certificate, finishes each row from its
+own table, in chunks of `chunk_rows` rows whose widest level array holds at
+most `CHUNK_BYTES` bytes, and its `moved` rows from row 0's table, each
+moved node lifted again by `forward_step`.  The grid oracle finishes each
+candidate from the table rows of its level-N nodes (`candidate_costs`).  All
+of them sum with `_finish`, so their costs agree to the bit.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,11 @@ from .tree import AdaptedProcess, ScenarioTree, expect
 # bytes in the widest level array of a batch chunk (256 KB): bounds the memory
 # a batch adds, whatever the tree, the row count and the dtype
 CHUNK_BYTES = 1 << 18
+
+# a batch row's level-N table: the cost of levels 0..N-1 pre (B,), the level-N
+# states x (B, m_N, n), mean (B, n) and running costs run (B, m_N), each level-N
+# node's children kids (B, m_N, branch, n) and the leaf mean leaf_mean (B, n)
+LevelTable = namedtuple("LevelTable", "pre x mean run kids leaf_mean")
 
 
 @dataclass(eq=False)
@@ -145,48 +156,45 @@ def chunk_rows(spec, tree, dtype=float) -> int:
     return max(1, CHUNK_BYTES // widest)
 
 
+def level_table(spec, tree, controls) -> LevelTable:
+    """The `LevelTable` of batch rows with per-step controls (B, m_k, r),
+    k = 0..N: the one walk from the root to level N for batched costs."""
+    n_steps, pre = len(controls) - 1, np.zeros(len(controls[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = forward_levels(spec, tree, controls)
+        for k, (x, mean) in zip(range(n_steps), levels):
+            pre = add_level(pre, level_cost(spec, tree, controls, k, x, mean), tree.abs_prob[k])
+        x, mean = next(levels)
+        run = level_cost(spec, tree, controls, n_steps, x, mean)
+        kids, leaf_mean = next(levels)
+    return LevelTable(pre, x, mean, run, kids.reshape(run.shape + (tree.branch, spec.n)), leaf_mean)
+
+
 def batch_cost(spec, tree, n_rows, controls_of, dtype=float, moved=None) -> np.ndarray:
     """Cost J of `n_rows` batch rows, whose per-step controls (B, m_k, r),
-    k = 0..N, `controls_of` builds for an array of B row indices.  The rows
-    run in chunks of `chunk_rows` rows.  Each row is summed level by level
-    with `add_level`; a row whose state or cost is not finite, where `cost`
-    raises or returns a non-finite J, is +inf.  `moved`, level-N nodes (L,)
-    and controls (L, r) with N >= 1, appends the L rows that move row 0 at
-    one of them each, finished from row 0's level N and leaves."""
+    k = 0..N, `controls_of` builds for an array of B row indices, each
+    finished from its own level table in chunks of `chunk_rows` rows; a row
+    whose state or cost is not finite, where `cost` raises or returns a
+    non-finite J, is +inf.  `moved`, level-N nodes (L,) and controls (L, r)
+    with N >= 1, appends the L rows that move row 0 at one of them each,
+    finished from row 0's table."""
+    if moved is not None and n_rows < 1:
+        raise MfsmpError("moved rows are finished from row 0, so n_rows must be >= 1")
     chunk = chunk_rows(spec, tree, dtype)
-    costs, base = np.empty(n_rows + (0 if moved is None else len(moved[0])), dtype), None
+    costs = np.empty(n_rows + (0 if moved is None else len(moved[0])), dtype)
     for start in range(0, n_rows, chunk):
         idx = np.arange(start, min(start + chunk, n_rows))
-        costs[idx], kept = _chunk_cost(spec, tree, controls_of(idx),
-                                       moved is not None and start == 0)
-        base = base or kept
-    if moved is not None:
-        costs[n_rows:] = _deepest_costs(spec, tree, base, *moved, chunk)
+        table = level_table(spec, tree, controls_of(idx))
+        costs[idx] = _finish(spec, tree, table.pre, table.run, table.kids, table.leaf_mean)
+        if moved is not None and start == 0:
+            costs[n_rows:] = _deepest_costs(spec, tree, table, *moved, chunk)
     return costs
 
 
-def _chunk_cost(spec, tree, controls, keep=False):
-    """`batch_cost` of one chunk, given its per-step controls (B, m_k, r), and
-    with `keep` its row 0's cost of levels 0..N-1, level-N state, mean and
-    running costs and leaves (m_N, branch, n), else None."""
-    costs, n_steps, kept = 0.0, len(controls) - 1, None
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = forward_levels(spec, tree, controls)
-        for k, (x, mean) in zip(range(n_steps + 1), levels):
-            vals = level_cost(spec, tree, controls, k, x, mean)
-            if keep and k == n_steps:
-                kept = [costs[0], x[0].copy(), mean[0], vals[0].copy()]
-            costs = add_level(costs, vals, tree.abs_prob[k])
-        x, mean = next(levels)
-        if keep:
-            kept.append(x[0].reshape(-1, tree.branch, spec.n).copy())
-        return add_terminal(spec, tree, costs, x, mean), kept
-
-
-def _deepest_costs(spec, tree, base, nodes, values, chunk) -> np.ndarray:
-    """`batch_cost`'s `moved` rows from the levels `base` that `_chunk_cost`
-    keeps: the moved nodes as one-node batch rows, then each row's leaves."""
-    pre, x, mean, run, kids = base
+def _deepest_costs(spec, tree, table, nodes, values, chunk) -> np.ndarray:
+    """`batch_cost`'s `moved` rows from row 0 of its level table: the moved
+    nodes as one-node batch rows, then each row's leaves."""
+    pre, x, mean, run, kids, _ = (a[0] for a in table)
     n_steps, moves = tree.grid.n_steps, len(nodes)
     at_x, at_mean, at_u = x[nodes][:, None], np.broadcast_to(mean, (moves, spec.n)), values[:, None]
     costs = np.empty(moves, kids.dtype)
@@ -194,17 +202,25 @@ def _deepest_costs(spec, tree, base, nodes, values, chunk) -> np.ndarray:
         moved_run = spec.coeffs.l(n_steps, at_x, at_mean[:, None], at_u)[:, 0]
         # every node's children see the support in one order: they lift as the root's
         moved_kids = tree.children(0, *forward_step(spec, tree, n_steps, at_x, at_mean, at_u))
-        # chunk rows of row 0's level-N costs and leaves, each row's node moved and restored
-        running, leaves = (np.repeat(a[None], min(chunk, moves), axis=0) for a in (run, kids))
-        for start in range(0, moves, chunk):
-            rows = np.arange(start, min(start + chunk, moves))
-            at = (np.arange(rows.size), nodes[rows])
-            running[at], leaves[at] = moved_run[rows], moved_kids[rows]
-            sums = add_level(np.full(rows.size, pre), running[:rows.size], tree.abs_prob[n_steps])
-            xs = leaves[:rows.size].reshape(rows.size, -1, spec.n)
-            costs[rows] = add_terminal(spec, tree, sums, xs, level_mean(tree, n_steps + 1, xs))
-            running[at], leaves[at] = run[nodes[rows]], kids[nodes[rows]]
+    # chunk rows of row 0's level-N costs and leaves, each row's node moved and restored
+    running, leaves = (np.repeat(a[None], min(chunk, moves), axis=0) for a in (run, kids))
+    for start in range(0, moves, chunk):
+        rows = np.arange(start, min(start + chunk, moves))
+        at = (np.arange(rows.size), nodes[rows])
+        running[at], leaves[at] = moved_run[rows], moved_kids[rows]
+        costs[rows] = _finish(spec, tree, np.full(rows.size, pre), running[:rows.size],
+                              leaves[:rows.size])
+        running[at], leaves[at] = run[nodes[rows]], kids[nodes[rows]]
     return costs
+
+
+def candidate_costs(spec, tree, table, rows) -> np.ndarray:
+    """The grid oracle's costs of candidates whose level-N node j reads row
+    rows[j, b] of the level table `table`, rows (m_N, B)."""
+    m_last = len(rows)
+    at = (rows * m_last + np.arange(m_last)[:, None]).T  # (B, m_N) into the (row, node) pairs
+    return _finish(spec, tree, table.pre.take(rows[0]), table.run.reshape(-1).take(at),
+                   table.kids.reshape(-1, tree.branch, spec.n).take(at, axis=0))
 
 
 def add_level(costs, vals, prob):
@@ -220,11 +236,16 @@ def add_level(costs, vals, prob):
     return costs + np.einsum("...m,m->...", vals, prob)
 
 
-def add_terminal(spec, tree, costs, x, mean) -> np.ndarray:
-    """Batch costs (...) of levels 0..N plus E phi of the leaf states x
-    (..., m_{N+1}, n) and their mean (..., n); +inf where not finite."""
-    k = tree.grid.n_steps + 1
-    costs = add_level(costs, level_cost(spec, tree, None, k, x, mean), tree.abs_prob[k])
+def _finish(spec, tree, pre, run, kids, leaf_mean=None) -> np.ndarray:
+    """Batch costs (B,) of a level table's rows: `pre` (B,) plus E of the
+    level-N running costs `run` (B, m_N) and of phi at the leaves `kids`
+    (B, m_N, branch, n) and their mean, made here unless given; +inf where
+    not finite."""
+    k, x = tree.grid.n_steps + 1, kids.reshape(len(kids), -1, spec.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = level_mean(tree, k, x) if leaf_mean is None else leaf_mean
+        costs = add_level(add_level(pre, run, tree.abs_prob[k - 1]),
+                          level_cost(spec, tree, None, k, x, mean), tree.abs_prob[k])
     finite = np.isfinite(costs)
     # a non-finite state passes on to every descendant and, as path
     # probabilities are positive, into the mean of the leaves; the per-row

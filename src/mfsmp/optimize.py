@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
-from .forward import (add_level, add_terminal, chunk_rows, cost, forward_levels, level_cost,
-                      level_mean, simulate)
+from .forward import candidate_costs, chunk_rows, cost, level_table, simulate
 from .instances import random_control
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
@@ -162,13 +161,13 @@ def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7):
     index.  Refuses unbounded boxes and combinatorial sizes beyond `comb_cap`.
 
     The candidates' costs are `forward.batch_cost`'s, bit for bit, but the
-    forward recursion does not run once per candidate.  A candidate's states
-    up to level N depend only on its prefix, its controls before level N, and
-    a level-N node's running cost and children only on the prefix and that
+    forward recursion does not run once per candidate: a candidate's level-N
+    table (`forward.level_table`) depends only on its prefix, its controls
+    before level N, and a level-N node's entries only on the prefix and that
     node's own control.  So the recursion runs once per table row, a pair
     (prefix, level-N grid point) with that point at every level-N node, and
-    each candidate gathers its level-N nodes' rows and pays only the leaf
-    mean, phi and the level sums.  Candidates run in index order, in chunks
+    each candidate is finished from its level-N nodes' rows
+    (`forward.candidate_costs`).  Candidates run in index order, in chunks
     of `forward.chunk_rows` rows, and the table holds only the rows that the
     current and later chunks read, about a chunk's worth (at N = 0 every
     candidate is its own row).  So the memory is the cost array plus about
@@ -227,7 +226,7 @@ def _grid_costs(spec, tree, grid_per_axis, comb_cap):
     node_strides = big_p ** np.arange(m_last - 1, -1, -1, dtype=np.int64)[:, None]
     costs = np.empty(total)
     held = held_stop = 0  # table rows [held, held_stop) in `table`
-    table = [np.empty((0,) + shape) for shape in ((), (m_last,), (m_last, tree.branch, spec.n))]
+    table = ()
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         prefix, rest = np.divmod(np.arange(start, stop), tail)
@@ -242,24 +241,11 @@ def _grid_costs(spec, tree, grid_per_axis, comb_cap):
             new = np.arange(max(held_stop, first), min(n_rows, max(need, held_stop + chunk // 4)))
             # free the rows that no chunk reads again before the new ones are made
             table = [a[first - held:].copy() for a in table]
-            table = [np.concatenate(pair)
-                     for pair in zip(table, _table_rows(spec, tree, table_controls(new)))]
+            fresh = level_table(spec, tree, table_controls(new))
+            table = fresh._make(map(np.concatenate, zip(table, fresh))) if table else fresh
             held, held_stop = first, int(new[-1]) + 1
-        costs[start:stop] = _candidate_costs(spec, tree, table, rows - held)
+        costs[start:stop] = candidate_costs(spec, tree, table, rows - held)
     return costs, lambda idx: _grid_controls(idx, axes, strides)
-
-
-def _candidate_costs(spec, tree, table, rows):
-    """`batch_cost` of the candidates whose level-N nodes read the (row, node)
-    pairs (rows[j, b], j) of the `_table_rows` arrays `table`, rows (m_N, B)."""
-    pre, run, kids = table
-    n_steps, m_last = tree.grid.n_steps, len(rows)
-    at = (rows * m_last + np.arange(m_last)[:, None]).T  # (B, m_N) into the pairs
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = add_level(pre.take(rows[0]), run.reshape(-1).take(at), tree.abs_prob[n_steps])
-        leaves = kids.reshape(-1, tree.branch, spec.n).take(at, axis=0)
-        leaves = leaves.reshape(len(at), -1, spec.n)
-        return add_terminal(spec, tree, sums, leaves, level_mean(tree, n_steps + 1, leaves))
 
 
 def _grid_controls(idx, axes, strides):
@@ -269,17 +255,3 @@ def _grid_controls(idx, axes, strides):
     return [np.stack([a[idx[:, None] // s % a.size] for a, s in zip(ax, st)], axis=-1)
             for ax, st in zip(axes, strides)]
 
-
-def _table_rows(spec, tree, controls):
-    """Per batch row: the summed cost of levels 0..N-1 (B,), each level-N
-    node's running cost (B, m_N) and the states of its children
-    (B, m_N, branch, n)."""
-    n_steps = len(controls) - 1
-    pre = np.zeros(len(controls[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = forward_levels(spec, tree, controls)
-        for k, (x, mean) in zip(range(n_steps), levels):
-            pre = add_level(pre, level_cost(spec, tree, controls, k, x, mean), tree.abs_prob[k])
-        run = level_cost(spec, tree, controls, n_steps, *next(levels))
-        kids, _ = next(levels)
-    return pre, run, kids.reshape(run.shape + (tree.branch, spec.n))

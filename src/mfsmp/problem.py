@@ -163,10 +163,6 @@ class ProblemSpec:
         return -internal_cost if self.direction == "maximize" else internal_cost
 
 
-def project(spec: ProblemSpec, step: int, v):
-    return spec.admissible.project(step, v)
-
-
 def _lin(v, w):
     """sum_j w_j v[..., j] per row of v (w_j numbers or per-row arrays), from
     elementwise ufuncs only: unlike an einsum or matmul reduction, a row's bits

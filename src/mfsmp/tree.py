@@ -286,21 +286,16 @@ def _level_values(tree, proc, level):
     return values
 
 
-def cond_expect(tree, proc, level, node=None):
-    """Conditional expectation of level-`level` values given the level-1 partition.
-
-    Returns the array over level-1 parent nodes (exact weighted sums over
-    children), or the single parent value if `node` is given.
-    """
+def cond_expect(tree, proc, level):
+    """Conditional expectation of level-`level` values given the level-1
+    partition: the array over level-1 parent nodes (exact weighted sums over
+    children)."""
     tree._check_level(level)
     if level == 0:
         raise MfsmpError("level-0 values have no parent level to condition on")
     values = _level_values(tree, proc, level)
     shaped = values.reshape((tree.size(level - 1), tree.branch) + values.shape[1:])
-    out = np.einsum("mb...,b->m...", shaped, tree.support_prob)
-    if node is None:
-        return out
-    return out[node]
+    return np.einsum("mb...,b->m...", shaped, tree.support_prob)
 
 
 def cond_expect_noise(tree, proc, level):

@@ -11,8 +11,8 @@ from mfsmp.errors import ConfigError, MfsmpError
 from mfsmp.forward import constant_control, cost
 from mfsmp.instances import (e1_problem, random_control, random_lq, random_prodcons,
                              smooth_nonlinear)
-from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, project,
-                           serialize_problem, to_config, validate_spec)
+from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, serialize_problem,
+                           to_config, validate_spec)
 
 MINIMAL_LQ = {
     "dims": {"n": 1, "r": 1, "d": 1},
@@ -362,11 +362,11 @@ def test_lq_costs_of_a_row_do_not_depend_on_the_batch(n):
 def test_project_examples():
     spec = builtin("lq_meanfield", n=1, r=2, d=1, h=1.0, N=0, x0=[0.0],
                    lo=[0.0, 0.0], hi=[1.0, 1.0])
-    np.testing.assert_allclose(project(spec, 0, [0.5, 0.25]), [0.5, 0.25])
-    np.testing.assert_allclose(project(spec, 0, [2.0, -3.0]), [1.0, 0.0])
+    np.testing.assert_allclose(spec.admissible.project(0, [0.5, 0.25]), [0.5, 0.25])
+    np.testing.assert_allclose(spec.admissible.project(0, [2.0, -3.0]), [1.0, 0.0])
     half_open = builtin("lq_meanfield", n=1, r=1, d=1, h=1.0, N=0, x0=[0.0],
                         lo=0.0, hi=np.inf)
-    np.testing.assert_allclose(project(half_open, 0, [-5.0]), [0.0])
+    np.testing.assert_allclose(half_open.admissible.project(0, [-5.0]), [0.0])
 
 
 @settings(max_examples=50, deadline=None)

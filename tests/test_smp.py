@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from mfsmp import forward, smp
 from mfsmp.adjoint import linearize, solve_adjoint, solve_linear_forward
 from mfsmp.cli import main, write_control_csv
-from mfsmp.errors import CostDomainError, SimulationError
+from mfsmp.errors import CostDomainError, MfsmpError, SimulationError
 from mfsmp.forward import constant_control, cost, simulate
 from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
                              smooth_nonlinear)
@@ -496,7 +497,7 @@ def test_terminal_costate_is_negated_in_place(monkeypatch):
     # between `linearize_terminal` and the sweep the gradient allocates no
     # leaf array (a negated copy took one): the fresh sum is negated in
     # place, to the bits of its negation
-    spec = _deep_lq(10)
+    spec = _ill_conditioned_lq(10)
     tree = spec.build_tree()
     u = random_control(spec, tree, 4)
     traj = simulate(spec, tree, u)
@@ -746,8 +747,10 @@ def _negated(g):
     return out
 
 
-def _deep_lq(n_steps):
-    """Unconstrained convex mean-field LQ, n = 2, r = d = 1, h = 0.5."""
+def _ill_conditioned_lq(n_steps):
+    """Ill-conditioned unconstrained convex mean-field LQ, n = 2, r = d = 1,
+    h = 0.5: from zero, `optimize` needs 207 gradients at N = 16, against 49
+    on the bench coefficients of `test_optimize._deep_lq`."""
     return builtin("lq_meanfield", n=2, r=1, d=1, h=0.5, N=n_steps, x0=[0.3, -0.2],
                    A=[[0.1, 0.2], [0.0, -0.3]], A_mean=[[0.05, 0.0], [0.0, 0.1]],
                    B=[[1.0], [0.5]], sigma=[{"s0": [0.1, 0.2], "C": [[0.2, 0.0], [0.0, 0.1]]}],
@@ -766,7 +769,7 @@ def _floor_prodcons():
 
 
 CERT_CASES = dict(FD_CASES, **{
-    "lq-binary": lambda: _deep_lq(4),
+    "lq-binary": lambda: _ill_conditioned_lq(4),
     "smooth-nonlinear": lambda: smooth_nonlinear(2),
 })
 
@@ -842,7 +845,7 @@ def _sampled_fd_error(spec, tree, u, g, coords, step=1e-5):
 
 
 def test_certificate_exact_at_depth_where_fd_loses_digits():
-    spec = _deep_lq(12)
+    spec = _ill_conditioned_lq(12)
     tree = spec.build_tree()
     u = random_control(spec, tree, 1)
     g = adjoint_gradient(spec, tree, u)
@@ -855,7 +858,7 @@ def test_certificate_exact_at_depth_where_fd_loses_digits():
 
 
 def test_certificate_catches_one_corrupted_deepest_node_outside_sample():
-    spec = _deep_lq(12)
+    spec = _ill_conditioned_lq(12)
     tree = spec.build_tree()
     u = random_control(spec, tree, 1)
     g = adjoint_gradient(spec, tree, u)
@@ -887,7 +890,7 @@ def test_certificate_row_counts_do_not_grow_with_depth(monkeypatch):
     batch_cost = smp.batch_cost
     monkeypatch.setattr(smp, "batch_cost", counting)
     for n_steps in (6, 12):
-        spec = _deep_lq(n_steps)
+        spec = _ill_conditioned_lq(n_steps)
         tree = spec.build_tree()
         u = random_control(spec, tree, 1)
         assert smp.certify_gradient(spec, tree, u, adjoint_gradient(spec, tree, u)).passed
@@ -900,7 +903,7 @@ def test_certificate_row_counts_do_not_grow_with_depth(monkeypatch):
 
 
 MOVED_CASES = dict(FD_CASES, **{
-    "lq-binary-sampled": lambda: _deep_lq(6),
+    "lq-binary-sampled": lambda: _ill_conditioned_lq(6),
     "random-lq": lambda: random_lq(4, steps_max=3),
 })
 
@@ -971,6 +974,57 @@ def test_moved_costs_do_not_depend_on_the_chunk_budget(case, dtype, monkeypatch)
         assert forward.chunk_rows(spec, tree, dtype) == chunk
         got = smp._moved_costs(spec, tree, u, rows, coords, moves, dtype)
         np.testing.assert_array_equal(got, expected, err_msg=f"{chunk} rows per chunk")
+
+
+def _first_steps(spec, n_steps):
+    """`spec` on its first `n_steps` control steps."""
+    box = AdmissibleSet(spec.admissible.lo[:n_steps + 1], spec.admissible.hi[:n_steps + 1])
+    return dataclasses.replace(spec, grid=dataclasses.replace(spec.grid, n_steps=n_steps),
+                               admissible=box)
+
+
+@pytest.mark.parametrize("rows", [None, 2])  # 2: the moved rows span several chunks
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n_steps", [1, 3])
+@pytest.mark.parametrize("family", sorted(CHUNK_FAMILIES))
+def test_moved_rows_are_the_rows_run_whole(family, n_steps, dtype, rows, monkeypatch):
+    # `batch_cost`'s `moved` rows are finished from row 0's level table, at
+    # N = 1 too, where `_moved_costs` runs every row whole: each is the same
+    # bits as the row that moves that control run whole
+    specs = (CHUNK_FAMILIES[family](seed) for seed in itertools.count())
+    for spec in itertools.islice((s for s in specs if s.grid.n_steps >= 3), 4):
+        spec = _first_steps(spec, n_steps)
+        tree = spec.build_tree()
+        if rows is not None:
+            _rows_per_chunk(monkeypatch, spec, tree, rows, dtype)
+        u = random_control(spec, tree, 5)
+        levels = [u.at(k).astype(dtype) for k in u.levels()]
+        # each coordinate of each level-N node, moved up and down
+        m = tree.size(n_steps)
+        nodes = np.repeat(np.arange(m), 2 * spec.r)
+        coord = np.tile(np.repeat(np.arange(spec.r), 2), m)
+        step = 1j * smp.CS_STEP if dtype is complex else 1e-3
+        values = levels[-1][nodes]
+        values[np.arange(nodes.size), coord] += np.tile([step, -step], m * spec.r)
+
+        def controls_of(idx):
+            controls = [np.repeat(uk[None], idx.size, axis=0) for uk in levels]
+            at = np.flatnonzero(idx > 0)
+            controls[-1][at, nodes[idx[at] - 1]] = values[idx[at] - 1]
+            return controls
+
+        whole = forward.batch_cost(spec, tree, 1 + nodes.size, controls_of, dtype)
+        finished = forward.batch_cost(spec, tree, 1, controls_of, dtype, (nodes, values))
+        assert np.isfinite(whole).all()
+        np.testing.assert_array_equal(finished, whole)
+
+
+def test_moved_rows_need_row_zero():
+    spec = smooth_nonlinear(0)
+    tree = spec.build_tree()
+    moved = (np.array([0]), np.zeros((1, spec.r)))
+    with pytest.raises(MfsmpError, match="row 0"):
+        forward.batch_cost(spec, tree, 0, lambda idx: [], float, moved)
 
 
 def _real_only(spec, wrap):
@@ -1126,7 +1180,7 @@ def _capped_cost(spec, limit):
 
 
 def test_certificate_taylor_skips_rungs_outside_cost_domain():
-    base = _deep_lq(7)
+    base = _ill_conditioned_lq(7)
     tree = base.build_tree()
     u = random_control(base, tree, 9)
     directions = smp.certificate_directions(base, tree, u)

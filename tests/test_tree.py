@@ -79,12 +79,12 @@ def test_cond_expect_examples():
     tree = build_tree(TimeGrid(0.0, 1.0, 0), NoiseModel.binary(1, 1.0))
     np.testing.assert_allclose(cond_expect(tree, np.array([7.0, 7.0]), 1), [7.0])
     vals = np.array([3.0, 1.0])
-    assert cond_expect(tree, vals, 1, node=0) == pytest.approx(2.0)
+    assert cond_expect(tree, vals, 1)[0] == pytest.approx(2.0)
     # increments come out as (+1, -1) at unit step: 0.5*3*1 + 0.5*1*(-1) = 1,
     # the conditional covariation that defines the martingale part of a costate
     np.testing.assert_array_equal(tree.increments(1)[:, 0], [1.0, -1.0])
     weighted = vals * tree.increments(1)[:, 0]
-    assert cond_expect(tree, weighted, 1, node=0) == pytest.approx(1.0)
+    assert cond_expect(tree, weighted, 1)[0] == pytest.approx(1.0)
 
 
 def test_expect_examples():
