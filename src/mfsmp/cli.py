@@ -428,7 +428,7 @@ def cmd_solve(args) -> int:
     out = _out_dir(args.out)
     options = OptimizerOptions(max_iters=args.max_iters, grad_tol=args.grad_tol)
     result = optimize(spec, tree, options=options)
-    g, traj, adj = adjoint_gradient(spec, tree, result.u, return_all=True)
+    g, traj, adj = adjoint_gradient(spec, tree, result.u, return_all=True, traj=result.traj)
     outputs = []
     opt_report = {
         "cost": result.cost,

@@ -5,6 +5,13 @@ so it must be available before any child state is computed.  On a finite tree
 the simulated level means coincide (to roundoff) with the deterministic mean
 recursion, because the diffusion terms have exactly zero conditional mean.
 
+The evaluators other than l and phi take the level mean as one row per node.
+`_rows` is the one place it is broadcast: a 2-D level's mean becomes a
+read-only zero-stride view, built directly rather than by `np.broadcast_to`,
+whose Python layers cost as much as a small level's arithmetic, and a
+`StateTrajectory` keeps each level's rows, so the gradient sweep makes them
+once per level.
+
 The mean-field cost couples the nodes of a level through its mean, so every
 batched cost is finished from a level-N table that only `level_table` builds:
 per batch row, the cost of levels 0..N-1, the level-N states, mean and
@@ -21,7 +28,7 @@ of them sum with `_finish`, so their costs agree to the bit.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +51,8 @@ class StateTrajectory:
 
     states: AdaptedProcess
     means: np.ndarray  # (N+2, n)
+    # level -> its `rows` pair, views of `states` and `means` made on first use
+    _level_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     def at(self, level):
         return self.states.at(level)
@@ -53,9 +62,15 @@ class StateTrajectory:
         return ((self.at(k), mean) for k, mean in enumerate(self.means))
 
     def rows(self, k):
-        """The level-k state and its mean as evaluator rows, (m_k, n) each:
-        `_rows` is the one place a level mean is broadcast over its nodes."""
-        return _rows(self.at(k), self.means[k])
+        """The level-k state and its mean as evaluator rows, (m_k, n) each,
+        made by `_rows`, the one place a level mean is broadcast over its
+        nodes.  The pair is made once and kept: both are views, so it holds
+        no memory of its own, and the linearization, the Hamiltonian
+        gradient and the checks of every level read the same pair."""
+        pair = self._level_rows.get(k)
+        if pair is None:
+            pair = self._level_rows[k] = _rows(self.at(k), self.means[k])
+        return pair
 
 
 def check_feasible(spec, tree, u: AdaptedProcess, tol: float = 1e-9):
@@ -77,14 +92,23 @@ def constant_control(spec, tree, value) -> AdaptedProcess:
 
 def _rows(x, mean):
     """State and level mean as evaluator rows, for all but l and phi: batch axes
-    fold into the node axis, and each batch row's mean is repeated over its nodes."""
+    fold into the node axis, and each batch row's mean is repeated over its nodes.
+
+    A 2-D level's mean is a read-only view with a zero row stride, the view
+    `np.broadcast_to(mean, x.shape)` gives, with the same strides and flags,
+    so `matmul` takes the same loop and rounds the same way.  It is built
+    with the `ndarray` constructor, as `np.broadcast_to`'s Python layers cost
+    more than the gradient's small levels take to evaluate."""
     if x.ndim == 2:
-        return x, np.broadcast_to(mean, x.shape)
+        mean = np.ascontiguousarray(mean)
+        view = np.ndarray(x.shape, mean.dtype, mean, 0, (0, mean.itemsize))
+        view.flags.writeable = False
+        return x, view
     n = x.shape[-1]
     # matrix products may round a broadcast and a contiguous layout
     # differently, so a batch is contiguous at every level, the root included
     return (np.ascontiguousarray(x).reshape(-1, n),
-            np.repeat(mean.reshape(-1, n), x.shape[-2], axis=0))
+            mean.reshape(-1, n).repeat(x.shape[-2], axis=0))
 
 
 def forward_levels(spec, tree: ScenarioTree, controls):
@@ -119,7 +143,7 @@ def forward_step(spec, tree, k, x, mean, uk):
     uf = uk.reshape(-1, spec.r)
     rows = len(xf)
     if x.ndim > 2 and rows == 1:
-        xf, yf, uf = (np.repeat(a, 2, axis=0) for a in (xf, yf, uf))
+        xf, yf, uf = (a.repeat(2, axis=0) for a in (xf, yf, uf))
     drift = spec.coeffs.f(k, xf, yf, uf)[:rows].reshape(x.shape)
     diff = spec.coeffs.sigma(k, xf, yf, uf)[:rows].reshape(x.shape[:-1] + (spec.d, spec.n))
     del xf, yf, uf
@@ -203,7 +227,7 @@ def _deepest_costs(spec, tree, table, nodes, values, chunk) -> np.ndarray:
         # every node's children see the support in one order: they lift as the root's
         moved_kids = tree.children(0, *forward_step(spec, tree, n_steps, at_x, at_mean, at_u))
     # chunk rows of row 0's level-N costs and leaves, each row's node moved and restored
-    running, leaves = (np.repeat(a[None], min(chunk, moves), axis=0) for a in (run, kids))
+    running, leaves = (a[None].repeat(min(chunk, moves), axis=0) for a in (run, kids))
     for start in range(0, moves, chunk):
         rows = np.arange(start, min(start + chunk, moves))
         at = (np.arange(rows.size), nodes[rows])
@@ -228,11 +252,11 @@ def add_level(costs, vals, prob):
     (..., m) under the node probabilities `prob` (m,): the einsum `cost`
     uses, pairwise for complex values.  Callers suppress the overflow
     warnings of non-finite values."""
-    if np.iscomplexobj(vals):
+    if vals.dtype.kind == "c":
         # a complex step puts a few large imaginary terms among many equal
         # tiny ones; a running sum rounds each tiny one the same way,
         # drifting by up to nodes * eps, a pairwise sum does not
-        return costs + np.sum(vals * prob, axis=-1)
+        return costs + (vals * prob).sum(axis=-1)
     return costs + np.einsum("...m,m->...", vals, prob)
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
-from .forward import candidate_costs, chunk_rows, cost, level_table, simulate
+from .forward import (StateTrajectory, candidate_costs, chunk_rows, cost, level_table,
+                      simulate)
 from .instances import random_control
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
@@ -57,6 +58,8 @@ class OptimizeResult:
     # rows [J, projected-gradient norm, accepted step, backtracks]; row 0 has step 0.0
     history: list = field(default_factory=list)
     reason: str = ""
+    # `simulate(spec, tree, u)`, which `adjoint_gradient` takes as its `traj`
+    traj: StateTrajectory | None = field(default=None, repr=False)
 
 
 def _project_control(spec, u: AdaptedProcess) -> AdaptedProcess:
@@ -80,8 +83,7 @@ def _spectral_step(tree, s, y, fallback) -> float:
 
 def _pg_norm(spec, u, g) -> float:
     """Sup norm of the unit-step projected gradient displacement."""
-    return max(float(np.max(np.abs(spec.admissible.project(k, u.at(k) - g[k]) - u.at(k)),
-                            initial=0.0))
+    return max(float(np.abs(spec.admissible.project(k, u.at(k) - g[k]) - u.at(k)).max(initial=0.0))
                for k in u.levels())
 
 
@@ -152,7 +154,7 @@ def optimize(spec, tree, u0: AdaptedProcess | None = None,
         u, j_val, traj, g_prev, g = trial, j_trial, traj_trial, g, g_trial
         quiet = 0 if g is None else quiet + 1  # g is None after an Armijo step
     return OptimizeResult(u=u, cost=j_val, iterations=iterations,
-                          history=history, reason=reason)
+                          history=history, reason=reason, traj=traj)
 
 
 def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7):

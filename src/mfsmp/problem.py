@@ -105,11 +105,11 @@ class AdmissibleSet:
 
     def project(self, step, v):
         """Componentwise clamp into the step's box; idempotent and nonexpansive."""
-        return np.clip(np.asarray(v, dtype=float), self.lo[step], self.hi[step])
+        return np.asarray(v, dtype=float).clip(self.lo[step], self.hi[step])
 
     def violation(self, step, v):
         v = np.asarray(v, dtype=float)
-        return float(np.max(np.maximum(self.lo[step] - v, v - self.hi[step]), initial=0.0))
+        return float(np.maximum(self.lo[step] - v, v - self.hi[step]).max(initial=0.0))
 
     def sample(self, rng, steps, base):
         """Random admissible points near `base` (..., r), one `rng.random` draw
@@ -281,9 +281,14 @@ def _lq_coeffs(n, r, d, tables, sigma_tabs, sign):
         return x @ t["A"].T + y @ t["A_mean"].T + u @ t["B"].T + t["f0"]
 
     def sigma(k, x, y, u):
-        cols = [x @ t["C"].T + y @ t["C_mean"].T + u @ t["D"].T + t["s0"]
-                for t in step(k)["sigma"]]
-        return np.stack(cols, axis=1)
+        # the columns go straight into one array, the bits of np.stack(cols, axis=1)
+        out = None
+        for j, t in enumerate(step(k)["sigma"]):
+            col = x @ t["C"].T + y @ t["C_mean"].T + u @ t["D"].T + t["s0"]
+            if out is None:
+                out = np.empty(col.shape[:1] + (d,) + col.shape[1:], col.dtype)
+            out[:, j] = col
+        return out
 
     def l(k, x, y, u):
         t = step(k)

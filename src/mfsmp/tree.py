@@ -138,11 +138,8 @@ class ScenarioTree:
         self.abs_prob = abs_prob
         self.branch = noise.branch_count
         self.level_sizes = [a.size for a in abs_prob]
+        self.n_levels = len(self.level_sizes)
         self._offsets = np.concatenate([[0], np.cumsum(self.level_sizes)])
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.level_sizes)
 
     @property
     def n_nodes(self) -> int:
@@ -172,10 +169,10 @@ class ScenarioTree:
         self._check_level(level, nodes=base.shape[-2])
         # every node's children carry the support in one order
         shape = diff.shape[:-3] + (-1, self.branch, diff.shape[-1])  # (..., m, B, n)
-        noise = np.repeat(diff[..., 0, :], self.branch, axis=-2).reshape(shape)
+        noise = diff[..., 0, :].repeat(self.branch, axis=-2).reshape(shape)
         noise *= self.support[:, 0, None]
         for j in range(1, self.noise.dim):
-            term = np.repeat(diff[..., j, :], self.branch, axis=-2).reshape(shape)
+            term = diff[..., j, :].repeat(self.branch, axis=-2).reshape(shape)
             term *= self.support[:, j, None]
             noise += term
             del term

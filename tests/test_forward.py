@@ -4,11 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mfsmp import forward
 from mfsmp.errors import CostDomainError, MfsmpError, SimulationError
 from mfsmp.forward import (check_feasible, constant_control, cost,
                            mean_recursion_residual, simulate)
-from mfsmp.instances import random_control, random_lq, random_prodcons, smooth_nonlinear
+from mfsmp.instances import (random_control, random_lq, random_prodcons, random_spike,
+                             smooth_nonlinear)
 from mfsmp.problem import builtin, parse_problem
+from mfsmp.smp import adjoint_gradient, duality_residual
 from mfsmp.tree import AdaptedProcess, expect
 
 
@@ -234,3 +237,114 @@ def test_streamed_cost_holds_one_level():
     finally:
         tracemalloc.stop()
     assert peak <= 2.7 * leaf
+
+
+def broadcast_rows(x, mean):
+    """`forward._rows` in its reference form, the mean of a 2-D level
+    broadcast by `np.broadcast_to` and a batch's by `np.repeat`."""
+    if x.ndim == 2:
+        return x, np.broadcast_to(mean, x.shape)
+    n = x.shape[-1]
+    return (np.ascontiguousarray(x).reshape(-1, n),
+            np.repeat(mean.reshape(-1, n), x.shape[-2], axis=0))
+
+
+FLAGS = ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA", "WRITEABLE", "ALIGNED", "WRITEBACKIFCOPY")
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("nodes", [1, 2, 7])
+def test_level_mean_rows_are_the_broadcast_view(dtype, nodes):
+    rng = np.random.default_rng(nodes)
+    x = rng.standard_normal((nodes, 3)).astype(dtype)
+    mean = rng.standard_normal(3).astype(dtype)
+    if dtype is complex:
+        x, mean = x + 1e-30j, mean - 2e-30j
+    rows, mean_rows = forward._rows(x, mean)
+    ref = np.broadcast_to(mean, x.shape)
+    assert rows is x
+    assert not mean_rows.flags.writeable and mean_rows.strides == (0, mean.itemsize)
+    assert np.shares_memory(mean_rows, mean)
+    assert mean_rows.dtype == ref.dtype and mean_rows.strides == ref.strides
+    assert [mean_rows.flags[f] for f in FLAGS] == [ref.flags[f] for f in FLAGS]
+    np.testing.assert_array_equal(mean_rows, ref)
+    # a strided mean is made contiguous first
+    strided = np.repeat(mean, 2)[::2]
+    np.testing.assert_array_equal(forward._rows(x, strided)[1], ref)
+
+
+def test_trajectory_rows_are_made_once():
+    spec = random_lq(4, steps_max=4, bounded=True)
+    tree = spec.build_tree()
+    traj = simulate(spec, tree, random_control(spec, tree, 1))
+    for k in range(tree.n_levels):
+        x, y = traj.rows(k)
+        assert traj.rows(k)[0] is x and traj.rows(k)[1] is y
+        assert x is traj.at(k) and np.shares_memory(y, traj.means)
+
+
+def test_gradient_broadcasts_no_level_mean(monkeypatch):
+    # a machine-independent counter: the sweep reads every level's rows from
+    # the trajectory, and the only broadcast left is the root state's
+    spec = random_lq(4, steps_max=4, bounded=True)
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 1)
+    traj = simulate(spec, tree, u)
+    calls, broadcast_to = [], np.broadcast_to
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return broadcast_to(*args, **kwargs)
+
+    monkeypatch.setattr(np, "broadcast_to", counted)
+    adjoint_gradient(spec, tree, u, traj=traj)
+    assert calls == []
+    adjoint_gradient(spec, tree, u)  # simulates first
+    assert len(calls) <= 1  # the root state's, on a tree of 4 levels
+
+
+def _wide_state_lq():
+    """An LQ with n = 32, where matmul rounds a zero-stride mean and a
+    contiguous copy of it differently on levels of 2 to 7 rows."""
+    rng = np.random.default_rng(32)
+
+    def mat(scale):
+        return (rng.uniform(-scale, scale, (32, 32)) / np.sqrt(32)).tolist()
+
+    return builtin("lq_meanfield", n=32, r=1, d=1, h=0.5, N=3, x0=rng.uniform(-1, 1, 32).tolist(),
+                   A=mat(0.5), A_mean=mat(0.5), B=rng.uniform(-1, 1, (32, 1)).tolist(),
+                   sigma=[{"C": mat(0.3), "C_mean": mat(0.3), "s0": [0.1] * 32}],
+                   Q=np.eye(32).tolist(), Q_mean=mat(0.2), R=[[1.0]], G=np.eye(32).tolist(),
+                   G_mean=mat(0.2), q_mean=[0.1] * 32, lo=-1.0, hi=1.0)
+
+
+ROWS_CASES = {
+    **{f"random-lq-{seed}": (lambda seed=seed: random_lq(seed)) for seed in range(6)},
+    "lq-n32": _wide_state_lq,
+    "tables": STREAM_CASES["tables"],
+    "prodcons": lambda: random_prodcons(2),
+    "smooth-nonlinear": lambda: smooth_nonlinear(3),
+}
+
+
+def _rows_outputs(spec, tree, u):
+    """The arrays and floats of simulate, cost, the gradient and the duality residual, as bytes."""
+    traj = simulate(spec, tree, u)
+    g, traj_g, adj = adjoint_gradient(spec, tree, u, return_all=True)
+    spike = random_spike(spec, tree, u, seed=0, scale=1e-3)
+    arrays = ([traj.at(k) for k in range(tree.n_levels)] + [traj.means]
+              + [g.at(k) for k in g.levels()] + [adj.p.at(k) for k in adj.p.levels()]
+              + [adj.q.at(k) for k in adj.q.levels()])
+    floats = [cost(spec, tree, u), cost(spec, tree, u, traj=traj),
+              duality_residual(spec, tree, traj_g, adj, u, spike)]
+    return [a.tobytes() for a in arrays], np.array(floats).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(ROWS_CASES))
+def test_direct_mean_view_keeps_the_bits_of_broadcast_to(case, monkeypatch):
+    spec = ROWS_CASES[case]()
+    tree = spec.build_tree()
+    u = random_control(spec, tree, 1)
+    direct = _rows_outputs(spec, tree, u)
+    monkeypatch.setattr(forward, "_rows", broadcast_rows)
+    assert _rows_outputs(spec, tree, u) == direct

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfsmp.errors import ConfigError, MfsmpError
-from mfsmp.forward import constant_control, cost
+from mfsmp.forward import _rows, constant_control, cost
 from mfsmp.instances import (e1_problem, random_control, random_lq, random_prodcons,
                              smooth_nonlinear)
 from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, serialize_problem,
@@ -357,6 +357,42 @@ def test_lq_costs_of_a_row_do_not_depend_on_the_batch(n):
                 one = slice(m, m + 1)
                 assert c.l(k, xb[b, one], yb[b], ub[b, one])[0] == running[b, m]
                 assert c.phi(xb[b, one], yb[b])[0] == terminal[b, m]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lq_sigma_is_the_stack_of_its_columns(d):
+    # the d diffusions are written into one fresh array with the bits of
+    # np.stack of the columns, real or complex, for the rows of a level, of
+    # a batch folded into rows and of a batched level
+    rng = np.random.default_rng(d)
+    n, r = 3, 2
+    sigma = [{"C": rng.uniform(-1.0, 1.0, (n, n)), "C_mean": rng.uniform(-1.0, 1.0, (n, n)),
+              "D": rng.uniform(-1.0, 1.0, (n, r)), "s0": rng.uniform(-1.0, 1.0, n)}
+             for _ in range(d)]
+    spec = builtin("lq_meanfield", n=n, r=r, d=d, h=0.5, N=0, x0=[0.0] * n,
+                   sigma=[{key: v.tolist() for key, v in entry.items()} for entry in sigma])
+
+    def reference(x, y, u):
+        return np.stack([x @ t["C"].T + y @ t["C_mean"].T + u @ t["D"].T + t["s0"]
+                         for t in sigma], axis=1)
+
+    def draw(*shape, dtype):
+        v = rng.uniform(-1.0, 1.0, shape)
+        return v + 1j * rng.uniform(-1e-3, 1e-3, shape) if dtype is complex else v
+
+    for dtype in (float, complex):
+        x, mean, u = (draw(*shape, dtype=dtype) for shape in ((7, n), (n,), (7, r)))
+        xb, mean_b, ub = (draw(*shape, dtype=dtype) for shape in ((2, 7, n), (2, n), (2, 7, r)))
+        for args in ((*_rows(x, mean), u), (*_rows(xb, mean_b), ub.reshape(-1, r)),
+                     (xb, mean_b[:, None], ub)):
+            got, want = spec.coeffs.sigma(0, *args), reference(*args)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            again = spec.coeffs.sigma(0, *args)
+            assert got.flags.owndata and got.flags.writeable
+            assert not np.shares_memory(got, again)
+            got[...] = np.nan
+            assert again.tobytes() == spec.coeffs.sigma(0, *args).tobytes() == want.tobytes()
 
 
 def test_project_examples():
