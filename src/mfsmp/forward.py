@@ -22,9 +22,11 @@ alone needs no forward pass.  `batch_cost`, the one batched cost of the
 finite differences and the gradient certificate, finishes each row from its
 own table, in chunks of `chunk_rows` rows whose widest level array holds at
 most `CHUNK_BYTES` bytes, and its `moved` rows from row 0's table, each
-moved node lifted again by `forward_step`.  The grid oracle finishes each
-candidate from the table rows of its level-N nodes (`candidate_costs`).  All
-of them sum with `_finish`, so their costs agree to the bit.
+moved node lifted again by `forward_step`.  The grid oracle
+(`optimize.brute_force`) finishes its candidates in runs in which only the
+last level-N node moves: a run is a slice of its prefix's table rows, with
+the other nodes' entries broadcast over it.  All of them sum with `_finish`,
+so their costs agree to the bit.
 """
 
 from collections import namedtuple
@@ -236,15 +238,6 @@ def _deepest_costs(spec, tree, table, nodes, values, chunk) -> np.ndarray:
                               leaves[:rows.size])
         running[at], leaves[at] = run[nodes[rows]], kids[nodes[rows]]
     return costs
-
-
-def candidate_costs(spec, tree, table, rows) -> np.ndarray:
-    """The grid oracle's costs of candidates whose level-N node j reads row
-    rows[j, b] of the level table `table`, rows (m_N, B)."""
-    m_last = len(rows)
-    at = (rows * m_last + np.arange(m_last)[:, None]).T  # (B, m_N) into the (row, node) pairs
-    return _finish(spec, tree, table.pre.take(rows[0]), table.run.reshape(-1).take(at),
-                   table.kids.reshape(-1, tree.branch, spec.n).take(at, axis=0))
 
 
 def add_level(costs, vals, prob):

@@ -21,14 +21,14 @@ g(trial) is the next gradient.  `gradient-stall` ends STALL_ITERS iterations wit
 neither a new least projected gradient nor an Armijo step.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CostDomainError, MfsmpError, SimulationError
-from .forward import (StateTrajectory, candidate_costs, chunk_rows, cost, level_table,
-                      simulate)
+from .forward import StateTrajectory, _finish, chunk_rows, cost, level_table, simulate
 from .instances import random_control
 from .smp import adjoint_gradient
 from .tree import AdaptedProcess, expect
@@ -89,9 +89,10 @@ def _pg_norm(spec, u, g) -> float:
 
 def _safe_cost(spec, tree, u):
     """J and the trajectory of u, or (inf, None) where its state or cost is
-    undefined; the trajectory goes on to `adjoint_gradient` if u is accepted."""
+    undefined; the trajectory goes on to `adjoint_gradient` if u is accepted.
+    Every u is a fresh projection into the boxes: `simulate` skips their check."""
     try:
-        traj = simulate(spec, tree, u)
+        traj = simulate(spec, tree, u, validate=False)
         return cost(spec, tree, u, traj=traj), traj
     except (CostDomainError, SimulationError):
         return np.inf, None
@@ -162,18 +163,13 @@ def brute_force(spec, tree, grid_per_axis: int, comb_cap: int = 10 ** 7):
     the best candidate with its exact cost; a tie goes to the lowest candidate
     index.  Refuses unbounded boxes and combinatorial sizes beyond `comb_cap`.
 
-    The candidates' costs are `forward.batch_cost`'s, bit for bit, but the
-    forward recursion does not run once per candidate: a candidate's level-N
-    table (`forward.level_table`) depends only on its prefix, its controls
-    before level N, and a level-N node's entries only on the prefix and that
-    node's own control.  So the recursion runs once per table row, a pair
-    (prefix, level-N grid point) with that point at every level-N node, and
-    each candidate is finished from its level-N nodes' rows
-    (`forward.candidate_costs`).  Candidates run in index order, in chunks
-    of `forward.chunk_rows` rows, and the table holds only the rows that the
-    current and later chunks read, about a chunk's worth (at N = 0 every
-    candidate is its own row).  So the memory is the cost array plus about
-    one chunk, whatever the shape."""
+    The costs are `forward.batch_cost`'s, bit for bit, but the forward
+    recursion runs once per table row (`forward.level_table`), a pair (prefix,
+    level-N grid point) with that point at every level-N node: a candidate's
+    level-N entries depend only on its prefix, its controls before level N,
+    and each node's own control.  A table holds whole prefixes, about a
+    quarter chunk of rows (at N = 0, where each candidate is its own row, a
+    chunk), so the memory is the cost array plus about one chunk."""
     if grid_per_axis < 1:
         raise MfsmpError("grid_per_axis must be >= 1")
     costs, controls_of = _grid_costs(spec, tree, grid_per_axis, comb_cap)
@@ -189,7 +185,10 @@ def _grid_costs(spec, tree, grid_per_axis, comb_cap):
     function giving the per-step controls (B, m_k, r) of candidate indices.
     A candidate index is a mixed-radix number over the nodes, level by level,
     whose digit at a node is the index of its grid point, last coordinate
-    fastest."""
+    fastest.  So candidates come in runs of P, a level-N node's grid points,
+    in which only the last level-N node moves, over its prefix's P table rows.
+    A chunk of `forward.chunk_rows` candidates is whole runs, or part of one
+    longer run, so index arithmetic and gathers run per run, not per candidate."""
     n_steps = tree.grid.n_steps
     axes = []  # axes[k][i]: grid of coordinate i at step k
     for k in range(n_steps + 1):
@@ -211,42 +210,39 @@ def _grid_costs(spec, tree, grid_per_axis, comb_cap):
         nodes = after * points[k] ** np.arange(tree.size(k) - 1, -1, -1, dtype=np.int64)
         strides.append([nodes * math.prod(a.size for a in ax[i + 1:]) for i in range(spec.r)])
 
-    # table row = prefix * P + p, P = points[-1], for the level-N grid point p
+    # table row (prefix, p): the candidate with grid point p at every level-N node
     tail, big_p, m_last = level[-1], points[-1], tree.size(n_steps)
-    n_rows = total // tail * big_p
-    prefix_strides = [[s // tail for s in st] for st in strides[:-1]]
-    point_strides = [[s[-1:] for s in strides[-1]]]  # coordinate digits of one point
-
-    def table_controls(rows):
-        prefix, point = np.divmod(rows, big_p)
-        last = _grid_controls(point, axes[-1:], point_strides)[0]
-        return (_grid_controls(prefix, axes[:-1], prefix_strides)
-                + [np.repeat(last, m_last, axis=1)])
-
+    n_prefixes, per_prefix = total // tail, tail // big_p  # prefixes, and runs of one
+    every_node = sum(big_p ** j for j in range(m_last))  # p at every node: p * every_node
     chunk = chunk_rows(spec, tree)
-    # index arrays are (m_N, B), so that each numpy loop runs along the chunk
-    node_strides = big_p ** np.arange(m_last - 1, -1, -1, dtype=np.int64)[:, None]
+    # a chunk is `per` whole runs or `width` points of one; a table is `span`
+    # prefixes, about a quarter chunk of rows, or at N = 0 a chunk's rows
+    per, width = max(1, chunk // big_p), min(big_p, chunk)
+    held = big_p if m_last > 1 else width  # points of a prefix in a table
+    span = max(1, chunk // 4 // held)
+    lead_strides = big_p ** np.arange(m_last - 2, -1, -1, dtype=np.int64)[:, None]
+    leading = np.arange(m_last - 1)[:, None]  # the level-N nodes but the last
     costs = np.empty(total)
-    held = held_stop = 0  # table rows [held, held_stop) in `table`
-    table = ()
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        prefix, rest = np.divmod(np.arange(start, stop), tail)
-        rows = prefix * big_p + rest // node_strides % big_p  # each level-N node's row
-        # the first row a candidate from `start` on reads: its prefix's first
-        # row, or its own row when a single node makes up level N
-        first = int(prefix[0] * big_p + (rest[0] if m_last == 1 else 0))
-        need = int(rows.max()) + 1
-        if need > held_stop:
-            # looking a quarter chunk ahead saves forward runs where a prefix
-            # has few rows, and keeps a run's temporaries a quarter of a chunk's
-            new = np.arange(max(held_stop, first), min(n_rows, max(need, held_stop + chunk // 4)))
-            # free the rows that no chunk reads again before the new ones are made
-            table = [a[first - held:].copy() for a in table]
-            fresh = level_table(spec, tree, table_controls(new))
-            table = fresh._make(map(np.concatenate, zip(table, fresh))) if table else fresh
-            held, held_stop = first, int(new[-1]) + 1
-        costs[start:stop] = candidate_costs(spec, tree, table, rows - held)
+    by_run = costs.reshape(-1, big_p)
+    for p0, q0 in itertools.product(range(0, n_prefixes, span), range(0, big_p, held)):
+        p1, q1 = min(p0 + span, n_prefixes), min(q0 + held, big_p)
+        rows = np.arange(p0, p1)[:, None] * tail + np.arange(q0, q1) * every_node
+        table = level_table(spec, tree, _grid_controls(rows.ravel(), axes, strides))
+        run, kids = (a.reshape((p1 - p0, q1 - q0) + a.shape[1:]) for a in (table.run, table.kids))
+        for r0 in range(p0 * per_prefix, p1 * per_prefix, per):
+            r1 = min(r0 + per, p1 * per_prefix)
+            # the only index arithmetic: each run's prefix and leading nodes' points
+            at, lead = np.divmod(np.arange(r0, r1) - p0 * per_prefix, per_prefix)
+            lead = lead // lead_strides % big_p
+            lead_run, lead_kids = (a[at, lead, leading].swapaxes(0, 1)[:, None] for a in (run, kids))
+            for c0 in range(q0, q1, width):
+                c1 = min(c0 + width, q1)
+                # the last node's entries in place, the leading nodes' broadcast
+                cand = [a[:, c0 - q0:c1 - q0].take(at, axis=0) for a in (run, kids)]
+                cand[0][:, :, :-1], cand[1][:, :, :-1] = lead_run, lead_kids
+                by_run[r0:r1, c0:c1] = _finish(
+                    spec, tree, table.pre[::q1 - q0][at].repeat(c1 - c0),
+                    *(a.reshape((-1,) + a.shape[2:]) for a in cand)).reshape(r1 - r0, c1 - c0)
     return costs, lambda idx: _grid_controls(idx, axes, strides)
 
 

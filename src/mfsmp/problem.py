@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, MfsmpError
 from .report import CheckReport
-from .tree import NoiseModel, TimeGrid, build_tree, validate_noise
+from .tree import (DEFAULT_NODE_CAP, NoiseModel, TimeGrid, build_tree, exceeds_node_cap,
+                   validate_noise)
 
 _TOP_KEYS = {"dims", "grid", "noise", "x0", "family", "tables", "admissible", "direction"}
 
@@ -598,6 +599,9 @@ def _problem_from_config(cfg) -> ProblemSpec:
         raise ConfigError(f"noise: unknown keys {sorted(extra)}")
     noise = _noise_from_config(noise_cfg.get("kind"),
                                _object(noise_cfg.get("params"), "noise.params"), d, grid.h)
+    if exceeds_node_cap(noise.branch_count, grid.n_levels):
+        raise ConfigError(f"grid.N: {n_steps} steps of {noise.branch_count} branches exceed "
+                          f"the tree's cap of {DEFAULT_NODE_CAP} nodes")
     try:
         x0 = np.asarray(cfg["x0"], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -188,6 +188,17 @@ class ScenarioTree:
             raise MfsmpError(f"level {level}: expected {self.size(level)} node values, got {nodes}")
 
 
+def exceeds_node_cap(branch: int, n_levels: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:
+    """Whether `n_levels` levels of `branch` children hold over `node_cap` nodes."""
+    total = width = 1
+    for _ in range(n_levels - 1):
+        if total > node_cap:
+            break
+        width *= branch
+        total += width
+    return total > node_cap
+
+
 def build_tree(grid: TimeGrid, noise: NoiseModel, node_cap: int = DEFAULT_NODE_CAP) -> ScenarioTree:
     """Enumerate the full lattice: branching factor = (support size)^dim per node,
     depth N+1.  Refuses instances whose node count exceeds `node_cap`."""
@@ -195,14 +206,10 @@ def build_tree(grid: TimeGrid, noise: NoiseModel, node_cap: int = DEFAULT_NODE_C
         raise MfsmpError(
             f"noise second moment target {noise.step} does not match grid step {grid.h}")
     branch = noise.branch_count
-    total, width = 1, 1
-    for _ in range(grid.n_levels - 1):
-        width *= branch
-        total += width
-        if total > node_cap:
-            raise TreeSizeError(
-                f"instance too large for exact enumeration: more than {node_cap} nodes "
-                f"(branching {branch}, depth {grid.n_levels - 1})")
+    if exceeds_node_cap(branch, grid.n_levels, node_cap):
+        raise TreeSizeError(
+            f"instance too large for exact enumeration: more than {node_cap} nodes "
+            f"(branching {branch}, depth {grid.n_levels - 1})")
 
     joint_vals, joint_probs = noise.joint_support()
     abs_prob = [np.array([1.0])]

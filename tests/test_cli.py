@@ -961,6 +961,44 @@ def test_closed_stdout_pipe_ends_quietly(tmp_path):
     assert proc.returncode == 141
 
 
+# `mfsmp` under a 1 GiB address-space limit, printing how long `main` took
+CAPPED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from mfsmp.cli import main
+start = time.perf_counter()
+status = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(status)
+"""
+
+
+@pytest.mark.parametrize("family, n_steps", [("prodcons", 10 ** 9), ("lq-binary", 10 ** 9),
+                                             ("lq-binary", 10 ** 7), ("prodcons", 40)])
+def test_grid_past_the_node_cap_exits_2_at_parse(family, n_steps, tmp_path):
+    # a config of a few hundred bytes used to ask the admissible parser for
+    # (N + 1, r) tables, 7.45 GiB at N = 10^9, and N = 40 exited 1 from
+    # `build_tree`: each is now one error line naming grid.N, before any table
+    spec = (builtin("prodcons", delta_util=0.5, h=0.5, N=2, x0=1.0, v_floor=0.05, v_cap=2.0)
+            if family == "prodcons" else
+            builtin("lq_meanfield", n=2, r=1, d=1, h=0.5, N=2, x0=[0.3, -0.2], R=[[1.0]],
+                    lo=-1.0, hi=1.0))
+    cfg = json.loads(serialize_problem(spec))
+    cfg["grid"]["N"] = n_steps
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, "solve", str(path),
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: grid.N: {n_steps} steps "), lines[-3:]
+    assert proc.returncode == 2
+    assert float(proc.stdout) < 1.0
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_stdout_matches_out_file(tmp_path, capsys):
     spec = CSV_CASES["trinomial"]()
     tree = spec.build_tree()

@@ -201,9 +201,9 @@ def test_brute_force_runs_the_drift_once_per_table_row(monkeypatch):
     assert sum(rows) <= 101 ** 3 * 3 // 10
 
 
-def _reference_grid_costs(spec, tree, points):
-    """Every grid candidate's `forward.batch_cost`, one forward recursion per
-    candidate, decoded digit by digit over (step, node, coordinate) axes."""
+def _grid_decoder(spec, tree, points):
+    """The grid's candidate count and the per-step controls of candidate
+    indices, decoded digit by digit over (step, node, coordinate) axes."""
     axes, layout = [], []
     for k in range(tree.grid.n_steps + 1):
         for node in range(tree.size(k)):
@@ -220,7 +220,41 @@ def _reference_grid_costs(spec, tree, points):
             controls[k][:, node, i] = axes[j][idx // strides[j] % sizes[j]]
         return controls
 
-    return forward.batch_cost(spec, tree, int(np.prod(sizes)), controls_of)
+    return int(np.prod(sizes)), controls_of
+
+
+def _reference_grid_costs(spec, tree, points):
+    """Every grid candidate's `forward.batch_cost`, one forward recursion per
+    candidate."""
+    return forward.batch_cost(spec, tree, *_grid_decoder(spec, tree, points))
+
+
+def gather_grid_costs(spec, tree, points):
+    """Every grid candidate's cost finished from per-candidate gathers, the
+    reference of `_grid_costs`' runs: one level table of all (prefix,
+    level-N point) rows, and each candidate's level-N entries gathered from
+    its nodes' rows by per-candidate index arithmetic, in chunks of
+    `forward.chunk_rows` candidates."""
+    total, controls_of = _grid_decoder(spec, tree, points)
+    n_steps, branch = tree.grid.n_steps, tree.branch
+    m_last = tree.size(n_steps)
+    big_p = int(np.prod([np.unique(np.linspace(lo, hi, points)).size for lo, hi
+                         in zip(spec.admissible.lo[n_steps], spec.admissible.hi[n_steps])]))
+    tail = big_p ** m_last
+    # table row prefix * P + p: the candidate with grid point p at every level-N node
+    every_node = sum(big_p ** j for j in range(m_last))
+    table = forward.level_table(spec, tree, controls_of(
+        (np.arange(total // tail)[:, None] * tail + np.arange(big_p) * every_node).ravel()))
+    node_strides = big_p ** np.arange(m_last - 1, -1, -1)[:, None]
+    costs, chunk = np.empty(total), forward.chunk_rows(spec, tree)
+    for start in range(0, total, chunk):
+        prefix, rest = np.divmod(np.arange(start, min(start + chunk, total)), tail)
+        rows = prefix * big_p + rest // node_strides % big_p  # (m_N, B): each node's row
+        at = (rows * m_last + np.arange(m_last)[:, None]).T
+        costs[start:start + chunk] = forward._finish(
+            spec, tree, table.pre.take(rows[0]), table.run.reshape(-1).take(at),
+            table.kids.reshape(-1, branch, spec.n).take(at, axis=0))
+    return costs
 
 
 ORACLE_CASES = {
@@ -230,6 +264,17 @@ ORACLE_CASES = {
     "tables": (lambda: parse_problem(json.dumps(TABLES_CFG)), 3),
     "prodcons": (lambda: builtin("prodcons", delta_util=0.5, h=0.5, N=3, x0=1.0,
                                  v_floor=-0.5, v_cap=1.0), 2),
+    # branch 3: three level-1 nodes, two of them leading each run
+    "trinomial": (lambda: builtin("lq_meanfield", n=1, r=1, d=1, h=0.5, N=1, x0=[0.4],
+                                  noise="trinomial", trinomial_p=0.2, A=[[0.2]], A_mean=[[0.3]],
+                                  B=[[1.0]], sigma=[{"s0": [0.5], "C": [[0.3]]}], Q=[[1.0]],
+                                  R=[[2.0]], G=[[1.0]], G_mean=[[0.5]], q=[0.1],
+                                  lo=-1.0, hi=1.0), 5),
+    "maximize": (lambda: builtin("lq_meanfield", n=2, r=1, d=1, h=0.5, N=1, x0=[0.3, -0.2],
+                                 A=[[0.1, 0.2], [0.0, -0.3]], B=[[1.0], [0.5]],
+                                 sigma=[{"s0": [0.2, 0.1]}], Q=[[-1.0, 0.0], [0.0, -0.5]],
+                                 R=[[-2.0]], G_mean=[[-1.0, 0.0], [0.0, -1.0]], g=[0.3, 0.1],
+                                 direction="maximize", lo=-1.0, hi=1.0), 6),
 }
 
 
@@ -261,6 +306,38 @@ def test_brute_force_costs_are_batch_cost_bit_for_bit(case, rows, monkeypatch):
 def _rows_per_chunk(monkeypatch, spec, tree, rows):
     widest = tree.size(tree.grid.n_steps + 1) * max(spec.d * spec.n, spec.r)
     monkeypatch.setattr(forward, "CHUNK_BYTES", rows * widest * np.dtype(float).itemsize)
+
+
+@pytest.mark.parametrize("rows", [None, 2, 5])
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_grid_costs_are_the_gather_reference_bits(case, rows, monkeypatch):
+    # the runs' slices and broadcasts give each candidate the level-N entries
+    # that per-candidate gathers give it, and `_finish` the same bits
+    make, points = ORACLE_CASES[case]
+    spec = make()
+    tree = spec.build_tree()
+    expected = gather_grid_costs(spec, tree, points)
+    if rows is not None:
+        _rows_per_chunk(monkeypatch, spec, tree, rows)
+    costs, _ = _optimize_module()._grid_costs(spec, tree, points, 10 ** 7)
+    np.testing.assert_array_equal(costs.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("rows", [None, 1000])
+def test_brute_force_chunks_span_prefixes(rows, monkeypatch):
+    # at 21 points a prefix holds 441 candidates, fewer than a chunk: chunks
+    # that stopped at every prefix would finish 21 of them
+    opt_module, calls = _optimize_module(), {}
+    spec = _oracle_lq()
+    tree = spec.build_tree()
+    if rows is not None:
+        _rows_per_chunk(monkeypatch, spec, tree, rows)
+    chunk, candidates = forward.chunk_rows(spec, tree), 21 ** 3
+    assert 21 ** 2 < chunk
+    _count_calls(monkeypatch, opt_module, "_finish", calls)
+    _count_calls(monkeypatch, opt_module, "level_table", calls)  # one call per table window
+    brute_force(spec, tree, 21)
+    assert calls["_finish"] <= -(-candidates // chunk) + calls["level_table"] < 21
 
 
 @pytest.mark.parametrize("rows", [1, 2, 7, 100])
@@ -533,6 +610,16 @@ def test_iterates_stay_feasible_under_an_active_box(monkeypatch):
     on_bound = np.concatenate([np.abs(result.u.at(k)) == 0.2 for k in result.u.levels()])
     assert on_bound.any() and not on_bound.all()
     assert result.reason == "gradient-tolerance"
+
+
+def test_line_search_trials_skip_the_box_check(monkeypatch):
+    # every control `_safe_cost` sees is a fresh projection into the boxes,
+    # the start included, so no `simulate` of the optimizer tests them again
+    calls = {}
+    _count_calls(monkeypatch, forward, "check_feasible", calls)
+    spec = _deep_lq(4)
+    result = optimize(spec, spec.build_tree(), options=OptimizerOptions(seed=2))
+    assert result.iterations > 0 and calls == {}
 
 
 def test_seeded_start_is_strictly_inside_a_one_sided_box(monkeypatch):

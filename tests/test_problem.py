@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfsmp.errors import ConfigError, MfsmpError
+from mfsmp.errors import ConfigError, MfsmpError, TreeSizeError
 from mfsmp.forward import _rows, constant_control, cost
 from mfsmp.instances import (e1_problem, random_control, random_lq, random_prodcons,
                              smooth_nonlinear)
 from mfsmp.problem import (AdmissibleSet, builtin, parse_problem, serialize_problem,
                            to_config, validate_spec)
+from mfsmp.tree import NoiseModel, TimeGrid, build_tree, exceeds_node_cap
 
 MINIMAL_LQ = {
     "dims": {"n": 1, "r": 1, "d": 1},
@@ -207,6 +208,40 @@ def test_builtin_refuses_what_the_parser_refuses(change, key):
     keywords = dict(n=1, r=1, d=1, h=1.0, N=1, x0=[0.0], R=[[1.0]], lo=-1.0, hi=1.0)
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)}[:. ]"):
         builtin("lq_meanfield", **{**keywords, **change})
+
+
+def _tree_refused(n_steps, law):
+    try:
+        build_tree(TimeGrid(0.0, 1.0, n_steps), law)
+    except TreeSizeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind, steps", [("binary", range(15, 21)), ("trinomial", range(9, 14)),
+                                         ("binary", [40, 10 ** 7, 10 ** 9])],
+                         ids=["binary", "trinomial", "binary-huge"])
+def test_parse_refuses_a_grid_past_the_node_cap(kind, steps):
+    # the parser counts the tree's nodes before it allocates per-step tables,
+    # and refuses exactly the grids whose tree `build_tree` refuses
+    law = NoiseModel.binary(1, 1.0) if kind == "binary" else NoiseModel.trinomial(1, 1.0, 0.25)
+    for n_steps in steps:
+        cfg = json.dumps(dict(MINIMAL_LQ, grid={"t0": 0.0, "h": 1.0, "N": n_steps},
+                              noise={"kind": kind}))
+        if n_steps > 100 or _tree_refused(n_steps, law):
+            with pytest.raises(ConfigError, match=rf"^grid\.N: {n_steps} steps "):
+                parse_problem(cfg)
+        else:
+            assert parse_problem(cfg).grid.n_steps == n_steps
+
+
+def test_node_cap_count_stops_past_the_cap():
+    for branch in (2, 3, 5):
+        for n_levels in range(1, 12):
+            nodes = sum(branch ** k for k in range(n_levels))
+            for cap in (nodes - 1, nodes):
+                assert exceeds_node_cap(branch, n_levels, cap) is (nodes > cap)
+    assert exceeds_node_cap(2, 10 ** 18)  # stops after about 20 levels
 
 
 STEP_EVALUATORS = ("f", "f_x", "f_y", "f_u", "sigma", "sigma_x", "sigma_y", "sigma_u",
